@@ -22,6 +22,13 @@ grid quadrature to rounding.  The discretised action is the object that is
 differentiated and optimised: gradients returned by this module are the
 exact derivatives of the discretised functional, not of the continuum limit.
 
+One evaluation path: every functional here, and the optimizer's
+``Objective``, evaluates through :func:`action_kernel` -- the closed-form
+kinetic term at the frame speed, plus a potential chosen once by
+:func:`potential_kernel` (the Kepler term or the pair sum over lag
+differences), plus the pullback of its grid force when a gradient is asked
+for.  The Newton residual reuses the same force array.
+
 Near-collisions are a hard error below the guard separation (no smoothing):
 minimizers of interest are collisionless, and smoothing would corrupt the
 certified values.
@@ -30,8 +37,7 @@ certified values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from .loops import (
     TWO_PI,
     FourierLoop,
     SystemParams,
+    lag_differences,
     resolve_grid_size,
     trig_basis,
 )
@@ -147,35 +154,21 @@ def kinetic_gradient(
     return g_mean, g_cos, g_sin
 
 
-@lru_cache(maxsize=128)
-def _shift_index(n: int, M: int) -> np.ndarray:
-    """Row h-1 holds the sample indices of the lag-h shifted loop."""
-    stride = M // n
-    if stride * n != M:
-        raise ValueError(f"grid size {M} is not a multiple of n={n}")
-    j = np.arange(M)
-    idx = (j[None, :] + stride * np.arange(1, n)[:, None]) % M
-    idx.flags.writeable = False
-    return idx
-
-
 def pair_potential(
     X: np.ndarray,
     n: int,
     alpha: float,
     guard: float,
     need_force: bool,
-) -> tuple[float, np.ndarray | None, float]:
+) -> tuple[float, np.ndarray | None]:
     """Discretised pair potential of a choreography sample array.
 
-    Returns (value, dU/dX or None, min separation).  X has shape (M, d) with
-    M a multiple of n; the shift by h tau is an index roll by h*M/n samples,
-    evaluated for all lags at once.  The force array is the exact derivative
-    of the discretised value.
+    Returns (value, dU/dX or None).  X has shape (M, d) with M a multiple
+    of n; all lags are evaluated at once.  The force array is the exact
+    derivative of the discretised value.
     """
     M = X.shape[0]
-    idx = _shift_index(n, M)
-    diff = X[None, :, :] - X[idx]  # (n-1, M, d)
+    diff = lag_differences(X, n)  # (n-1, M, d)
     r2 = np.einsum("hmd,hmd->hm", diff, diff)
     flat_min = int(np.argmin(r2))
     min_sep = math.sqrt(float(r2.flat[flat_min]))
@@ -187,12 +180,12 @@ def pair_potential(
     if need_force:
         w = r2 ** (-(alpha + 2.0) / 2.0)
         force = -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff)
-    return value, force, min_sep
+    return value, force
 
 
 def single_potential(
     X: np.ndarray, alpha: float, guard: float, need_force: bool
-) -> tuple[float, np.ndarray | None, float]:
+) -> tuple[float, np.ndarray | None]:
     """Kepler potential int dt/|q|^alpha on the grid, with derivative."""
     M = X.shape[0]
     r2 = np.sum(X**2, axis=1)
@@ -204,7 +197,7 @@ def single_potential(
     force = None
     if need_force:
         force = -(TWO_PI * alpha / M) * (r2 ** (-(alpha + 2.0) / 2.0))[:, None] * X
-    return value, force, sep
+    return value, force
 
 
 def pullback_to_coefficients(
@@ -214,6 +207,59 @@ def pullback_to_coefficients(
     M = force.shape[0]
     _, C, S = trig_basis(cutoff, M)
     return force.sum(axis=0), C.T @ force, S.T @ force
+
+
+# ---------------------------------------------------------------------------
+# the evaluation kernel
+
+
+def potential_kernel(n: int | None, alpha: float, guard: float):
+    """The potential as a callable (X, need_force) -> (value, force or None):
+    the Kepler term int dt/|q|^alpha when n is None, the n-body pair sum
+    otherwise."""
+    if n is None:
+        return lambda X, need_force: single_potential(X, alpha, guard, need_force)
+    return lambda X, need_force: pair_potential(X, n, alpha, guard, need_force)
+
+
+def action_kernel(mean, cos, sin, X, omega: float, potential, need_grad: bool):
+    """Kinetic and potential parts of the discretised action, plus its
+    (mean, cos, sin) gradient when ``need_grad`` (else None).
+
+    Every functional of this module and the optimizer's objective evaluate
+    through here; X holds the grid samples of the loop (mean, cos, sin).
+    """
+    kin = kinetic_value(mean, cos, sin, omega)
+    pot, force = potential(X, need_grad)
+    if not need_grad:
+        return kin, pot, None
+    g_mean, g_cos, g_sin = kinetic_gradient(mean, cos, sin, omega)
+    fm, fc, fs = pullback_to_coefficients(force, cos.shape[0])
+    return kin, pot, (g_mean + fm, g_cos + fc, g_sin + fs)
+
+
+def _loop_kernel(x: FourierLoop, omega, potential, M: int, need_grad: bool):
+    return action_kernel(
+        x.mean, x.cos_coeffs, x.sin_coeffs, x.sample(M), omega, potential, need_grad
+    )
+
+
+def _residual(x: FourierLoop, omega: float, potential, M: int) -> float:
+    """L^2 norm of x'' + frame terms - (M / 2 pi) force on the grid.
+
+    The potential's force array is dU/dX, which at each node is 2 pi / M
+    times the gradient of sum_h |x - x_h|^{-alpha} (of |q|^{-alpha} for
+    Kepler); the last term is therefore the force of the equations of motion.
+    """
+    X = x.sample(M)
+    _, force = potential(X, True)
+    res = x.derivative().derivative().sample(M)
+    if omega:
+        vel = x.derivative().sample(M)
+        res[:, 0] += -2.0 * omega * vel[:, 1] - omega**2 * X[:, 0]
+        res[:, 1] += 2.0 * omega * vel[:, 0] - omega**2 * X[:, 1]
+    res -= (M / TWO_PI) * force
+    return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +276,7 @@ def kepler_action(
     if float(np.max(np.abs(q.mean))) > 1e-12:
         raise ValueError("Kepler loops must have zero mean")
     M = resolve_grid_size(q.cutoff, 2, grid_size)
-    kin = kinetic_value(q.mean, q.cos_coeffs, q.sin_coeffs, 0.0)
-    pot, _, _ = single_potential(q.sample(M), alpha, guard, need_force=False)
+    kin, pot, _ = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M, False)
     return ActionValue(kin, pot, M)
 
 
@@ -241,11 +286,8 @@ def choreography_action(
     grid_size: int | None = None,
     guard: float = DEFAULT_GUARD,
 ) -> ActionValue:
-    """Inertial choreography action; ignores params.omega."""
-    M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    kin = kinetic_value(x.mean, x.cos_coeffs, x.sin_coeffs, 0.0)
-    pot, _, _ = pair_potential(x.sample(M), params.n, params.alpha, guard, False)
-    return ActionValue(kin, pot, M)
+    """Inertial choreography action: :func:`rotating_action` at omega = 0."""
+    return rotating_action(x, replace(params, omega=0.0), grid_size, guard)
 
 
 def rotating_action(
@@ -260,25 +302,14 @@ def rotating_action(
     differs from the inertial functional.
     """
     M = resolve_grid_size(y.cutoff, params.n, grid_size)
-    kin = kinetic_value(y.mean, y.cos_coeffs, y.sin_coeffs, params.omega)
-    pot, _, _ = pair_potential(y.sample(M), params.n, params.alpha, guard, False)
+    potential = potential_kernel(params.n, params.alpha, guard)
+    kin, pot, _ = _loop_kernel(y, params.omega, potential, M, False)
     return ActionValue(kin, pot, M)
-
-
-def _resolve_omega(params: SystemParams, frame: str) -> float:
-    if frame == "inertial":
-        return 0.0
-    if frame == "rotating":
-        return params.omega
-    if frame == "auto":
-        return params.omega
-    raise ValueError(f"unknown frame {frame!r}")
 
 
 def gradient(
     x: FourierLoop,
     params: SystemParams,
-    frame: str = "auto",
     grid_size: int | None = None,
     guard: float = DEFAULT_GUARD,
 ) -> GradientVector:
@@ -289,14 +320,10 @@ def gradient(
     the grid and pulls it back through the shift structure and the basis
     functions.
     """
-    omega = _resolve_omega(params, frame)
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    g_mean, g_cos, g_sin = kinetic_gradient(
-        x.mean, x.cos_coeffs, x.sin_coeffs, omega
-    )
-    _, force, _ = pair_potential(x.sample(M), params.n, params.alpha, guard, True)
-    fm, fc, fs = pullback_to_coefficients(force, x.cutoff)
-    return GradientVector(g_mean + fm, g_cos + fc, g_sin + fs)
+    potential = potential_kernel(params.n, params.alpha, guard)
+    _, _, grad = _loop_kernel(x, params.omega, potential, M, True)
+    return GradientVector(*grad)
 
 
 def kepler_gradient(
@@ -305,18 +332,15 @@ def kepler_gradient(
     grid_size: int | None = None,
     guard: float = DEFAULT_GUARD,
 ) -> GradientVector:
-    M = resolve_grid_size(q.cutoff, 2, grid_size)
-    g_mean, g_cos, g_sin = kinetic_gradient(q.mean, q.cos_coeffs, q.sin_coeffs, 0.0)
-    _, force, _ = single_potential(q.sample(M), alpha, guard, True)
-    fm, fc, fs = pullback_to_coefficients(force, q.cutoff)
     # the mean is not a Kepler degree of freedom; report its component anyway
-    return GradientVector(g_mean + fm, g_cos + fc, g_sin + fs)
+    M = resolve_grid_size(q.cutoff, 2, grid_size)
+    _, _, grad = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M, True)
+    return GradientVector(*grad)
 
 
 def newton_residual(
     x: FourierLoop,
     params: SystemParams,
-    frame: str = "auto",
     grid_size: int | None = None,
     guard: float = DEFAULT_GUARD,
 ) -> float:
@@ -328,24 +352,9 @@ def newton_residual(
     A loop is a critical point of the discretised action iff the gradient
     vanishes; this residual must co-vanish (up to the truncation tail).
     """
-    omega = _resolve_omega(params, frame)
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    X = x.sample(M)
-    acc = x.derivative().derivative().sample(M)
-    res = acc.copy()
-    if omega:
-        vel = x.derivative().sample(M)
-        res[:, 0] += -2.0 * omega * vel[:, 1] - omega**2 * X[:, 0]
-        res[:, 1] += 2.0 * omega * vel[:, 0] - omega**2 * X[:, 1]
-    stride = M // params.n
-    for h in range(1, params.n):
-        diff = X - np.roll(X, -h * stride, axis=0)
-        r2 = np.sum(diff**2, axis=1)
-        sep = math.sqrt(float(np.min(r2)))
-        if sep < guard:
-            raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)
-        res += params.alpha * (r2 ** (-(params.alpha + 2.0) / 2.0))[:, None] * diff
-    return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
+    potential = potential_kernel(params.n, params.alpha, guard)
+    return _residual(x, params.omega, potential, M)
 
 
 def kepler_newton_residual(
@@ -356,11 +365,4 @@ def kepler_newton_residual(
 ) -> float:
     """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid."""
     M = resolve_grid_size(q.cutoff, 2, grid_size)
-    X = q.sample(M)
-    r2 = np.sum(X**2, axis=1)
-    sep = math.sqrt(float(np.min(r2)))
-    if sep < guard:
-        raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, None)
-    res = q.derivative().derivative().sample(M)
-    res += alpha * (r2 ** (-(alpha + 2.0) / 2.0))[:, None] * X
-    return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
+    return _residual(q, 0.0, potential_kernel(None, alpha, guard), M)

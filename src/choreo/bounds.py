@@ -37,14 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .action import DEFAULT_GUARD, rotating_action
+from .action import DEFAULT_GUARD, CollisionError, kinetic_value, rotating_action
 from .loops import (
     TWO_PI,
     FourierLoop,
     SystemParams,
+    lag_differences,
     pair_square_integrals,
     resolve_grid_size,
-    self_inner,
 )
 
 
@@ -91,14 +91,10 @@ def jensen_gap(
     if not 1 <= h <= params.n - 1:
         raise ValueError(f"lag h must be in 1..n-1, got {h}")
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    X = x.sample(M)
-    stride = M // params.n
-    diff = X - np.roll(X, -h * stride, axis=0)
+    diff = lag_differences(x.sample(M), params.n)[h - 1]
     r2 = np.sum(diff**2, axis=1)
     sep = math.sqrt(float(np.min(r2)))
     if sep < guard:
-        from .action import CollisionError
-
         raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)
     lhs = float(np.mean(r2 ** (-params.alpha / 2.0)))
     xi_h = float(pair_square_integrals(x, params.n)[h - 1])
@@ -192,9 +188,9 @@ def constrained_power_min(
     for iters in range(1, max_iters + 1):
         g, H = grad_hess(u)
         gnorm = float(np.linalg.norm(g))
-        # run to the machine floor: the quadratic tail costs a few cheap
-        # extra solves and buys stationarity residuals at rounding level
-        if gnorm < tol * tol * max(1.0, abs(f)):
+        # a relative gradient of tol is reachable in float arithmetic; any
+        # tighter and the line search accepts rounding-level moves up to the cap
+        if gnorm < tol * max(1.0, abs(f)):
             break
         step = np.linalg.solve(H, -g)
         t = 1.0
@@ -230,8 +226,7 @@ def constrained_power_min(
 
 def kinetic_integral(x: FourierLoop) -> float:
     """1/2 int |x'|^2 dt, exact from the coefficients."""
-    k2 = np.arange(1, x.cutoff + 1, dtype=float)[:, None] ** 2
-    return 0.5 * math.pi * float(np.sum(k2 * (x.cos_coeffs**2 + x.sin_coeffs**2)))
+    return kinetic_value(x.mean, x.cos_coeffs, x.sin_coeffs, 0.0)
 
 
 def rayleigh_quotient(x: FourierLoop, params: SystemParams) -> float:

@@ -10,21 +10,19 @@ Subcommands: minimize, classify, spectrum, verify, mpa.  Exit codes:
 
 Artifacts are deterministic: JSON is emitted with sorted keys, every file
 embeds the fully resolved configuration, and no timestamps are written.
-The environment variable CHOREO_THREADS caps the multistart fan-out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, spectral, verify
+from .action import CollisionError
 from .loops import (
     EIGHT3D,
     FourierLoop,
@@ -33,8 +31,8 @@ from .loops import (
     samples_csv,
     to_json_dict,
 )
-from .mountain_pass import MountainPassConfig, mountain_pass
-from .optimize import DescentConfig, StartSpec, minimize, multistart
+from .mountain_pass import MountainPassConfig, MountainPassError, mountain_pass
+from .optimize import DescentConfig, StartSpec, multistart
 from .svgplot import orbit_svg, saddle_svg
 
 _GROUPS = {"none": None, "eight3d": EIGHT3D}
@@ -112,8 +110,7 @@ def cmd_minimize(args) -> int:
         StartSpec(winding=winding, radius=args.radius, noise=args.noise, seed=args.seed + i)
         for i in range(args.starts)
     ]
-    workers = max(int(os.environ.get("CHOREO_THREADS", "1")), 1)
-    result = multistart(params, cfg, specs, workers=workers).best
+    result = multistart(params, cfg, specs).best
 
     config_doc = {
         "command": "minimize",
@@ -432,7 +429,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, CollisionError, MountainPassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,9 +22,8 @@ square-integrable first derivatives are structural.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
@@ -53,6 +52,10 @@ class SystemParams:
             raise ValueError(f"need at least two bodies, got n={self.n}")
         if self.d < 2:
             raise ValueError(f"need dimension >= 2, got d={self.d}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.omega)):
+            raise ValueError(
+                f"alpha and omega must be finite, got alpha={self.alpha}, omega={self.omega}"
+            )
         if not self.alpha > 0:
             raise ValueError(f"potential exponent must be positive, got {self.alpha}")
         if self.omega < 0:
@@ -215,6 +218,27 @@ def trig_basis(cutoff: int, grid_size: int):
     return _freeze(t), _freeze(np.cos(phases)), _freeze(np.sin(phases))
 
 
+@lru_cache(maxsize=128)
+def _shift_index(n: int, M: int) -> np.ndarray:
+    """Row h-1 holds the sample indices of the lag-h shifted loop."""
+    stride = M // n
+    if stride * n != M:
+        raise ValueError(f"grid size {M} is not a multiple of n={n}")
+    j = np.arange(M)
+    idx = (j[None, :] + stride * np.arange(1, n)[:, None]) % M
+    idx.flags.writeable = False
+    return idx
+
+
+def lag_differences(X: np.ndarray, n: int) -> np.ndarray:
+    """x(t_j) - x(t_j + h tau) for the grid samples X of shape (M, d).
+
+    Row h-1 of the (n-1, M, d) result holds lag h; the shift by h tau is an
+    index roll by h*M/n samples.
+    """
+    return X[None, :, :] - X[_shift_index(n, X.shape[0])]
+
+
 def default_grid_size(cutoff: int, n: int) -> int:
     """Smallest multiple of n that is >= max(4K, 16n)."""
     target = max(4 * cutoff, 16 * n)
@@ -329,13 +353,6 @@ def unpack_coefficients(vec: np.ndarray, dim: int, cutoff: int) -> FourierLoop:
 def coefficient_norm(loop: FourierLoop) -> float:
     """Plain 2-norm of the packed coefficient vector."""
     return float(np.linalg.norm(pack_coefficients(loop)))
-
-
-def rms_norm(loop: FourierLoop) -> float:
-    """sqrt((1/2pi) int |x|^2 dt): the loop's root-mean-square distance
-    from the origin, computed exactly from the coefficients."""
-    sq = float(self_inner(loop)) / TWO_PI
-    return math.sqrt(max(sq, 0.0))
 
 
 def self_inner(loop: FourierLoop) -> float:
@@ -474,13 +491,8 @@ def min_separation(
 ) -> float:
     """min over t and h of |x(t) - x(t + h tau)| on the sampling grid."""
     M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    X = loop.sample(M)
-    stride = M // params.n
-    best = math.inf
-    for h in range(1, params.n):
-        diff = X - np.roll(X, -h * stride, axis=0)
-        best = min(best, float(np.sqrt(np.min(np.sum(diff**2, axis=1)))))
-    return best
+    diff = lag_differences(loop.sample(M), params.n)
+    return math.sqrt(float(np.min(np.sum(diff**2, axis=2))))
 
 
 def _fit_circle_2d(p: np.ndarray) -> tuple[np.ndarray, float]:

@@ -34,19 +34,16 @@ from .action import (
     ActionValue,
     CollisionError,
     DEFAULT_GUARD,
-    kinetic_gradient,
-    kinetic_value,
-    pair_potential,
-    pullback_to_coefficients,
-    single_potential,
+    action_kernel,
+    potential_kernel,
 )
 from .loops import (
-    TWO_PI,
     FourierLoop,
     LoopDiagnostics,
     SymmetryGroup,
     SystemParams,
     diagnostics as loop_diagnostics,
+    lag_differences,
     pack_coefficients,
     project_symmetry,
     resolve_grid_size,
@@ -151,7 +148,8 @@ class Objective:
 
     ``params=None`` selects the Kepler functional (one body around a fixed
     center, zero mean pinned); otherwise the rotating-frame choreography
-    action at params.omega (the inertial one when omega = 0).
+    action at params.omega (the inertial one when omega = 0).  The choice is
+    made once here: both evaluate through :func:`action.action_kernel`.
     """
 
     def __init__(
@@ -166,8 +164,8 @@ class Objective:
         dim: int | None = None,
     ):
         self.params = params
-        self.kepler = params is None
-        if self.kepler:
+        self.cutoff = int(cutoff)
+        if params is None:
             if alpha is None or dim is None:
                 raise ValueError("Kepler objective needs alpha and dim")
             self.alpha = float(alpha)
@@ -175,19 +173,24 @@ class Objective:
             self.n = 2
             self.omega = 0.0
             pin_mean = True
+            self._potential = potential_kernel(None, self.alpha, guard)
+            self._residual = lambda loop: action_mod.kepler_newton_residual(
+                loop, self.alpha, self.grid_size, guard
+            )
         else:
             self.alpha = params.alpha
             self.dim = params.d
             self.n = params.n
             self.omega = params.omega
-        self.cutoff = int(cutoff)
+            self._potential = potential_kernel(params.n, params.alpha, guard)
+            self._residual = lambda loop: action_mod.newton_residual(
+                loop, params, self.grid_size, guard
+            )
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
-        self.guard = guard
         self.symmetry = symmetry
         self.pin_mean = pin_mean
         _, self._C, self._S = trig_basis(self.cutoff, self.grid_size)
         self.mask = self._build_mask()
-        self.size = self.dim * (1 + 2 * self.cutoff)
 
     def _build_mask(self) -> np.ndarray:
         d, K = self.dim, self.cutoff
@@ -223,44 +226,24 @@ class Objective:
         sin = vec[d + K * d :].reshape(K, d)
         return mean, cos, sin
 
-    def _samples(self, mean, cos, sin) -> np.ndarray:
-        return mean + self._C @ cos + self._S @ sin
-
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, vec: np.ndarray) -> float:
+    def _evaluate(self, vec: np.ndarray, need_grad: bool):
         mean, cos, sin = self._split(vec)
-        kin = kinetic_value(mean, cos, sin, self.omega)
-        X = self._samples(mean, cos, sin)
-        if self.kepler:
-            pot, _, _ = single_potential(X, self.alpha, self.guard, False)
-        else:
-            pot, _, _ = pair_potential(X, self.n, self.alpha, self.guard, False)
+        X = mean + self._C @ cos + self._S @ sin
+        return action_kernel(mean, cos, sin, X, self.omega, self._potential, need_grad)
+
+    def value(self, vec: np.ndarray) -> float:
+        kin, pot, _ = self._evaluate(vec, False)
         return kin + pot
 
     def value_and_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        mean, cos, sin = self._split(vec)
-        g_mean, g_cos, g_sin = kinetic_gradient(mean, cos, sin, self.omega)
-        kin = kinetic_value(mean, cos, sin, self.omega)
-        X = self._samples(mean, cos, sin)
-        if self.kepler:
-            pot, force, _ = single_potential(X, self.alpha, self.guard, True)
-        else:
-            pot, force, _ = pair_potential(X, self.n, self.alpha, self.guard, True)
-        fm, fc, fs = pullback_to_coefficients(force, self.cutoff)
-        grad = np.concatenate(
-            [(g_mean + fm), (g_cos + fc).ravel(), (g_sin + fs).ravel()]
-        )
+        kin, pot, (g_mean, g_cos, g_sin) = self._evaluate(vec, True)
+        grad = np.concatenate([g_mean, g_cos.ravel(), g_sin.ravel()])
         return kin + pot, np.where(self.mask, grad, 0.0)
 
     def action_value(self, vec: np.ndarray) -> ActionValue:
-        mean, cos, sin = self._split(vec)
-        kin = kinetic_value(mean, cos, sin, self.omega)
-        X = self._samples(mean, cos, sin)
-        if self.kepler:
-            pot, _, _ = single_potential(X, self.alpha, self.guard, False)
-        else:
-            pot, _, _ = pair_potential(X, self.n, self.alpha, self.guard, False)
+        kin, pot, _ = self._evaluate(vec, False)
         return ActionValue(kin, pot, self.grid_size)
 
     def rms(self, vec: np.ndarray) -> float:
@@ -269,14 +252,7 @@ class Objective:
         return math.sqrt(max(sq, 0.0))
 
     def residual(self, vec: np.ndarray) -> float:
-        loop = self.unpack(vec)
-        if self.kepler:
-            return action_mod.kepler_newton_residual(
-                loop, self.alpha, self.grid_size, self.guard
-            )
-        return action_mod.newton_residual(
-            loop, self.params, "auto", self.grid_size, self.guard
-        )
+        return self._residual(self.unpack(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +384,12 @@ def init_circle(
     return loop
 
 
-def _finish(
-    obj: Objective, params: SystemParams | None, out: _DescentOutcome, cfg: DescentConfig
-) -> MinimizeResult:
+def _finish(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
     loop = obj.unpack(out.vec)
     act = obj.action_value(out.vec)
-    if params is not None:
-        diag = loop_diagnostics(loop, params, obj.grid_size)
-        clusters = detect_clusters(loop, params, obj.grid_size)
+    if obj.params is not None:
+        diag = loop_diagnostics(loop, obj.params, obj.grid_size)
+        clusters = detect_clusters(loop, obj.params, obj.grid_size)
     else:
         kepler_params = SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
         diag = loop_diagnostics(loop, kepler_params, obj.grid_size)
@@ -459,8 +433,7 @@ def minimize(
         pin_mean=cfg.pin_mean,
     )
     x0 = obj.pack(init if cfg.symmetry is None else project_symmetry(init, cfg.symmetry))
-    out = descend(obj, x0, cfg)
-    return _finish(obj, params, out, cfg)
+    return _finish(obj, descend(obj, x0, cfg))
 
 
 def kepler_minimize(
@@ -475,8 +448,7 @@ def kepler_minimize(
         alpha=alpha,
         dim=init.dim,
     )
-    out = descend(obj, obj.pack(init), cfg)
-    return _finish(obj, None, out, cfg)
+    return _finish(obj, descend(obj, obj.pack(init), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +470,8 @@ def detect_clusters(
     """
     n = params.n
     M = resolve_grid_size(loop.cutoff, n, grid_size)
-    X = loop.sample(M)
-    stride = M // n
-    profile = np.empty(n - 1)
-    for h in range(1, n):
-        diff = X - np.roll(X, -h * stride, axis=0)
-        profile[h - 1] = float(np.mean(np.sqrt(np.sum(diff**2, axis=1))))
+    diff = lag_differences(loop.sample(M), n)
+    profile = np.mean(np.sqrt(np.sum(diff**2, axis=2)), axis=1)
 
     order = np.argsort(profile)
     vals = profile[order]
@@ -596,24 +564,16 @@ def multistart(
     params: SystemParams,
     cfg: DescentConfig,
     starts: Sequence[StartSpec | FourierLoop],
-    workers: int = 1,
 ) -> MultistartResult:
-    """Run minimize() per start and return the argmin by action.
+    """Run minimize() on each start in turn and return the argmin by action.
 
-    Starts are independent with isolated state, so they may run on a thread
-    pool (``workers`` > 1); results are merged deterministically by
-    (action, start index) either way.  The full table is kept for reporting.
+    Each result is exactly what a separate minimize() call on the same start
+    returns; ties are broken by start index.  The full table is kept for
+    reporting.
     """
     if not starts:
         raise ValueError("need at least one start")
-    inits = [_resolve_start(params, cfg, spec) for spec in starts]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda init: minimize(params, init, cfg), inits))
-    else:
-        results = [minimize(params, init, cfg) for init in inits]
+    results = [minimize(params, _resolve_start(params, cfg, spec), cfg) for spec in starts]
     ordered = sorted(
         range(len(results)), key=lambda i: (results[i].action.total, i)
     )

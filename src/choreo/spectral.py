@@ -464,8 +464,16 @@ def classify(n: int, alpha: float, omega: float) -> RegimeReport:
     counter-rotating circles); otherwise UNDETERMINED with the restricted
     circle attached as a hypothesis.
     """
+    if not (math.isfinite(omega) and math.isfinite(alpha)):
+        raise ValueError(f"omega and alpha must be finite, got omega={omega}, alpha={alpha}")
     if omega < 0:
         raise ValueError("omega must be >= 0")
+    if math.ulp(omega) > _INTEGER_TOL:
+        # omega_bar and the integer tests would be rounding noise
+        raise ValueError(
+            f"omega={omega:g} is too large: its float spacing {math.ulp(omega):.1e} "
+            f"exceeds the integer tolerance {_INTEGER_TOL:g}"
+        )
     evidence: list[str] = []
 
     l_red = int(omega // n) if omega >= n else 0

@@ -207,6 +207,19 @@ def test_power_min_closed_form_oracle(rng):
     assert np.allclose(res.s, s, rtol=1e-9)
 
 
+def test_power_min_stops_within_twenty_iterations():
+    # the stopping test is reachable in float arithmetic, so Newton ends
+    # after its quadratic tail instead of crawling to the iteration cap
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        K = int(rng.integers(2, 8))
+        mu = rng.uniform(0.1, 3.0, K)
+        beta = float(rng.uniform(0.3, 2.5))
+        res = constrained_power_min(mu, beta)
+        assert res.iters <= 20
+        assert res.stationarity_residual < 1e-10
+
+
 def test_power_min_validation():
     with pytest.raises(ValueError):
         constrained_power_min(np.array([1.0, -0.1]), 1.0)

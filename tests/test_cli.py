@@ -207,6 +207,23 @@ def test_mpa_config_runs_and_writes(tmp_path, capsys):
     assert (tmp_path / "mpa" / "saddle.svg").exists()
 
 
+def test_mpa_colliding_endpoint_exits_one(tmp_path, capsys):
+    # winding 3 at n = 3 puts all bodies on one point
+    config = {
+        "n": 3,
+        "omega": 0.5,
+        "harmonics": 6,
+        "endpoints": [{"winding": -1}, {"winding": 3, "radius": 1.0}],
+    }
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: near-collision")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_mpa_rejects_unknown_fields(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 3, "endpoints": [], "bogus": 1}))

@@ -76,6 +76,10 @@ def test_params_validation():
         SystemParams(n=3, alpha=0.0)
     with pytest.raises(ValueError):
         SystemParams(n=3, omega=-0.1)
+    for field in ("alpha", "omega"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                SystemParams(n=3, **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -209,11 +209,17 @@ def test_multistart_tie_at_half_integer():
     assert windings == [1, 2]
 
 
-def test_multistart_parallel_matches_serial():
-    p = SystemParams(n=3, alpha=1.0)
+def test_multistart_results_match_separate_minimize_calls():
+    p = SystemParams(n=3, alpha=1.0, omega=0.5)
     cfg = DescentConfig(cutoff=4)
     starts = [StartSpec(winding=-1, seed=s) for s in range(3)]
-    serial = multistart(p, cfg, starts, workers=1)
-    parallel = multistart(p, cfg, starts, workers=3)
-    for a, b in zip(serial.results, parallel.results):
-        assert a.action.total == b.action.total
+    out = multistart(p, cfg, starts)
+    for spec, got in zip(starts, out.results):
+        init = noisy_circle(p, spec.winding, spec.seed, noise=spec.noise, cutoff=4)
+        alone = minimize(p, init, cfg)
+        assert (got.iters, got.action, got.grad_norm) == (
+            alone.iters,
+            alone.action,
+            alone.grad_norm,
+        )
+        assert np.array_equal(pack_coefficients(got.loop), pack_coefficients(alone.loop))

@@ -264,6 +264,19 @@ def test_classify_regimes(n, alpha, omega, regime):
     assert classify(n, alpha, omega).regime == regime
 
 
+def test_classify_refuses_unresolvable_omega():
+    # at 1e300 the float spacing of omega dwarfs the integer tolerance, so
+    # the reduced frame speed would be rounding noise
+    with pytest.raises(ValueError, match="too large"):
+        classify(3, 1.0, 1e300)
+
+
+@pytest.mark.parametrize("alpha, omega", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.5)])
+def test_classify_refuses_non_finite_input(alpha, omega):
+    with pytest.raises(ValueError, match="must be finite"):
+        classify(3, alpha, omega)
+
+
 def test_classify_cluster_shapes():
     r = classify(6, 1.0, 2.0)
     assert r.cluster_shape == (3, 2)
