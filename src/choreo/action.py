@@ -17,17 +17,29 @@ branch near an integer frame speed w ~ k is the winding m = -k.
 Discretisation: all integrals use the uniform grid quadrature
 (2 pi / M) sum_j f(t_j), which is exact for trigonometric polynomials below
 the aliasing limit; in particular it is exact for the kinetic term whenever
-M >= 2K + 1, so the closed-form kinetic expressions used here agree with the
-grid quadrature to rounding.  The discretised action is the object that is
-differentiated and optimised: gradients returned by this module are the
-exact derivatives of the discretised functional, not of the continuum limit.
+M >= 2K + 1, so the kinetic term, computed by Parseval from the Fourier
+coefficients, agrees with the grid quadrature to rounding.  The discretised
+action is the object that is differentiated and optimised: gradients
+returned by this module are the exact derivatives of the discretised
+functional, not of the continuum limit.
+
+Kinetic term: the rotating-frame velocity y' + w J P y is a fixed linear
+map L of the packed (mean, cos, sin) vector x (:func:`velocity_map`, built
+once per (d, K, w)), so the kinetic value is the weighted sum of squares
+1/2 sum_i w_i (Lx)_i^2 and its gradient is L^T (w * Lx).  It is not formed
+as the quadratic form 1/2 x^T Q x: at the converged (n, alpha, w) =
+(5, 1, 2.1) winding-2 circle that form is off by 1.1e-13 (the sum of squares
+by 2e-15), close to the Armijo test's slack of 2.5e-13 there.
 
 One evaluation path: every functional here, and the optimizer's
-``Objective``, evaluates through :func:`action_kernel` -- the closed-form
-kinetic term at the frame speed, plus a potential chosen once by
-:func:`potential_kernel` (the Kepler term or the pair sum over lag
-differences), plus the pullback of its grid force when a gradient is asked
-for.  The Newton residual reuses the same force array.
+``Objective``, evaluates through :func:`action_kernel`.  Its value stage
+samples the loop, forms the lag differences and squared distances of the
+potential chosen once by :func:`potential_kernel` (the Kepler term or the
+pair sum), checks the collision guard and returns an :class:`Evaluation`;
+``Evaluation.gradient`` runs only the force stage on the same arrays, its
+pullback and the kinetic gradient.  A descent step therefore pays for one
+value stage per trial and one force stage per accepted point.  The Newton
+residual reuses the same force stage.
 
 Near-collisions are a hard error below the guard separation (no smoothing):
 minimizers of interest are collisionless, and smoothing would corrupt the
@@ -38,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +59,9 @@ from .loops import (
     FourierLoop,
     SystemParams,
     lag_differences,
+    pack_coefficients,
     resolve_grid_size,
-    trig_basis,
+    sample_basis,
 )
 
 DEFAULT_GUARD = 1e-8
@@ -103,6 +117,64 @@ class GradientVector:
 # ---------------------------------------------------------------------------
 # raw-array kernels (shared with the optimizer)
 
+# Largest packed coefficient count d (2K + 1) the dense velocity map may
+# have: 4096^2 doubles are 128 MB.
+MAX_COEFFICIENTS = 4096
+
+
+@lru_cache(maxsize=128)
+def velocity_map(d: int, K: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame velocity map L and its quadrature weights w.
+
+    L takes the packed (mean, cos, sin) vector x of y to the Fourier
+    coefficients of y' + w J P y:
+
+        mean rows   w J m_P,
+        cos rows    k b_k + w J a_k,
+        sin rows   -k a_k + w J b_k,
+
+    with J the quarter turn (u1, u2) -> (-u2, u1) on the rotation plane.
+    By Parseval 1/2 int |y' + w J P y|^2 = 1/2 sum_i w_i (Lx)_i^2 with
+    w_i = 2 pi on the mean rows and pi on the harmonic rows.  Built once
+    per (d, K, omega); both arrays are read-only.
+    """
+    N = d * (2 * K + 1)
+    if N > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"{N} packed coefficients (d={d}, K={K}) exceed {MAX_COEFFICIENTS}"
+        )
+    L = np.zeros((N, N))
+    k = np.repeat(np.arange(1.0, K + 1.0), d)
+    c = d + np.arange(K * d)  # rows and columns of a_k
+    s = c + K * d  # rows and columns of b_k
+    L[c, s] = k
+    L[s, c] = -k
+    if omega:
+        block = np.arange(0, N, d)  # first coordinate of mean, a_k, b_k
+        L[block, block + 1] = -omega
+        L[block + 1, block] = omega
+    w = np.full(N, math.pi)
+    w[:d] = TWO_PI
+    L.flags.writeable = False
+    w.flags.writeable = False
+    return L, w
+
+
+def _kinetic(vec: np.ndarray, d: int, K: int, omega: float):
+    """(kinetic value, L, w * Lx) of a packed vector."""
+    L, w = velocity_map(d, K, omega)
+    v = L @ vec
+    wv = w * v
+    return 0.5 * float(v @ wv), L, wv
+
+
+def _pack(mean, cos, sin) -> np.ndarray:
+    return np.concatenate([mean, np.ravel(cos), np.ravel(sin)])
+
+
+def _split(vec: np.ndarray, d: int, K: int):
+    return vec[:d], vec[d : d + K * d].reshape(K, d), vec[d + K * d :].reshape(K, d)
+
 
 def kinetic_value(
     mean: np.ndarray, cos: np.ndarray, sin: np.ndarray, omega: float
@@ -110,62 +182,29 @@ def kinetic_value(
     """1/2 int |y' + J w P y|^2 (+ plain kinetic outside the plane).
 
     With w = 0 this reduces to the inertial 1/2 int |y'|^2 for all
-    components.  Closed form in the coefficients:
-
-        1/2 int |y'|^2          = (pi/2) sum_k k^2 (|a_k|^2 + |b_k|^2)
-        w int y' . J y          = 2 pi w sum_k k (a_k x b_k)   (plane only)
-        (w^2/2) int |y_P|^2     = pi w^2 (|a_0P|^2 + ...)      (plane only)
-
-    where a x b is the 2-d cross product on the rotation plane.
+    components.  Evaluated as the weighted sum of squares of the velocity
+    coefficients, see :func:`velocity_map`.
     """
-    K = cos.shape[0]
-    k = np.arange(1, K + 1, dtype=float)
-    k2 = k * k
-    val = 0.5 * math.pi * float(k2 @ (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
-    if omega:
-        ap, bp = cos[:, :2], sin[:, :2]
-        cross = ap[:, 0] * bp[:, 1] - ap[:, 1] * bp[:, 0]
-        val += TWO_PI * omega * float(k @ cross)
-        plane_sq = float(np.sum(ap**2) + np.sum(bp**2))
-        val += 0.5 * omega**2 * (
-            TWO_PI * float(mean[0] ** 2 + mean[1] ** 2) + math.pi * plane_sq
-        )
-    return val
+    return _kinetic(_pack(mean, cos, sin), *cos.shape[::-1], omega)[0]
 
 
 def kinetic_gradient(
     mean: np.ndarray, cos: np.ndarray, sin: np.ndarray, omega: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradient of :func:`kinetic_value` in (mean, cos, sin)."""
+    """Exact gradient L^T (w * Lx) of :func:`kinetic_value` in (mean, cos, sin)."""
     K, d = cos.shape
-    k = np.arange(1, K + 1, dtype=float)[:, None]
-    g_cos = math.pi * k**2 * cos
-    g_sin = math.pi * k**2 * sin
-    g_mean = np.zeros(d)
-    if omega:
-        ap, bp = cos[:, :2], sin[:, :2]
-        # d/da of 2 pi w k (a x b) is 2 pi w k (b2, -b1); d/db is (−a2, a1)
-        g_cos[:, 0] += TWO_PI * omega * k[:, 0] * bp[:, 1] + math.pi * omega**2 * ap[:, 0]
-        g_cos[:, 1] += -TWO_PI * omega * k[:, 0] * bp[:, 0] + math.pi * omega**2 * ap[:, 1]
-        g_sin[:, 0] += -TWO_PI * omega * k[:, 0] * ap[:, 1] + math.pi * omega**2 * bp[:, 0]
-        g_sin[:, 1] += TWO_PI * omega * k[:, 0] * ap[:, 0] + math.pi * omega**2 * bp[:, 1]
-        g_mean[0] = TWO_PI * omega**2 * mean[0]
-        g_mean[1] = TWO_PI * omega**2 * mean[1]
-    return g_mean, g_cos, g_sin
+    _, L, wv = _kinetic(_pack(mean, cos, sin), d, K, omega)
+    return _split(L.T @ wv, d, K)
 
 
-def pair_potential(
-    X: np.ndarray,
-    n: int,
-    alpha: float,
-    guard: float,
-    need_force: bool,
-) -> tuple[float, np.ndarray | None]:
-    """Discretised pair potential of a choreography sample array.
+def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
+    """Value stage of the discretised pair potential of a choreography
+    sample array X, shape (M, d) with M a multiple of n.
 
-    Returns (value, dU/dX or None).  X has shape (M, d) with M a multiple
-    of n; all lags are evaluated at once.  The force array is the exact
-    derivative of the discretised value.
+    Forms every lag difference and squared distance at once, checks the
+    collision guard and returns (value, force); ``force()`` is the force
+    stage, the exact derivative dU/dX of the value, computed from the same
+    arrays.
     """
     M = X.shape[0]
     diff = lag_differences(X, n)  # (n-1, M, d)
@@ -176,17 +215,17 @@ def pair_potential(
         h, j = divmod(flat_min, M)
         raise CollisionError(min_sep, j * TWO_PI / M, h + 1)
     value = (math.pi / M) * float(np.sum(r2 ** (-alpha / 2.0)))
-    force = None
-    if need_force:
+
+    def force() -> np.ndarray:
         w = r2 ** (-(alpha + 2.0) / 2.0)
-        force = -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff)
+        return -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff)
+
     return value, force
 
 
-def single_potential(
-    X: np.ndarray, alpha: float, guard: float, need_force: bool
-) -> tuple[float, np.ndarray | None]:
-    """Kepler potential int dt/|q|^alpha on the grid, with derivative."""
+def single_potential(X: np.ndarray, alpha: float, guard: float):
+    """Value stage of the Kepler potential int dt/|q|^alpha on the grid;
+    returns (value, force) like :func:`pair_potential`."""
     M = X.shape[0]
     r2 = np.sum(X**2, axis=1)
     jmin = int(np.argmin(r2))
@@ -194,19 +233,17 @@ def single_potential(
     if sep < guard:
         raise CollisionError(sep, jmin * TWO_PI / M, None)
     value = (TWO_PI / M) * float(np.sum(r2 ** (-alpha / 2.0)))
-    force = None
-    if need_force:
-        force = -(TWO_PI * alpha / M) * (r2 ** (-(alpha + 2.0) / 2.0))[:, None] * X
+
+    def force() -> np.ndarray:
+        return -(TWO_PI * alpha / M) * (r2 ** (-(alpha + 2.0) / 2.0))[:, None] * X
+
     return value, force
 
 
-def pullback_to_coefficients(
-    force: np.ndarray, cutoff: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain rule from dU/dX on the grid to (mean, cos, sin) derivatives."""
-    M = force.shape[0]
-    _, C, S = trig_basis(cutoff, M)
-    return force.sum(axis=0), C.T @ force, S.T @ force
+def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
+    """Chain rule from dU/dX on the grid to the packed (mean, cos, sin)
+    derivative."""
+    return (sample_basis(cutoff, force.shape[0]).T @ force).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +251,54 @@ def pullback_to_coefficients(
 
 
 def potential_kernel(n: int | None, alpha: float, guard: float):
-    """The potential as a callable (X, need_force) -> (value, force or None):
-    the Kepler term int dt/|q|^alpha when n is None, the n-body pair sum
-    otherwise."""
+    """The potential as a callable X -> (value, force stage), see
+    :func:`pair_potential`: the Kepler term int dt/|q|^alpha when n is None,
+    the n-body pair sum otherwise."""
     if n is None:
-        return lambda X, need_force: single_potential(X, alpha, guard, need_force)
-    return lambda X, need_force: pair_potential(X, n, alpha, guard, need_force)
+        return lambda X: single_potential(X, alpha, guard)
+    return lambda X: pair_potential(X, n, alpha, guard)
 
 
-def action_kernel(mean, cos, sin, X, omega: float, potential, need_grad: bool):
-    """Kinetic and potential parts of the discretised action, plus its
-    (mean, cos, sin) gradient when ``need_grad`` (else None).
+class Evaluation:
+    """The discretised action at one packed coefficient vector.
+
+    Construction is the value stage: ``kinetic``, ``potential`` and their
+    sum ``value``.  :meth:`gradient` completes it with the force stage on
+    the same lag differences, its pullback and the kinetic gradient
+    L^T (w * Lx), projected by ``mask`` when one is given.
+    """
+
+    __slots__ = ("kinetic", "potential", "value", "_L", "_wv", "_force", "_K", "_mask")
+
+    def __init__(self, kinetic, potential, L, wv, force, K, mask):
+        self.kinetic = kinetic
+        self.potential = potential
+        self.value = kinetic + potential
+        self._L, self._wv, self._force, self._K, self._mask = L, wv, force, K, mask
+
+    def gradient(self) -> np.ndarray:
+        grad = self._L.T @ self._wv + pullback_to_coefficients(self._force(), self._K)
+        return grad if self._mask is None else np.where(self._mask, grad, 0.0)
+
+
+def action_kernel(
+    vec: np.ndarray, X: np.ndarray, omega: float, potential, mask=None
+) -> Evaluation:
+    """Value stage of the discretised action at the packed vector ``vec``,
+    whose grid samples are X (shape (M, d)).
 
     Every functional of this module and the optimizer's objective evaluate
-    through here; X holds the grid samples of the loop (mean, cos, sin).
+    through here.
     """
-    kin = kinetic_value(mean, cos, sin, omega)
-    pot, force = potential(X, need_grad)
-    if not need_grad:
-        return kin, pot, None
-    g_mean, g_cos, g_sin = kinetic_gradient(mean, cos, sin, omega)
-    fm, fc, fs = pullback_to_coefficients(force, cos.shape[0])
-    return kin, pot, (g_mean + fm, g_cos + fc, g_sin + fs)
+    d = X.shape[1]
+    K = (vec.size // d - 1) // 2
+    pot, force = potential(X)
+    kin, L, wv = _kinetic(vec, d, K, omega)
+    return Evaluation(kin, pot, L, wv, force, K, mask)
 
 
-def _loop_kernel(x: FourierLoop, omega, potential, M: int, need_grad: bool):
-    return action_kernel(
-        x.mean, x.cos_coeffs, x.sin_coeffs, x.sample(M), omega, potential, need_grad
-    )
+def _loop_kernel(x: FourierLoop, omega, potential, M: int) -> Evaluation:
+    return action_kernel(pack_coefficients(x), x.sample(M), omega, potential)
 
 
 def _residual(x: FourierLoop, omega: float, potential, M: int) -> float:
@@ -252,7 +309,7 @@ def _residual(x: FourierLoop, omega: float, potential, M: int) -> float:
     Kepler); the last term is therefore the force of the equations of motion.
     """
     X = x.sample(M)
-    _, force = potential(X, True)
+    force = potential(X)[1]()
     res = x.derivative().derivative().sample(M)
     if omega:
         vel = x.derivative().sample(M)
@@ -276,8 +333,8 @@ def kepler_action(
     if float(np.max(np.abs(q.mean))) > 1e-12:
         raise ValueError("Kepler loops must have zero mean")
     M = resolve_grid_size(q.cutoff, 2, grid_size)
-    kin, pot, _ = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M, False)
-    return ActionValue(kin, pot, M)
+    ev = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M)
+    return ActionValue(ev.kinetic, ev.potential, M)
 
 
 def choreography_action(
@@ -303,8 +360,8 @@ def rotating_action(
     """
     M = resolve_grid_size(y.cutoff, params.n, grid_size)
     potential = potential_kernel(params.n, params.alpha, guard)
-    kin, pot, _ = _loop_kernel(y, params.omega, potential, M, False)
-    return ActionValue(kin, pot, M)
+    ev = _loop_kernel(y, params.omega, potential, M)
+    return ActionValue(ev.kinetic, ev.potential, M)
 
 
 def gradient(
@@ -315,15 +372,14 @@ def gradient(
 ) -> GradientVector:
     """Exact derivative of the discretised action w.r.t. each coefficient.
 
-    The kinetic part is in closed form (diagonal in the harmonic index); the
-    potential part accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on
+    The kinetic part is L^T (w * Lx) of the velocity map; the potential part accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on
     the grid and pulls it back through the shift structure and the basis
     functions.
     """
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
     potential = potential_kernel(params.n, params.alpha, guard)
-    _, _, grad = _loop_kernel(x, params.omega, potential, M, True)
-    return GradientVector(*grad)
+    grad = _loop_kernel(x, params.omega, potential, M).gradient()
+    return GradientVector(*_split(grad, x.dim, x.cutoff))
 
 
 def kepler_gradient(
@@ -334,8 +390,8 @@ def kepler_gradient(
 ) -> GradientVector:
     # the mean is not a Kepler degree of freedom; report its component anyway
     M = resolve_grid_size(q.cutoff, 2, grid_size)
-    _, _, grad = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M, True)
-    return GradientVector(*grad)
+    grad = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M).gradient()
+    return GradientVector(*_split(grad, q.dim, q.cutoff))
 
 
 def newton_residual(

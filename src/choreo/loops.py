@@ -185,8 +185,8 @@ class FourierLoop:
 
     def sample(self, grid_size: int) -> np.ndarray:
         """Samples on the uniform grid t_j = 2*pi*j/M, shape (M, d)."""
-        _, C, S = trig_basis(self.cutoff, grid_size)
-        return self.mean + C @ self.cos_coeffs + S @ self.sin_coeffs
+        packed = pack_coefficients(self).reshape(-1, self.dim)
+        return sample_basis(self.cutoff, grid_size) @ packed
 
     def scaled(self, factor: float) -> "FourierLoop":
         return FourierLoop(
@@ -210,22 +210,22 @@ class FourierLoop:
 
 
 @lru_cache(maxsize=128)
-def trig_basis(cutoff: int, grid_size: int):
-    """Cached (t, cos, sin) sampling matrices; cos/sin have shape (M, K)."""
+def sample_basis(cutoff: int, grid_size: int) -> np.ndarray:
+    """Cached (M, 2K + 1) matrix [1 | cos kt_j | sin kt_j] of the grid samples.
+
+    A packed coefficient vector reshaped to (2K + 1, d) has rows mean,
+    a_1..a_K, b_1..b_K, so ``basis @ packed`` samples the loop and
+    ``basis.T @ F`` pulls a grid array F back to the packed layout.
+    """
     t = np.arange(grid_size) * (TWO_PI / grid_size)
-    k = np.arange(1, cutoff + 1)
-    phases = np.outer(t, k)
-    return _freeze(t), _freeze(np.cos(phases)), _freeze(np.sin(phases))
+    phases = np.outer(t, np.arange(1, cutoff + 1))
+    return _freeze(np.hstack([np.ones((grid_size, 1)), np.cos(phases), np.sin(phases)]))
 
 
 @lru_cache(maxsize=128)
-def _shift_index(n: int, M: int) -> np.ndarray:
-    """Row h-1 holds the sample indices of the lag-h shifted loop."""
-    stride = M // n
-    if stride * n != M:
-        raise ValueError(f"grid size {M} is not a multiple of n={n}")
-    j = np.arange(M)
-    idx = (j[None, :] + stride * np.arange(1, n)[:, None]) % M
+def _shift_index(n: int) -> np.ndarray:
+    """Row h-1 holds the block order of the lag-h shifted loop."""
+    idx = (np.arange(n)[None, :] + np.arange(1, n)[:, None]) % n
     idx.flags.writeable = False
     return idx
 
@@ -233,10 +233,15 @@ def _shift_index(n: int, M: int) -> np.ndarray:
 def lag_differences(X: np.ndarray, n: int) -> np.ndarray:
     """x(t_j) - x(t_j + h tau) for the grid samples X of shape (M, d).
 
-    Row h-1 of the (n-1, M, d) result holds lag h; the shift by h tau is an
-    index roll by h*M/n samples.
+    Row h-1 of the (n-1, M, d) result holds lag h.  The grid splits into n
+    blocks of M/n samples, and the shift by h tau moves every block h
+    places, so the shifted loops are gathered block by block.
     """
-    return X[None, :, :] - X[_shift_index(n, X.shape[0])]
+    M, d = X.shape
+    if M % n:
+        raise ValueError(f"grid size {M} is not a multiple of n={n}")
+    blocks = X.reshape(n, M // n, d)
+    return (blocks[None] - np.take(blocks, _shift_index(n), axis=0)).reshape(n - 1, M, d)
 
 
 def default_grid_size(cutoff: int, n: int) -> int:
@@ -245,12 +250,32 @@ def default_grid_size(cutoff: int, n: int) -> int:
     return n * math.ceil(target / n)
 
 
+# Largest Fourier cutoff and sample grid a run may use: the sampling basis
+# is M x (2K + 1) and the kinetic velocity map is dense in the d (2K + 1)
+# coefficients, so both are bounded before anything is allocated.
+MAX_CUTOFF = 256
+MAX_GRID_SIZE = 4096
+
+
+def check_discretisation(cutoff: int, grid_size: int | None) -> None:
+    """Refuse a cutoff or an explicit grid size beyond the affordable caps."""
+    if not 1 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in 1..{MAX_CUTOFF}, got {cutoff}")
+    if grid_size is not None and not 1 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid size must lie in 1..{MAX_GRID_SIZE}, got {grid_size}")
+
+
 def resolve_grid_size(cutoff: int, n: int, grid_size: int | None) -> int:
     """Round a requested grid up to the module's sampling rules."""
     if grid_size is None:
-        return default_grid_size(cutoff, n)
-    m = max(int(grid_size), 4 * cutoff, n)
-    return n * math.ceil(m / n)
+        M = default_grid_size(cutoff, n)
+    else:
+        M = n * math.ceil(max(int(grid_size), 4 * cutoff, n) / n)
+    if M > MAX_GRID_SIZE:
+        raise ValueError(
+            f"grid size {M} for cutoff {cutoff} and n={n} exceeds {MAX_GRID_SIZE}"
+        )
+    return M
 
 
 @dataclass(frozen=True)

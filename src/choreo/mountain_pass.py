@@ -49,6 +49,7 @@ from .loops import (
     LoopDiagnostics,
     SymmetryGroup,
     SystemParams,
+    check_discretisation,
     diagnostics as loop_diagnostics,
     pack_coefficients,
 )
@@ -86,6 +87,7 @@ class MountainPassConfig:
     bisect_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_discretisation(self.cutoff, self.grid_size)
         if self.nodes < 3:
             raise ValueError("a path needs at least 3 nodes")
         if self.saddle_tol <= 0 or self.refine_trigger <= 0:
@@ -286,9 +288,10 @@ def _probe_descend(
     """
     x = x0.copy()
     try:
-        f, g = obj.value_and_grad(x)
+        ev = obj.evaluate(x)
     except CollisionError:
         return None
+    f, g = ev.value, ev.gradient()
     t = 0.02
     for _ in range(max_iters):
         gn = float(np.linalg.norm(g))
@@ -297,18 +300,20 @@ def _probe_descend(
         gsq = gn * gn
         accepted = False
         while t >= 1e-16:
+            trial = x - t * g
             try:
-                fn = obj.value(x - t * g)
+                ev = obj.evaluate(trial)
             except CollisionError:
-                fn = None
-            if fn is not None and fn <= f - 1e-4 * t * gsq + 1e-13 * max(1.0, abs(f)):
-                accepted = True
-                break
+                pass
+            else:
+                if ev.value <= f - 1e-4 * t * gsq + 1e-13 * max(1.0, abs(f)):
+                    accepted = True
+                    break
             t *= 0.5
         if not accepted:
             break
-        x = x - t * g
-        f, g = obj.value_and_grad(x)
+        x = trial
+        f, g = ev.value, ev.gradient()
         t = min(t * 2.0, 1.0)
     return x
 

@@ -34,6 +34,7 @@ from .action import (
     ActionValue,
     CollisionError,
     DEFAULT_GUARD,
+    Evaluation,
     action_kernel,
     potential_kernel,
 )
@@ -42,12 +43,13 @@ from .loops import (
     LoopDiagnostics,
     SymmetryGroup,
     SystemParams,
+    check_discretisation,
     diagnostics as loop_diagnostics,
     lag_differences,
     pack_coefficients,
     project_symmetry,
     resolve_grid_size,
-    trig_basis,
+    sample_basis,
     unpack_coefficients,
 )
 from .spectral import circle_radius_for_winding
@@ -76,8 +78,7 @@ class DescentConfig:
     log_every: int = 0  # 0 disables the iteration history
 
     def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        check_discretisation(self.cutoff, self.grid_size)
         for name in ("grad_tol", "initial_step", "armijo", "guard"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -118,6 +119,11 @@ class MinimizeResult:
     grad_norm: float
     newton_residual: float
     iters: int
+    # evaluations of the descent: value stages (the start and every trial),
+    # completed gradients, and trials rejected by the collision guard
+    value_evals: int
+    grad_evals: int
+    collision_rejects: int
     diagnostics: LoopDiagnostics
     clusters: ClusterReport | None
     converged: bool
@@ -131,6 +137,9 @@ class MinimizeResult:
             "grad_norm": self.grad_norm,
             "newton_residual": self.newton_residual,
             "iters": self.iters,
+            "value_evals": self.value_evals,
+            "grad_evals": self.grad_evals,
+            "collision_rejects": self.collision_rejects,
             "diagnostics": self.diagnostics.as_dict(),
             "clusters": self.clusters.as_dict() if self.clusters else None,
             "converged": self.converged,
@@ -150,6 +159,8 @@ class Objective:
     center, zero mean pinned); otherwise the rotating-frame choreography
     action at params.omega (the inertial one when omega = 0).  The choice is
     made once here: both evaluate through :func:`action.action_kernel`.
+    :meth:`evaluate` returns the value stage; its ``gradient()`` completes
+    the masked gradient, and ``value`` / ``value_and_grad`` wrap it.
     """
 
     def __init__(
@@ -189,8 +200,11 @@ class Objective:
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
         self.symmetry = symmetry
         self.pin_mean = pin_mean
-        _, self._C, self._S = trig_basis(self.cutoff, self.grid_size)
+        self._basis = sample_basis(self.cutoff, self.grid_size)
         self.mask = self._build_mask()
+        # rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 as one weighted dot product
+        self._rms_weights = np.full(self.mask.size, 0.5)
+        self._rms_weights[: self.dim] = 1.0
 
     def _build_mask(self) -> np.ndarray:
         d, K = self.dim, self.cutoff
@@ -219,37 +233,26 @@ class Objective:
     def unpack(self, vec: np.ndarray) -> FourierLoop:
         return unpack_coefficients(vec, self.dim, self.cutoff)
 
-    def _split(self, vec: np.ndarray):
-        d, K = self.dim, self.cutoff
-        mean = vec[:d]
-        cos = vec[d : d + K * d].reshape(K, d)
-        sin = vec[d + K * d :].reshape(K, d)
-        return mean, cos, sin
-
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, vec: np.ndarray, need_grad: bool):
-        mean, cos, sin = self._split(vec)
-        X = mean + self._C @ cos + self._S @ sin
-        return action_kernel(mean, cos, sin, X, self.omega, self._potential, need_grad)
+    def evaluate(self, vec: np.ndarray) -> Evaluation:
+        """Value stage at ``vec``; ``.gradient()`` gives the masked gradient."""
+        X = self._basis @ vec.reshape(-1, self.dim)
+        return action_kernel(vec, X, self.omega, self._potential, self.mask)
 
     def value(self, vec: np.ndarray) -> float:
-        kin, pot, _ = self._evaluate(vec, False)
-        return kin + pot
+        return self.evaluate(vec).value
 
     def value_and_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        kin, pot, (g_mean, g_cos, g_sin) = self._evaluate(vec, True)
-        grad = np.concatenate([g_mean, g_cos.ravel(), g_sin.ravel()])
-        return kin + pot, np.where(self.mask, grad, 0.0)
+        ev = self.evaluate(vec)
+        return ev.value, ev.gradient()
 
     def action_value(self, vec: np.ndarray) -> ActionValue:
-        kin, pot, _ = self._evaluate(vec, False)
-        return ActionValue(kin, pot, self.grid_size)
+        ev = self.evaluate(vec)
+        return ActionValue(ev.kinetic, ev.potential, self.grid_size)
 
     def rms(self, vec: np.ndarray) -> float:
-        mean, cos, sin = self._split(vec)
-        sq = float(mean @ mean) + 0.5 * float(np.sum(cos**2) + np.sum(sin**2))
-        return math.sqrt(max(sq, 0.0))
+        return math.sqrt(float(self._rms_weights @ (vec * vec)))
 
     def residual(self, vec: np.ndarray) -> float:
         return self._residual(self.unpack(vec))
@@ -269,6 +272,9 @@ class _DescentOutcome:
     escaped: bool
     abort_reason: str | None
     history: list
+    value_evals: int
+    grad_evals: int
+    collision_rejects: int
 
 
 def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutcome:
@@ -279,9 +285,15 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
     the last ``escape_window`` iterations; the action is strictly decreasing
     throughout by construction, which completes the non-attainment
     signature.
+
+    Each trial is one value stage; the value and gradient at an accepted
+    point are taken from its trial's evaluation, so a step completes one
+    gradient and evaluates nothing twice.
     """
     x = np.where(obj.mask, x0, 0.0)
-    f, g = obj.value_and_grad(x)
+    ev = obj.evaluate(x)
+    f, g = ev.value, ev.gradient()
+    value_evals, grad_evals, rejects = 1, 1, 0
     t = cfg.initial_step
     rms = obj.rms(x)
     escape_at = cfg.escape_factor * max(1.0, rms)
@@ -307,20 +319,24 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
         noise = 1e-13 * max(1.0, abs(f))
         accepted = False
         while t >= cfg.min_step:
+            trial = x - t * g
+            value_evals += 1
             try:
-                fn = obj.value(x - t * g)
+                ev = obj.evaluate(trial)
             except CollisionError:
-                fn = None
-            if fn is not None and fn <= f - cfg.armijo * t * gsq + noise:
-                accepted = True
-                break
+                rejects += 1
+            else:
+                if ev.value <= f - cfg.armijo * t * gsq + noise:
+                    accepted = True
+                    break
             t *= cfg.backtrack
         if not accepted:
             abort = "no feasible descent step above the minimum step size"
             break
         measurable = cfg.armijo * t * gsq > noise
-        x = x - t * g
-        f, g = obj.value_and_grad(x)
+        x = trial
+        f, g = ev.value, ev.gradient()
+        grad_evals += 1
         new_rms = obj.rms(x)
         growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
         rms = new_rms
@@ -343,6 +359,9 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
         escaped=escaped,
         abort_reason=abort,
         history=history,
+        value_evals=value_evals,
+        grad_evals=grad_evals,
+        collision_rejects=rejects,
     )
 
 
@@ -375,6 +394,7 @@ def init_circle(
             "pairwise at zero noise"
         )
     K = max(cutoff, abs(m))
+    check_discretisation(K, None)
     loop = FourierLoop.circle(radius, m, dim=params.d, cutoff=K)
     if noise > 0.0:
         rng = np.random.default_rng(seed)
@@ -410,6 +430,9 @@ def _finish(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
         escaped_to_infinity=out.escaped,
         abort_reason=out.abort_reason,
         history=tuple(out.history),
+        value_evals=out.value_evals,
+        grad_evals=out.grad_evals,
+        collision_rejects=out.collision_rejects,
     )
 
 

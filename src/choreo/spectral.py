@@ -133,6 +133,13 @@ def _multiplicities(n: int) -> tuple[int, ...]:
     return tuple(mult)
 
 
+# Largest body count with a spectrum (the eigenvalue sums cost O(n^2)), and
+# largest one whose closed form is cross-checked against the dense n x n
+# eigensolve (O(n^3)).
+MAX_BODIES = 4096
+DENSE_CHECK_MAX_N = 256
+
+
 def circulant_spectrum(
     n: int, alpha: float, k: int = 1, cross_validate: bool = True
 ) -> CirculantSpectrum:
@@ -140,13 +147,14 @@ def circulant_spectrum(
 
     ``k`` selects the variant operator built from the winding-k circle's
     pair data; it must be coprime with n (otherwise some xi^k_h vanish and
-    the weights are undefined).  When ``cross_validate`` is set, the closed
-    form is checked against a dense eigensolve to 1e-10.
+    the weights are undefined).  When ``cross_validate`` is set and
+    n <= DENSE_CHECK_MAX_N, the closed form is checked against a dense
+    eigensolve to 1e-10.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 2 <= n <= MAX_BODIES:
+        raise ValueError(f"need 2 <= n <= {MAX_BODIES}, got n={n}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     k = int(k)
     if k < 1:
         raise ValueError("variant index k must be >= 1")
@@ -168,7 +176,7 @@ def circulant_spectrum(
     deltas[0] = 0.0
     mult = _multiplicities(n)
 
-    if cross_validate:
+    if cross_validate and n <= DENSE_CHECK_MAX_N:
         dense = np.sort(np.linalg.eigvalsh(dense_operator(mu, n)))
         closed = np.sort(np.repeat(deltas, mult))
         err = float(np.max(np.abs(dense - closed)))

@@ -15,8 +15,9 @@ from choreo.action import (
     kinetic_value,
     newton_residual,
     rotating_action,
+    velocity_map,
 )
-from choreo.loops import FourierLoop, SystemParams, rotate_winding
+from choreo.loops import FourierLoop, SystemParams, pack_coefficients, rotate_winding
 from choreo.optimize import Objective
 from choreo.verify import random_loop
 
@@ -212,6 +213,69 @@ def test_kinetic_only_gradient_coefficient():
     cos[2, 0] = 0.9  # k = 3
     _, gc, _ = kinetic_gradient(np.zeros(2), cos, np.zeros((K, 2)), 0.0)
     assert abs(gc[2, 0] - math.pi * 9 * 0.9) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("omega", [0.0, 1.7])
+def test_velocity_map_kinetic_matches_closed_form(rng, d, omega):
+    # independent closed form: (pi/2) sum k^2 (|a|^2 + |b|^2)
+    # + 2 pi w sum k (a x b) + (w^2 / 2) (2 pi |m_P|^2 + pi sum |a_P|^2 + |b_P|^2)
+    K = 6
+    mean = rng.normal(size=d)
+    cos = rng.normal(size=(K, d))
+    sin = rng.normal(size=(K, d))
+    k = np.arange(1, K + 1)
+    cross = cos[:, 0] * sin[:, 1] - cos[:, 1] * sin[:, 0]
+    plane = np.sum(cos[:, :2] ** 2) + np.sum(sin[:, :2] ** 2)
+    closed = (
+        0.5 * math.pi * float(np.sum(k**2 * (np.sum(cos**2, 1) + np.sum(sin**2, 1))))
+        + TWO_PI * omega * float(k @ cross)
+        + 0.5 * omega**2 * (TWO_PI * float(mean[:2] @ mean[:2]) + math.pi * plane)
+    )
+    val = kinetic_value(mean, cos, sin, omega)
+    assert abs(val - closed) <= 1e-13 * abs(closed)
+    # the gradient against central differences (exact for a quadratic, up
+    # to rounding)
+    grads = kinetic_gradient(mean, cos, sin, omega)
+    eps = 1e-6
+    for arr, g in zip((mean, cos, sin), grads):
+        for idx in np.ndindex(arr.shape):
+            arr[idx] += eps
+            up = kinetic_value(mean, cos, sin, omega)
+            arr[idx] -= 2 * eps
+            dn = kinetic_value(mean, cos, sin, omega)
+            arr[idx] += eps
+            fd = (up - dn) / (2 * eps)
+            assert abs(fd - g[idx]) < 1e-7 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.7])
+def test_velocity_map_gives_rotating_frame_velocity(rng, omega):
+    # L x are the coefficients of y' + w J P y, built here from the
+    # term-by-term derivative and the quarter turn (u1, u2) -> (-u2, u1)
+    d, K = 3, 5
+    y = FourierLoop(rng.normal(size=d), rng.normal(size=(K, d)), rng.normal(size=(K, d)))
+    L, w = velocity_map(d, K, omega)
+    expect = pack_coefficients(y.derivative()).reshape(-1, d)
+    coeffs = pack_coefficients(y).reshape(-1, d)
+    expect[:, 0] -= omega * coeffs[:, 1]
+    expect[:, 1] += omega * coeffs[:, 0]
+    np.testing.assert_allclose(L @ pack_coefficients(y), expect.ravel(), rtol=0, atol=1e-13)
+    assert not L.flags.writeable and not w.flags.writeable
+    assert velocity_map(d, K, omega)[0] is L
+
+
+def test_evaluation_gradient_equals_value_and_grad_bitwise(rng):
+    p = SystemParams(n=4, d=3, alpha=1.0, omega=1.3)
+    obj = Objective(p, cutoff=6, pin_mean=True)
+    kepler = Objective(None, cutoff=5, alpha=1.3, dim=2)
+    for ob, loop in ((obj, random_loop(rng, p, cutoff=6)), (kepler, circle(1.1, cutoff=5))):
+        v = ob.pack(loop)
+        f, g = ob.value_and_grad(v)
+        ev = ob.evaluate(v)
+        assert ev.value == f == ob.value(v)
+        assert np.array_equal(ev.gradient(), g)
+        assert np.array_equal(ev.gradient(), g)  # a second completion repeats
 
 
 def test_gradient_finite_difference_full(rng):

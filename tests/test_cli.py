@@ -47,6 +47,30 @@ def test_spectrum_variant_requires_coprime(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "20000", "--alpha", "1"),
+        ("--n", "5", "--alpha", "nan"),
+        ("--n", "5", "--alpha", "inf"),
+    ],
+)
+def test_spectrum_refuses_unaffordable_or_non_finite_input(capsys, argv):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_spectrum_beyond_dense_check_cap_runs():
+    from choreo import spectral
+
+    n = spectral.DENSE_CHECK_MAX_N + 1
+    spec = spectral.circulant_spectrum(n, 1.0)
+    assert abs(spec.deltas[1] - 1.0 / (2 * math.pi)) < 1e-12
+
+
 def test_malformed_flag_exits_one(capsys):
     code, _, _ = run(capsys, "classify", "--n", "3", "--omega")
     assert code == 1
@@ -74,6 +98,12 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     doc = json.loads((out / "orbit.json").read_text())
     assert doc["result"]["converged"] is True
     assert abs(doc["diagnostics"]["radius"] - 3.0 ** (-1.0 / 6.0)) < 1e-4
+    # one gradient at the start and one per accepted step; every further
+    # value evaluation is a line-search trial
+    result = doc["result"]
+    assert result["grad_evals"] == result["iters"]
+    assert result["value_evals"] > result["grad_evals"]
+    assert result["collision_rejects"] == 0
     assert doc["config"]["seed"] == 7
     csv = (out / "iterations.csv").read_text().splitlines()
     assert csv[0] == "iter,action,grad_norm,step"
@@ -108,6 +138,27 @@ def test_minimize_escape_exit_code_two(tmp_path, capsys):
     )
     assert code == 2
     assert "non-attainment" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--harmonics", "100000000"),
+        ("--grid", "100000000"),
+        ("--winding", "100000000"),
+    ],
+)
+def test_minimize_refuses_unaffordable_discretisation(tmp_path, capsys, flags):
+    code, _, err = run(
+        capsys,
+        "minimize",
+        "--n", "3", "--alpha", "1", "--omega", "0",
+        *flags, "--out", str(tmp_path / "big"),
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "big").exists()
 
 
 def test_minimize_orbit_schema_round_trips(tmp_path, capsys):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from choreo.action import CollisionError
 from choreo.loops import FourierLoop, SystemParams, pack_coefficients
 from choreo.optimize import (
     DescentConfig,
+    Objective,
     StartSpec,
+    descend,
     detect_clusters,
     init_circle,
     kepler_minimize,
@@ -121,6 +124,57 @@ def test_minimize_kepler():
     assert res.converged
     assert abs(res.diagnostics.radius - 1.0) < 1e-4
     assert abs(res.action.total - 3 * math.pi) < 1e-5
+
+
+class _Counted:
+    """Objective wrapper counting value stages, force stages and collision
+    rejections; the value / value_and_grad wrappers must not be used."""
+
+    def __init__(self, obj):
+        self.evals, self.forces, self.collisions = 0, 0, 0
+        potential = obj._potential
+
+        def counted_potential(X):
+            value, force = potential(X)
+
+            def counted_force():
+                self.forces += 1
+                return force()
+
+            return value, counted_force
+
+        obj._potential = counted_potential
+        evaluate = obj.evaluate
+
+        def counted_evaluate(vec):
+            self.evals += 1
+            try:
+                return evaluate(vec)
+            except CollisionError:
+                self.collisions += 1
+                raise
+
+        def forbidden(vec):
+            raise AssertionError("descend evaluated outside its trials")
+
+        obj.evaluate = counted_evaluate
+        obj.value = obj.value_and_grad = forbidden
+
+
+@pytest.mark.parametrize("max_iters", [200_000, 40])
+def test_descend_one_force_stage_per_accepted_step(max_iters):
+    p = SystemParams(n=3, alpha=1.0, omega=0.5)
+    cfg = DescentConfig(cutoff=6, max_iters=max_iters)
+    obj = Objective(p, cutoff=6)
+    counted = _Counted(obj)
+    out = descend(obj, obj.pack(noisy_circle(p, -1, seed=4)), cfg)
+    # every iteration but a converged last one accepts a step
+    accepted = out.iters - 1 if out.converged else out.iters
+    assert out.converged == (max_iters > 40)
+    assert counted.forces == out.grad_evals == accepted + 1
+    assert counted.evals == out.value_evals
+    assert counted.collisions == out.collision_rejects
+    assert out.value_evals >= accepted + 1
 
 
 # ---------------------------------------------------------------------------
