@@ -265,20 +265,29 @@ class Evaluation:
     Construction is the value stage: ``kinetic``, ``potential`` and their
     sum ``value``.  :meth:`gradient` completes it with the force stage on
     the same lag differences, its pullback and the kinetic gradient
-    L^T (w * Lx), projected by ``mask`` when one is given.
+    L^T (w * Lx), projected by ``mask`` when one is given.  The gradient is
+    computed on the first call and returned as is (read-only) afterwards.
     """
 
-    __slots__ = ("kinetic", "potential", "value", "_L", "_wv", "_force", "_K", "_mask")
+    __slots__ = (
+        "kinetic", "potential", "value", "_L", "_wv", "_force", "_K", "_mask", "_grad"
+    )
 
     def __init__(self, kinetic, potential, L, wv, force, K, mask):
         self.kinetic = kinetic
         self.potential = potential
         self.value = kinetic + potential
         self._L, self._wv, self._force, self._K, self._mask = L, wv, force, K, mask
+        self._grad = None
 
     def gradient(self) -> np.ndarray:
-        grad = self._L.T @ self._wv + pullback_to_coefficients(self._force(), self._K)
-        return grad if self._mask is None else np.where(self._mask, grad, 0.0)
+        if self._grad is None:
+            grad = self._L.T @ self._wv + pullback_to_coefficients(self._force(), self._K)
+            if self._mask is not None:
+                grad = np.where(self._mask, grad, 0.0)
+            grad.flags.writeable = False
+            self._grad = grad
+        return self._grad
 
 
 def action_kernel(

@@ -103,7 +103,7 @@ def cmd_minimize(args) -> int:
         seed=args.seed,
         symmetry=_GROUPS[args.symmetry],
         pin_mean=args.pin_mean,
-        log_every=50,
+        log_every=1,
     )
     winding = args.winding if args.winding is not None else _default_winding(params)
     specs = [

@@ -5,15 +5,18 @@ over continuous paths joining them, of the maximal action along the path.
 The search runs in three phases.
 
 Path phase.  P loops (coefficient vectors) with the two endpoints pinned are
-swept repeatedly: (1) recompute node actions; (2) apply one bounded,
-backtracked descent step to the maximal interior node and its two
-neighbours, descending only the gradient component orthogonal to the local
-path tangent (a full steepest-descent step would also slide nodes along the
-path, and the straight segments that reparametrisation re-bridges across the
-ridge can cut below the barrier); (3) redistribute the nodes to near-uniform
-coefficient spacing with the current maximal node kept as a knot, rejecting
-the redistribution if it would raise the maximal action.  The maximal action
-is nonincreasing across sweeps by construction.
+swept repeatedly: (1) apply one bounded, backtracked descent step to the
+maximal interior node and its two neighbours, descending only the gradient
+component orthogonal to the local path tangent (a full steepest-descent step
+would also slide nodes along the path, and the straight segments that
+reparametrisation re-bridges across the ridge can cut below the barrier);
+(2) redistribute the nodes to near-uniform coefficient spacing with the
+current maximal node kept as a knot, rejecting the redistribution if it
+would raise the maximal action.  The maximal action
+is nonincreasing across sweeps by construction.  Every node keeps its
+:class:`action.Evaluation` beside it, so an unchanged node is never
+evaluated again: not after reparametrisation, not for the refine trigger,
+not for its basin probe.
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
 crossing is located directly: walking out from the maximal node, the first
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionValue, CollisionError, DEFAULT_GUARD
+from .action import ActionValue, CollisionError, DEFAULT_GUARD, Evaluation
 from .loops import (
     FourierLoop,
     LoopDiagnostics,
@@ -150,16 +153,17 @@ class SaddleResult:
 # path construction
 
 
-def _node_value(obj: Objective, vec: np.ndarray) -> float:
+def _node_eval(obj: Objective, vec: np.ndarray) -> Evaluation | None:
+    """The node's evaluation, or None where the collision guard trips."""
     try:
-        return obj.value(vec)
+        return obj.evaluate(vec)
     except CollisionError:
-        return math.inf
+        return None
 
 
-def _repair(obj: Objective, path: list, i: int, tries: int) -> None:
+def _repair(obj: Objective, path: list, i: int, tries: int) -> Evaluation:
     """Replace a colliding interior node by the neighbour midpoint plus an
-    escalating deterministic transverse offset."""
+    escalating deterministic transverse offset; returns its evaluation."""
     base = 0.5 * (path[i - 1] + path[i + 1])
     seg = path[i + 1] - path[i - 1]
     norm = np.linalg.norm(seg)
@@ -174,9 +178,10 @@ def _repair(obj: Objective, path: list, i: int, tries: int) -> None:
     amp = 0.05 * norm
     for _ in range(tries):
         cand = base + amp * direction
-        if math.isfinite(_node_value(obj, cand)):
+        ev = _node_eval(obj, cand)
+        if ev is not None:
             path[i] = cand
-            return
+            return ev
         amp *= 2.0
     raise MountainPassError(f"could not repair colliding path segment around node {i}")
 
@@ -187,7 +192,8 @@ def initial_path(
     end_b: np.ndarray,
     cfg: MountainPassConfig,
 ) -> list:
-    """Straight-line path in coefficient space with optional transverse bulge."""
+    """Straight-line path in coefficient space with optional transverse
+    bulge; :func:`mountain_pass` evaluates it and repairs colliding nodes."""
     P = cfg.nodes
     s = np.linspace(0.0, 1.0, P)
     path = [(1.0 - si) * end_a + si * end_b for si in s]
@@ -200,9 +206,6 @@ def initial_path(
             direction /= nrm
         for i in range(1, P - 1):
             path[i] = path[i] + cfg.bulge_amplitude * math.sin(math.pi * s[i]) * direction
-    for i in range(1, P - 1):
-        if not math.isfinite(_node_value(obj, path[i])):
-            _repair(obj, path, i, cfg.repair_tries)
     return path
 
 
@@ -241,14 +244,17 @@ def _reparametrise(path: list, pin: int) -> list:
 def _descend_node(
     obj: Objective,
     vec: np.ndarray,
-    f: float,
+    ev: Evaluation,
     mesh: float,
     tangent: np.ndarray | None,
     cfg: MountainPassConfig,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, Evaluation]:
     """One backtracked descent step with displacement capped by the mesh,
-    restricted to the gradient component orthogonal to the path tangent."""
-    _, g = obj.value_and_grad(vec)
+    restricted to the gradient component orthogonal to the path tangent.
+
+    ``ev`` is the node's evaluation; the node returned comes with its own.
+    """
+    f, g = ev.value, ev.gradient()
     if tangent is not None:
         tn = float(np.linalg.norm(tangent))
         if tn > 0.0:
@@ -256,19 +262,16 @@ def _descend_node(
             g = g - float(g @ that) * that
     gnorm = float(np.linalg.norm(g))
     if gnorm < 1e-15:
-        return vec, f
+        return vec, ev
     t = min(cfg.step, mesh / gnorm)
     gsq = gnorm * gnorm
     while t * gnorm > 1e-14:
         cand = vec - t * g
-        try:
-            fc = obj.value(cand)
-        except CollisionError:
-            fc = None
-        if fc is not None and fc <= f - cfg.armijo * t * gsq:
-            return cand, fc
+        ev_c = _node_eval(obj, cand)
+        if ev_c is not None and ev_c.value <= f - cfg.armijo * t * gsq:
+            return cand, ev_c
         t *= cfg.backtrack
-    return vec, f
+    return vec, ev
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,11 @@ def _descend_node(
 
 
 def _probe_descend(
-    obj: Objective, x0: np.ndarray, stop_action: float, max_iters: int
+    obj: Objective,
+    x0: np.ndarray,
+    stop_action: float,
+    max_iters: int,
+    ev: Evaluation | None = None,
 ) -> np.ndarray | None:
     """Bounded plain descent used to classify which basin a point drains to.
 
@@ -284,13 +291,14 @@ def _probe_descend(
     ridge shoulder, deep enough for a distance comparison) or the gradient
     is small.  Plain coefficient distance to the endpoints is meaningful
     afterwards because the flow is equivariant: it does not drift along the
-    rotation and time-shift orbits.
+    rotation and time-shift orbits.  ``ev``, when given, is the evaluation
+    of ``x0``.
     """
     x = x0.copy()
-    try:
-        ev = obj.evaluate(x)
-    except CollisionError:
-        return None
+    if ev is None:
+        ev = _node_eval(obj, x)
+        if ev is None:
+            return None
     f, g = ev.value, ev.gradient()
     t = 0.02
     for _ in range(max_iters):
@@ -324,8 +332,9 @@ def _basin(
     ends: tuple[np.ndarray, np.ndarray],
     stop_action: float,
     max_iters: int,
+    ev: Evaluation | None = None,
 ) -> int | None:
-    xe = _probe_descend(obj, x, stop_action, max_iters)
+    xe = _probe_descend(obj, x, stop_action, max_iters, ev)
     if xe is None:
         return None
     da = float(np.linalg.norm(xe - ends[0]))
@@ -377,24 +386,33 @@ def _fd_hessian(obj: Objective, vec: np.ndarray, h: float) -> np.ndarray:
 
 
 def _refine(
-    obj: Objective, vec: np.ndarray, cfg: MountainPassConfig
-) -> tuple[np.ndarray, float, int]:
-    """Eigenvector-following Newton toward an index-1 stationary point."""
+    obj: Objective, vec: np.ndarray, cfg: MountainPassConfig, ev: Evaluation | None
+) -> tuple[np.ndarray, Evaluation, float, int]:
+    """Eigenvector-following Newton toward an index-1 stationary point.
+
+    ``ev`` is the evaluation of ``vec`` when known; the point returned comes
+    with its evaluation.  A rejected step leaves the point, and therefore
+    its Hessian, unchanged.
+    """
     x = vec.copy()
     idx = np.flatnonzero(obj.mask)
-    _, g = obj.value_and_grad(x)
+    if ev is None:
+        ev = obj.evaluate(x)
+    g = ev.gradient()
     gnorm = float(np.linalg.norm(g))
     radius = max(cfg.step, 1e-3)
+    moved = True
     for it in range(1, cfg.max_refine_iters + 1):
         if gnorm < cfg.saddle_tol:
-            return x, gnorm, it - 1
-        scale = max(1.0, float(np.linalg.norm(x)))
-        H = _fd_hessian(obj, x, cfg.fd_step * scale)
-        evals, evecs = np.linalg.eigh(H)
-        floor = max(1e-4 * float(np.max(np.abs(evals))), 1e-10)
-        lam = evals.copy()
-        lam[0] = min(lam[0], -floor)  # kept negative: move toward the saddle
-        lam[1:] = np.maximum(np.abs(lam[1:]), floor)  # all others: descend
+            return x, ev, gnorm, it - 1
+        if moved:
+            scale = max(1.0, float(np.linalg.norm(x)))
+            H = _fd_hessian(obj, x, cfg.fd_step * scale)
+            evals, evecs = np.linalg.eigh(H)
+            floor = max(1e-4 * float(np.max(np.abs(evals))), 1e-10)
+            lam = evals.copy()
+            lam[0] = min(lam[0], -floor)  # kept negative: move toward the saddle
+            lam[1:] = np.maximum(np.abs(lam[1:]), floor)  # all others: descend
         coeff = evecs.T @ g[idx]
         step_r = -(evecs @ (coeff / lam))
         norm = float(np.linalg.norm(step_r))
@@ -402,19 +420,18 @@ def _refine(
             step_r *= radius / norm
         step = np.zeros_like(x)
         step[idx] = step_r
-        try:
-            _, gc = obj.value_and_grad(x + step)
-            gcn = float(np.linalg.norm(gc))
-        except CollisionError:
-            gcn = math.inf
-        if gcn < gnorm:
-            x, g, gnorm = x + step, gc, gcn
+        cand = x + step
+        ev_c = _node_eval(obj, cand)
+        gcn = math.inf if ev_c is None else float(np.linalg.norm(ev_c.gradient()))
+        moved = gcn < gnorm
+        if moved:
+            x, ev, g, gnorm = cand, ev_c, ev_c.gradient(), gcn
             radius = min(radius * 2.0, 10.0 * cfg.step)
         else:
             radius *= 0.5
             if radius < 1e-12:
                 break
-    return x, gnorm, cfg.max_refine_iters
+    return x, ev, gnorm, cfg.max_refine_iters
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +460,16 @@ def mountain_pass(
     )
     va = obj.pack(end_a)
     vb = obj.pack(end_b)
-    act_a, act_b = _node_value(obj, va), _node_value(obj, vb)
+    ev_a, ev_b = obj.evaluate(va), obj.evaluate(vb)
+    act_a, act_b = ev_a.value, ev_b.value
 
     if np.array_equal(va, vb):
-        act = obj.action_value(va)
-        _, g = obj.value_and_grad(va)
+        act = ActionValue(ev_a.kinetic, ev_a.potential, obj.grid_size)
         path = LoopPath([va, va.copy(), vb], np.full(3, act.total), obj.dim, obj.cutoff)
         return SaddleResult(
             loop=obj.unpack(va),
             action=act,
-            grad_norm=float(np.linalg.norm(g)),
+            grad_norm=float(np.linalg.norm(ev_a.gradient())),
             newton_residual=obj.residual(va),
             sweeps=0,
             refine_iters=0,
@@ -464,9 +481,8 @@ def mountain_pass(
             endpoint_actions=(act.total, act.total),
         )
 
-    for name, v in (("first", va), ("second", vb)):
-        _, g = obj.value_and_grad(v)
-        gn = float(np.linalg.norm(g))
+    for name, ev in (("first", ev_a), ("second", ev_b)):
+        gn = float(np.linalg.norm(ev.gradient()))
         if gn > cfg.endpoint_tol:
             raise ValueError(
                 f"{name} endpoint is not a critical point: gradient norm {gn:.3e} "
@@ -474,8 +490,14 @@ def mountain_pass(
             )
 
     # --- path phase -------------------------------------------------------
+    # every node keeps its evaluation beside it, so no vector is evaluated
+    # twice; the first and last nodes are the endpoints
     nodes = initial_path(obj, va, vb, cfg)
-    acts = np.array([_node_value(obj, v) for v in nodes])
+    evs = [ev_a, *(_node_eval(obj, v) for v in nodes[1:-1]), ev_b]
+    for i in range(1, len(nodes) - 1):
+        if evs[i] is None:
+            evs[i] = _repair(obj, nodes, i, cfg.repair_tries)
+    acts = np.array([ev.value for ev in evs])
     history: list[float] = []
     sweeps_done = 0
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -489,21 +511,25 @@ def mountain_pass(
         for idx in (im - 1, im, im + 1):
             if 0 < idx < len(nodes) - 1:
                 tangent = nodes[idx + 1] - nodes[idx - 1]
-                nodes[idx], acts[idx] = _descend_node(
-                    obj, nodes[idx], acts[idx], mesh, tangent, cfg
+                nodes[idx], evs[idx] = _descend_node(
+                    obj, nodes[idx], evs[idx], mesh, tangent, cfg
                 )
+                acts[idx] = evs[idx].value
         current_max = float(np.max(acts[1:-1]))
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
-        new_acts = np.array([_node_value(obj, v) for v in new_nodes])
+        # the endpoints, the pinned node and any node left in place are
+        # unchanged vectors: they keep their evaluations
+        known = {v.tobytes(): ev for v, ev in zip(nodes, evs)}
+        new_evs = [known.get(v.tobytes()) or _node_eval(obj, v) for v in new_nodes]
+        new_acts = np.array([math.inf if ev is None else ev.value for ev in new_evs])
         if float(np.max(new_acts[1:-1])) <= current_max + 1e-12:
-            nodes, acts = new_nodes, new_acts
+            nodes, evs, acts = new_nodes, new_evs, new_acts
             current_max = float(np.max(acts[1:-1]))
         history.append(current_max)
 
         im = 1 + int(np.argmax(acts[1:-1]))
-        _, g = obj.value_and_grad(nodes[im])
-        if float(np.linalg.norm(g)) < cfg.refine_trigger:
+        if float(np.linalg.norm(evs[im].gradient())) < cfg.refine_trigger:
             break
         w = cfg.stagnation_window
         if len(history) > w and history[-w - 1] - history[-1] < cfg.stagnation_tol:
@@ -512,18 +538,19 @@ def mountain_pass(
     # --- bracket phase ----------------------------------------------------
     level = max(act_a, act_b) + cfg.probe_level
 
-    def basin_fn(x):
-        return _basin(obj, x, (va, vb), level, cfg.probe_iters)
+    def basin_fn(x, ev=None):
+        return _basin(obj, x, (va, vb), level, cfg.probe_iters, ev)
 
     im = 1 + int(np.argmax(acts[1:-1]))
     sides: dict[int, int | None] = {0: 0, len(nodes) - 1: 1}
 
     def side_of(i: int):
         if i not in sides:
-            sides[i] = basin_fn(nodes[i])
+            sides[i] = basin_fn(nodes[i], evs[i])
         return sides[i]
 
     start = vec_candidate = nodes[im].copy()
+    ev_candidate = evs[im]
     # walk outward from the max node for the nearest straddling segment
     found = None
     for offset in range(0, len(nodes)):
@@ -541,19 +568,20 @@ def mountain_pass(
             obj, nodes[found[0]], nodes[found[1]], basin_fn, cfg.bisect_tol
         )
         if boundary is not None:
-            vec_candidate = boundary
+            vec_candidate, ev_candidate = boundary, None
 
     # --- refinement phase ---------------------------------------------------
-    refined, gnorm, refine_iters = _refine(obj, vec_candidate, cfg)
-    if gnorm >= cfg.saddle_tol or obj.value(refined) <= max(act_a, act_b) + 1e-9:
+    top = max(act_a, act_b) + 1e-9
+    refined, ev, gnorm, refine_iters = _refine(obj, vec_candidate, cfg, ev_candidate)
+    if gnorm >= cfg.saddle_tol or ev.value <= top:
         # drained to a minimum or stalled: retry once from the raw max node
-        alt, alt_gn, alt_it = _refine(obj, start, cfg)
+        alt, ev_alt, alt_gn, alt_it = _refine(obj, start, cfg, evs[im])
         refine_iters += alt_it
-        if alt_gn < gnorm and obj.value(alt) > max(act_a, act_b) + 1e-9:
-            refined, gnorm = alt, alt_gn
+        if alt_gn < gnorm and ev_alt.value > top:
+            refined, ev, gnorm = alt, ev_alt, alt_gn
 
     loop = obj.unpack(refined)
-    act = obj.action_value(refined)
+    act = ActionValue(ev.kinetic, ev.potential, obj.grid_size)
     path = LoopPath(nodes, acts, obj.dim, obj.cutoff)
     return SaddleResult(
         loop=loop,

@@ -1,12 +1,34 @@
-"""Steepest descent over Fourier coefficients, with escape and clusters.
+"""Descent over Fourier coefficients in the kinetic metric, with escape and
+clusters.
 
-Plain gradient descent with Armijo backtracking and geometric step growth.
-No momentum and no quasi-Newton acceleration on the certified runs: the
-selected minimizer should be the one reached by the steepest descent flow
-from the given start.  The step grows by a constant factor after every
-accepted iterate, which is what lets non-attainment runs (minimizing
-sequences escaping to infinity) reach the escape threshold in a bounded
-number of iterations.
+The action is posed on H^1, and its kinetic operator makes it stiff: the
+kinetic Hessian has eigenvalues pi (k +- omega)^2 on harmonic k, so plain
+steepest descent must keep its step below about 1 / (pi (K + omega)^2) and
+crawls on the low harmonics.  Each step therefore goes along the H^1
+(Sobolev) gradient -P^-1 g, with
+P = L^T diag(w) L + I the kinetic Hessian plus the identity (L, w from
+:func:`action.velocity_map`; Neuberger, *Sobolev Gradients and Differential
+Equations*, LNM 1670).  P depends only on (d, K, omega); it is restricted to
+the free coordinates of the symmetry mask and the pinned mean, and factored
+once per objective.  Armijo backtracking uses the slope g^T P^-1 g.
+
+The step length t along -P^-1 g doubles after every accepted iterate with a
+resolvable decrease, up to ``max_step`` = 1.  On the high harmonics, where
+the kinetic term dominates, P^-1 times the Hessian is close to the identity:
+t = 1 is the exact step there, and t >= 2 no longer contracts them.  Without
+the bound the doubling settles on t = 2, and the winding-2 circle at
+(5, 1, 2.1) needs about 1 500 iterations instead of about 130.
+
+No momentum and no quasi-Newton acceleration: the selected minimizer should
+be the one reached by the H^1 descent flow from the given start.  That flow
+is not the Euclidean one, and from some starts of the non-rigid (6, 1, 1.8)
+case it reaches another non-rigid state.  A metric step can be long, so its
+displacement is capped at 5% of max(1, rms) of the loop; without the cap,
+starts of that case jump into other basins than the flow reaches.  The cap
+scales with the loop, so a minimizing sequence that escapes to infinity
+grows geometrically and reaches the escape threshold in a bounded number of
+iterations.  Convergence is still judged on the Euclidean norm of the
+coefficient gradient.
 
 Escape detection: non-attained infima are approached by loops whose spatial
 extent diverges while the action still decreases.  A run is flagged
@@ -37,6 +59,7 @@ from .action import (
     Evaluation,
     action_kernel,
     potential_kernel,
+    velocity_map,
 )
 from .loops import (
     FourierLoop,
@@ -67,7 +90,7 @@ class DescentConfig:
     backtrack: float = 0.5
     armijo: float = 1e-4
     step_growth: float = 2.0
-    max_step: float = 1e9
+    max_step: float = 1.0  # t = 1 is exact on the kinetic-dominated harmonics
     min_step: float = 1e-16
     guard: float = DEFAULT_GUARD
     seed: int = 0
@@ -205,6 +228,7 @@ class Objective:
         # rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 as one weighted dot product
         self._rms_weights = np.full(self.mask.size, 0.5)
         self._rms_weights[: self.dim] = 1.0
+        self._metric = None  # factored on the first metric_direction call
 
     def _build_mask(self) -> np.ndarray:
         d, K = self.dim, self.cutoff
@@ -257,9 +281,38 @@ class Objective:
     def residual(self, vec: np.ndarray) -> float:
         return self._residual(self.unpack(vec))
 
+    # -- the H^1 metric -----------------------------------------------------
+
+    def metric_direction(self, g: np.ndarray) -> tuple[np.ndarray, float]:
+        """(P^-1 g, g^T P^-1 g) for the kinetic metric P = L^T diag(w) L + I.
+
+        L, w are :func:`action.velocity_map`, so x^T P x is the kinetic
+        quadratic form plus the squared coefficient norm: the H^1 inner
+        product of the rotating-frame loop.  P is restricted to the mask
+        coordinates, so the direction is zero wherever the mask is, and
+        factored (Cholesky, P = C C^T) once, on the first call.
+        """
+        if self._metric is None:
+            idx = np.flatnonzero(self.mask)
+            L, w = velocity_map(self.dim, self.cutoff, self.omega)
+            Lm = L[:, idx]
+            P = Lm.T @ (w[:, None] * Lm) + np.eye(idx.size)
+            self._metric = idx, np.linalg.inv(np.linalg.cholesky(P))
+        idx, C_inv = self._metric
+        z = C_inv @ g[idx]
+        direction = np.zeros_like(g)
+        direction[idx] = C_inv.T @ z
+        return direction, float(z @ z)
+
 
 # ---------------------------------------------------------------------------
 # descent engine
+
+
+# Largest displacement of one descent step, relative to max(1, rms) of the
+# loop: it keeps the metric step from jumping across a ridge into another
+# basin than the descent flow would reach.
+_STEP_CAP = 0.05
 
 
 @dataclass
@@ -278,7 +331,15 @@ class _DescentOutcome:
 
 
 def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutcome:
-    """Armijo-backtracked steepest descent on the packed objective.
+    """Armijo-backtracked descent along -P^-1 g in the kinetic metric.
+
+    The step length t multiplies P^-1 g.  Each iteration first caps it so
+    that the displacement's rms is at most 5% of max(1, rms) of the loop,
+    and logs it (the ``step`` column of ``iterations.csv`` is this first
+    trial step, not a step along -g); it doubles (``step_growth``, up to
+    ``max_step``) after a step whose actual decrease f - f_trial exceeds the
+    float resolution of f.  Convergence is the Euclidean gradient norm below
+    ``grad_tol``.
 
     Escape is declared when the loop's rms norm exceeds ``escape_factor``
     times max(1, initial rms) after growing monotonically (to rounding) over
@@ -304,36 +365,40 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
     it = 0
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
+        converged = gnorm < cfg.grad_tol
+        if not converged:  # g != 0, so the direction is too
+            direction, slope = obj.metric_direction(g)
+            t = min(t, _STEP_CAP * max(1.0, rms) / obj.rms(direction))
         if cfg.log_every and (it % cfg.log_every == 0 or it == 1):
             history.append((it, f, gnorm, t))
-        if gnorm < cfg.grad_tol:
-            converged = True
+        if converged:
             break
         if rms > escape_at and growth_streak >= cfg.escape_window:
             escaped = True
             break
-        gsq = gnorm * gnorm
         # near a minimum the sufficient decrease drops below the float
         # resolution of f; allow that much slack (stays within the 1e-12
         # per-step monotonicity contract)
         noise = 1e-13 * max(1.0, abs(f))
         accepted = False
         while t >= cfg.min_step:
-            trial = x - t * g
+            trial = x - t * direction
             value_evals += 1
             try:
                 ev = obj.evaluate(trial)
             except CollisionError:
                 rejects += 1
             else:
-                if ev.value <= f - cfg.armijo * t * gsq + noise:
+                if ev.value <= f - cfg.armijo * t * slope + noise:
                     accepted = True
                     break
             t *= cfg.backtrack
         if not accepted:
             abort = "no feasible descent step above the minimum step size"
             break
-        measurable = cfg.armijo * t * gsq > noise
+        # the step grows only on a decrease that f resolves: the Armijo term
+        # itself can sit below the noise while the actual decrease does not
+        measurable = f - ev.value > noise
         x = trial
         f, g = ev.value, ev.gradient()
         grad_evals += 1

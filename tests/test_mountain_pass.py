@@ -82,6 +82,29 @@ def test_initial_linear_path_max_above_endpoints():
     assert max(acts[1:-1]) > acts[-1] + 0.5
 
 
+def test_saddle_search_evaluates_each_vector_once(monkeypatch):
+    # every node keeps its evaluation: descending a node, re-scoring the
+    # path after reparametrisation, the refine trigger, the basin probes of
+    # nodes and the refinement never evaluate a vector a second time
+    seen, repeats = set(), []
+    evaluate = Objective.evaluate
+
+    def counted(self, vec):
+        key = vec.tobytes()
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return evaluate(self, vec)
+
+    monkeypatch.setattr(Objective, "evaluate", counted)
+    p = SystemParams(n=3, alpha=1.0, omega=1.5)
+    end_a, end_b = tied_endpoints(cutoff=8)
+    res = mountain_pass(end_a, end_b, p, tied_config(cutoff=8, nodes=9, max_sweeps=40))
+    assert res.sweeps == 40 and res.refine_iters > 0 and res.converged
+    assert len(seen) > 1000
+    assert not repeats
+
+
 # ---------------------------------------------------------------------------
 # the tied-circles saddle
 
