@@ -76,7 +76,6 @@ from .mountain_pass import (
     MountainPassConfig,
     SaddleResult,
     mountain_pass,
-    path_energy_profile,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "multistart",
     "newton_residual",
     "omega_star",
-    "path_energy_profile",
     "poincare_ratio",
     "predicted_circle",
     "project_symmetry",

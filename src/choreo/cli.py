@@ -100,7 +100,6 @@ def cmd_minimize(args) -> int:
         grid_size=args.grid,
         grad_tol=args.grad_tol,
         max_iters=args.max_iters,
-        seed=args.seed,
         symmetry=_GROUPS[args.symmetry],
         pin_mean=args.pin_mean,
         log_every=1,

@@ -20,9 +20,11 @@ not for its basin probe.
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
 crossing is located directly: walking out from the maximal node, the first
-pair of consecutive nodes whose bounded descent probes relax into different
-endpoint basins brackets the basin boundary, and bisection of that segment
-pins a point on the boundary to relative accuracy.
+pair of consecutive nodes whose basin probes relax into different endpoint
+basins brackets the basin boundary, and bisection of that segment pins a
+point on the boundary to relative accuracy.  A probe is
+:func:`optimize.descend` in the H^1 metric, run down to gradient norm 1e-4
+(at most 800 iterations), and is classified by the nearer endpoint.
 
 Refinement phase.  Eigenvector-following Newton from the boundary point: the
 finite-difference Hessian is diagonalised, the lowest eigenvalue is kept (or
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionValue, CollisionError, DEFAULT_GUARD, Evaluation
+from .action import ActionValue, CollisionError, Evaluation
 from .loops import (
     FourierLoop,
     LoopDiagnostics,
@@ -56,7 +58,7 @@ from .loops import (
     diagnostics as loop_diagnostics,
     pack_coefficients,
 )
-from .optimize import Objective
+from .optimize import DescentConfig, Objective, descend
 
 
 class MountainPassError(RuntimeError):
@@ -70,31 +72,36 @@ class MountainPassConfig:
     grid_size: int | None = None
     max_sweeps: int = 1500
     saddle_tol: float = 1e-6
-    refine_trigger: float = 5e-3
-    endpoint_tol: float = 1e-5
-    step: float = 0.25
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    guard: float = DEFAULT_GUARD
     symmetry: SymmetryGroup | None = None
-    pin_mean: bool = False
-    max_refine_iters: int = 120
-    fd_step: float = 1e-6
-    stagnation_window: int = 60
-    stagnation_tol: float = 1e-8
     bulge: FourierLoop | None = None
     bulge_amplitude: float = 0.0
-    repair_tries: int = 6
-    probe_iters: int = 800
-    probe_level: float = 0.3  # probe stop: endpoint action + this much
-    bisect_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         check_discretisation(self.cutoff, self.grid_size)
         if self.nodes < 3:
             raise ValueError("a path needs at least 3 nodes")
-        if self.saddle_tol <= 0 or self.refine_trigger <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.saddle_tol <= 0:
+            raise ValueError("saddle_tol must be positive")
+
+
+# path phase: a sweep descends the top node and its neighbours by one
+# Armijo-backtracked step of length at most _STEP; the phase ends when the
+# top node's gradient falls below _REFINE_TRIGGER or the maximal action
+# fell by less than _STAGNATION_TOL over _STAGNATION_WINDOW sweeps;
+# _STEP is also the refinement's initial trust radius
+_STEP = 0.25
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_REFINE_TRIGGER = 5e-3
+_STAGNATION_WINDOW = 60
+_STAGNATION_TOL = 1e-8
+_REPAIR_TRIES = 6
+_ENDPOINT_TOL = 1e-5  # endpoints must be critical to this gradient norm
+# basin probes: the H^1 descent of optimize, down to gradient 1e-4
+_PROBE = DescentConfig(grad_tol=1e-4, max_iters=800)
+_BISECT_TOL = 1e-6  # relative length of the bracketing segment
+_MAX_REFINE_ITERS = 120
+_FD_STEP = 1e-6  # relative central-difference step of the refine Hessian
 
 
 @dataclass
@@ -161,7 +168,7 @@ def _node_eval(obj: Objective, vec: np.ndarray) -> Evaluation | None:
         return None
 
 
-def _repair(obj: Objective, path: list, i: int, tries: int) -> Evaluation:
+def _repair(obj: Objective, path: list, i: int) -> Evaluation:
     """Replace a colliding interior node by the neighbour midpoint plus an
     escalating deterministic transverse offset; returns its evaluation."""
     base = 0.5 * (path[i - 1] + path[i + 1])
@@ -176,7 +183,7 @@ def _repair(obj: Objective, path: list, i: int, tries: int) -> Evaluation:
     dn = np.linalg.norm(direction)
     direction = direction / dn if dn > 0 else direction
     amp = 0.05 * norm
-    for _ in range(tries):
+    for _ in range(_REPAIR_TRIES):
         cand = base + amp * direction
         ev = _node_eval(obj, cand)
         if ev is not None:
@@ -247,7 +254,6 @@ def _descend_node(
     ev: Evaluation,
     mesh: float,
     tangent: np.ndarray | None,
-    cfg: MountainPassConfig,
 ) -> tuple[np.ndarray, Evaluation]:
     """One backtracked descent step with displacement capped by the mesh,
     restricted to the gradient component orthogonal to the path tangent.
@@ -263,14 +269,14 @@ def _descend_node(
     gnorm = float(np.linalg.norm(g))
     if gnorm < 1e-15:
         return vec, ev
-    t = min(cfg.step, mesh / gnorm)
+    t = min(_STEP, mesh / gnorm)
     gsq = gnorm * gnorm
     while t * gnorm > 1e-14:
         cand = vec - t * g
         ev_c = _node_eval(obj, cand)
-        if ev_c is not None and ev_c.value <= f - cfg.armijo * t * gsq:
+        if ev_c is not None and ev_c.value <= f - _ARMIJO * t * gsq:
             return cand, ev_c
-        t *= cfg.backtrack
+        t *= _BACKTRACK
     return vec, ev
 
 
@@ -278,64 +284,22 @@ def _descend_node(
 # basin probes, bracket, bisection
 
 
-def _probe_descend(
-    obj: Objective,
-    x0: np.ndarray,
-    stop_action: float,
-    max_iters: int,
-    ev: Evaluation | None = None,
-) -> np.ndarray | None:
-    """Bounded plain descent used to classify which basin a point drains to.
-
-    Descent is stopped once the action falls below ``stop_action`` (past the
-    ridge shoulder, deep enough for a distance comparison) or the gradient
-    is small.  Plain coefficient distance to the endpoints is meaningful
-    afterwards because the flow is equivariant: it does not drift along the
-    rotation and time-shift orbits.  ``ev``, when given, is the evaluation
-    of ``x0``.
-    """
-    x = x0.copy()
-    if ev is None:
-        ev = _node_eval(obj, x)
-        if ev is None:
-            return None
-    f, g = ev.value, ev.gradient()
-    t = 0.02
-    for _ in range(max_iters):
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-4 or f < stop_action:
-            break
-        gsq = gn * gn
-        accepted = False
-        while t >= 1e-16:
-            trial = x - t * g
-            try:
-                ev = obj.evaluate(trial)
-            except CollisionError:
-                pass
-            else:
-                if ev.value <= f - 1e-4 * t * gsq + 1e-13 * max(1.0, abs(f)):
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            break
-        x = trial
-        f, g = ev.value, ev.gradient()
-        t = min(t * 2.0, 1.0)
-    return x
-
-
 def _basin(
     obj: Objective,
     x: np.ndarray,
     ends: tuple[np.ndarray, np.ndarray],
-    stop_action: float,
-    max_iters: int,
     ev: Evaluation | None = None,
 ) -> int | None:
-    xe = _probe_descend(obj, x, stop_action, max_iters, ev)
-    if xe is None:
+    """The endpoint (0 or 1) whose basin ``x`` drains to, or None.
+
+    The probe is :func:`optimize.descend` from ``x`` (``ev``, when given,
+    is its evaluation).  Plain coefficient distance to the endpoints is
+    meaningful afterwards because the flow is equivariant: it does not
+    drift along the rotation and time-shift orbits.
+    """
+    try:
+        xe = descend(obj, x, _PROBE, ev=ev).vec
+    except CollisionError:
         return None
     da = float(np.linalg.norm(xe - ends[0]))
     db = float(np.linalg.norm(xe - ends[1]))
@@ -345,18 +309,14 @@ def _basin(
 
 
 def _bisect_to_boundary(
-    obj: Objective,
-    p_a: np.ndarray,
-    p_b: np.ndarray,
-    basin_fn,
-    rel_tol: float,
+    p_a: np.ndarray, p_b: np.ndarray, basin_fn
 ) -> np.ndarray | None:
     """Shrink a straddling segment onto the basin boundary; returns the
     midpoint, or None if classification breaks down."""
     p_a, p_b = p_a.copy(), p_b.copy()
     scale = max(1.0, float(np.linalg.norm(p_a)))
     for _ in range(80):
-        if float(np.linalg.norm(p_a - p_b)) < rel_tol * scale:
+        if float(np.linalg.norm(p_a - p_b)) < _BISECT_TOL * scale:
             break
         mid = 0.5 * (p_a + p_b)
         side = basin_fn(mid)
@@ -400,14 +360,14 @@ def _refine(
         ev = obj.evaluate(x)
     g = ev.gradient()
     gnorm = float(np.linalg.norm(g))
-    radius = max(cfg.step, 1e-3)
+    radius = _STEP
     moved = True
-    for it in range(1, cfg.max_refine_iters + 1):
+    for it in range(1, _MAX_REFINE_ITERS + 1):
         if gnorm < cfg.saddle_tol:
             return x, ev, gnorm, it - 1
         if moved:
             scale = max(1.0, float(np.linalg.norm(x)))
-            H = _fd_hessian(obj, x, cfg.fd_step * scale)
+            H = _fd_hessian(obj, x, _FD_STEP * scale)
             evals, evecs = np.linalg.eigh(H)
             floor = max(1e-4 * float(np.max(np.abs(evals))), 1e-10)
             lam = evals.copy()
@@ -426,12 +386,12 @@ def _refine(
         moved = gcn < gnorm
         if moved:
             x, ev, g, gnorm = cand, ev_c, ev_c.gradient(), gcn
-            radius = min(radius * 2.0, 10.0 * cfg.step)
+            radius = min(radius * 2.0, 10.0 * _STEP)
         else:
             radius *= 0.5
             if radius < 1e-12:
                 break
-    return x, ev, gnorm, cfg.max_refine_iters
+    return x, ev, gnorm, _MAX_REFINE_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +406,7 @@ def mountain_pass(
 ) -> SaddleResult:
     """Saddle candidate between two local minimizers of the action.
 
-    Preconditions: both endpoints are critical to ``endpoint_tol``.  If the
+    Preconditions: both endpoints are critical to gradient norm 1e-5.  If the
     endpoints coincide the degenerate path is returned immediately.
     """
     cutoff = max(cfg.cutoff, end_a.cutoff, end_b.cutoff)
@@ -454,9 +414,7 @@ def mountain_pass(
         params,
         cutoff=cutoff,
         grid_size=cfg.grid_size,
-        guard=cfg.guard,
         symmetry=cfg.symmetry,
-        pin_mean=cfg.pin_mean,
     )
     va = obj.pack(end_a)
     vb = obj.pack(end_b)
@@ -483,10 +441,10 @@ def mountain_pass(
 
     for name, ev in (("first", ev_a), ("second", ev_b)):
         gn = float(np.linalg.norm(ev.gradient()))
-        if gn > cfg.endpoint_tol:
+        if gn > _ENDPOINT_TOL:
             raise ValueError(
                 f"{name} endpoint is not a critical point: gradient norm {gn:.3e} "
-                f"exceeds {cfg.endpoint_tol:.1e}"
+                f"exceeds {_ENDPOINT_TOL:.1e}"
             )
 
     # --- path phase -------------------------------------------------------
@@ -496,7 +454,7 @@ def mountain_pass(
     evs = [ev_a, *(_node_eval(obj, v) for v in nodes[1:-1]), ev_b]
     for i in range(1, len(nodes) - 1):
         if evs[i] is None:
-            evs[i] = _repair(obj, nodes, i, cfg.repair_tries)
+            evs[i] = _repair(obj, nodes, i)
     acts = np.array([ev.value for ev in evs])
     history: list[float] = []
     sweeps_done = 0
@@ -512,7 +470,7 @@ def mountain_pass(
             if 0 < idx < len(nodes) - 1:
                 tangent = nodes[idx + 1] - nodes[idx - 1]
                 nodes[idx], evs[idx] = _descend_node(
-                    obj, nodes[idx], evs[idx], mesh, tangent, cfg
+                    obj, nodes[idx], evs[idx], mesh, tangent
                 )
                 acts[idx] = evs[idx].value
         current_max = float(np.max(acts[1:-1]))
@@ -529,17 +487,15 @@ def mountain_pass(
         history.append(current_max)
 
         im = 1 + int(np.argmax(acts[1:-1]))
-        if float(np.linalg.norm(evs[im].gradient())) < cfg.refine_trigger:
+        if float(np.linalg.norm(evs[im].gradient())) < _REFINE_TRIGGER:
             break
-        w = cfg.stagnation_window
-        if len(history) > w and history[-w - 1] - history[-1] < cfg.stagnation_tol:
+        w = _STAGNATION_WINDOW
+        if len(history) > w and history[-w - 1] - history[-1] < _STAGNATION_TOL:
             break
 
     # --- bracket phase ----------------------------------------------------
-    level = max(act_a, act_b) + cfg.probe_level
-
     def basin_fn(x, ev=None):
-        return _basin(obj, x, (va, vb), level, cfg.probe_iters, ev)
+        return _basin(obj, x, (va, vb), ev)
 
     im = 1 + int(np.argmax(acts[1:-1]))
     sides: dict[int, int | None] = {0: 0, len(nodes) - 1: 1}
@@ -564,9 +520,7 @@ def mountain_pass(
         if found:
             break
     if found:
-        boundary = _bisect_to_boundary(
-            obj, nodes[found[0]], nodes[found[1]], basin_fn, cfg.bisect_tol
-        )
+        boundary = _bisect_to_boundary(nodes[found[0]], nodes[found[1]], basin_fn)
         if boundary is not None:
             vec_candidate, ev_candidate = boundary, None
 
@@ -597,12 +551,6 @@ def mountain_pass(
         profile=tuple(acts.tolist()),
         endpoint_actions=(act_a, act_b),
     )
-
-
-def path_energy_profile(path: LoopPath) -> list[tuple[int, float]]:
-    """Cached per-node actions as (index, action) pairs; the maximal interior
-    node is path.max_interior()."""
-    return [(i, float(a)) for i, a in enumerate(path.actions)]
 
 
 def second_difference(

@@ -13,7 +13,7 @@ the free coordinates of the symmetry mask and the pinned mean, and factored
 once per objective.  Armijo backtracking uses the slope g^T P^-1 g.
 
 The step length t along -P^-1 g doubles after every accepted iterate with a
-resolvable decrease, up to ``max_step`` = 1.  On the high harmonics, where
+resolvable decrease, up to 1.  On the high harmonics, where
 the kinetic term dominates, P^-1 times the Hessian is close to the identity:
 t = 1 is the exact step there, and t >= 2 no longer contracts them.  Without
 the bound the doubling settles on t = 2, and the winding-2 circle at
@@ -86,29 +86,15 @@ class DescentConfig:
     grid_size: int | None = None
     max_iters: int = 200_000
     grad_tol: float = 1e-8
-    initial_step: float = 0.25
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    step_growth: float = 2.0
-    max_step: float = 1.0  # t = 1 is exact on the kinetic-dominated harmonics
-    min_step: float = 1e-16
-    guard: float = DEFAULT_GUARD
-    seed: int = 0
     symmetry: SymmetryGroup | None = None
     pin_mean: bool = False
     escape_factor: float = 12.0
-    escape_window: int = 200
     log_every: int = 0  # 0 disables the iteration history
 
     def __post_init__(self) -> None:
         check_discretisation(self.cutoff, self.grid_size)
-        for name in ("grad_tol", "initial_step", "armijo", "guard"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.step_growth < 1.0:
-            raise ValueError("step growth must be >= 1")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,7 +177,6 @@ class Objective:
         params: SystemParams | None,
         cutoff: int,
         grid_size: int | None = None,
-        guard: float = DEFAULT_GUARD,
         symmetry: SymmetryGroup | None = None,
         pin_mean: bool = False,
         alpha: float | None = None,
@@ -207,18 +192,18 @@ class Objective:
             self.n = 2
             self.omega = 0.0
             pin_mean = True
-            self._potential = potential_kernel(None, self.alpha, guard)
+            self._potential = potential_kernel(None, self.alpha, DEFAULT_GUARD)
             self._residual = lambda loop: action_mod.kepler_newton_residual(
-                loop, self.alpha, self.grid_size, guard
+                loop, self.alpha, self.grid_size
             )
         else:
             self.alpha = params.alpha
             self.dim = params.d
             self.n = params.n
             self.omega = params.omega
-            self._potential = potential_kernel(params.n, params.alpha, guard)
+            self._potential = potential_kernel(params.n, params.alpha, DEFAULT_GUARD)
             self._residual = lambda loop: action_mod.newton_residual(
-                loop, params, self.grid_size, guard
+                loop, params, self.grid_size
             )
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
         self.symmetry = symmetry
@@ -271,10 +256,6 @@ class Objective:
         ev = self.evaluate(vec)
         return ev.value, ev.gradient()
 
-    def action_value(self, vec: np.ndarray) -> ActionValue:
-        ev = self.evaluate(vec)
-        return ActionValue(ev.kinetic, ev.potential, self.grid_size)
-
     def rms(self, vec: np.ndarray) -> float:
         return math.sqrt(float(self._rms_weights @ (vec * vec)))
 
@@ -313,12 +294,18 @@ class Objective:
 # loop: it keeps the metric step from jumping across a ridge into another
 # basin than the descent flow would reach.
 _STEP_CAP = 0.05
+_INITIAL_STEP = 0.25
+_MAX_STEP = 1.0  # t = 1 is exact on the kinetic-dominated harmonics
+_MIN_STEP = 1e-16
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_ESCAPE_WINDOW = 200  # iterations of monotone rms growth before an escape
 
 
 @dataclass
 class _DescentOutcome:
     vec: np.ndarray
-    value: float
+    ev: Evaluation  # of ``vec``
     grad_norm: float
     iters: int
     converged: bool
@@ -330,32 +317,35 @@ class _DescentOutcome:
     collision_rejects: int
 
 
-def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutcome:
+def descend(
+    obj: Objective, x0: np.ndarray, cfg: DescentConfig, ev: Evaluation | None = None
+) -> _DescentOutcome:
     """Armijo-backtracked descent along -P^-1 g in the kinetic metric.
 
     The step length t multiplies P^-1 g.  Each iteration first caps it so
     that the displacement's rms is at most 5% of max(1, rms) of the loop,
     and logs it (the ``step`` column of ``iterations.csv`` is this first
-    trial step, not a step along -g); it doubles (``step_growth``, up to
-    ``max_step``) after a step whose actual decrease f - f_trial exceeds the
-    float resolution of f.  Convergence is the Euclidean gradient norm below
-    ``grad_tol``.
+    trial step, not a step along -g); it doubles, up to 1, after a step
+    whose actual decrease f - f_trial exceeds the float resolution of f.
+    Convergence is the Euclidean gradient norm below ``grad_tol``.
 
     Escape is declared when the loop's rms norm exceeds ``escape_factor``
     times max(1, initial rms) after growing monotonically (to rounding) over
-    the last ``escape_window`` iterations; the action is strictly decreasing
-    throughout by construction, which completes the non-attainment
-    signature.
+    the last 200 iterations; the action is strictly decreasing throughout
+    by construction, which completes the non-attainment signature.
 
     Each trial is one value stage; the value and gradient at an accepted
     point are taken from its trial's evaluation, so a step completes one
-    gradient and evaluates nothing twice.
+    gradient and evaluates nothing twice.  ``ev`` is the evaluation of
+    ``x0`` when the caller has it (a masked ``x0``); the start is then not
+    evaluated again, and its stage still counts in ``value_evals``.
     """
     x = np.where(obj.mask, x0, 0.0)
-    ev = obj.evaluate(x)
+    if ev is None:
+        ev = obj.evaluate(x)
     f, g = ev.value, ev.gradient()
     value_evals, grad_evals, rejects = 1, 1, 0
-    t = cfg.initial_step
+    t = _INITIAL_STEP
     rms = obj.rms(x)
     escape_at = cfg.escape_factor * max(1.0, rms)
     growth_streak = 0
@@ -373,7 +363,7 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
             history.append((it, f, gnorm, t))
         if converged:
             break
-        if rms > escape_at and growth_streak >= cfg.escape_window:
+        if rms > escape_at and growth_streak >= _ESCAPE_WINDOW:
             escaped = True
             break
         # near a minimum the sufficient decrease drops below the float
@@ -381,43 +371,43 @@ def descend(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> _DescentOutco
         # per-step monotonicity contract)
         noise = 1e-13 * max(1.0, abs(f))
         accepted = False
-        while t >= cfg.min_step:
+        while t >= _MIN_STEP:
             trial = x - t * direction
             value_evals += 1
             try:
-                ev = obj.evaluate(trial)
+                trial_ev = obj.evaluate(trial)
             except CollisionError:
                 rejects += 1
             else:
-                if ev.value <= f - cfg.armijo * t * slope + noise:
+                if trial_ev.value <= f - _ARMIJO * t * slope + noise:
                     accepted = True
                     break
-            t *= cfg.backtrack
+            t *= _BACKTRACK
         if not accepted:
             abort = "no feasible descent step above the minimum step size"
             break
         # the step grows only on a decrease that f resolves: the Armijo term
         # itself can sit below the noise while the actual decrease does not
-        measurable = f - ev.value > noise
-        x = trial
+        measurable = f - trial_ev.value > noise
+        x, ev = trial, trial_ev
         f, g = ev.value, ev.gradient()
         grad_evals += 1
         new_rms = obj.rms(x)
         growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
         rms = new_rms
         if measurable:
-            t = min(t * cfg.step_growth, cfg.max_step)
+            t = min(t * 2.0, _MAX_STEP)
         elif float(np.linalg.norm(g)) > gnorm:
             # noise-floor regime: an overshooting step is invisible to the
             # Armijo test, so stabilise on the gradient norm instead
-            t *= cfg.backtrack
+            t *= _BACKTRACK
     else:
         abort = "iteration budget exhausted"
         it = cfg.max_iters
     gnorm = float(np.linalg.norm(g))
     return _DescentOutcome(
         vec=x,
-        value=f,
+        ev=ev,
         grad_norm=gnorm,
         iters=it,
         converged=converged,
@@ -471,7 +461,7 @@ def init_circle(
 
 def _finish(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
     loop = obj.unpack(out.vec)
-    act = obj.action_value(out.vec)
+    act = ActionValue(out.ev.kinetic, out.ev.potential, obj.grid_size)
     if obj.params is not None:
         diag = loop_diagnostics(loop, obj.params, obj.grid_size)
         clusters = detect_clusters(loop, obj.params, obj.grid_size)
@@ -516,7 +506,6 @@ def minimize(
         params,
         cutoff=max(cfg.cutoff, init.cutoff),
         grid_size=cfg.grid_size,
-        guard=cfg.guard,
         symmetry=cfg.symmetry,
         pin_mean=cfg.pin_mean,
     )
@@ -532,7 +521,6 @@ def kepler_minimize(
         None,
         cutoff=max(cfg.cutoff, init.cutoff),
         grid_size=cfg.grid_size,
-        guard=cfg.guard,
         alpha=alpha,
         dim=init.dim,
     )

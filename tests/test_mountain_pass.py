@@ -6,9 +6,9 @@ import pytest
 from choreo.loops import EIGHT3D, FourierLoop, SystemParams
 from choreo.mountain_pass import (
     MountainPassConfig,
+    _basin,
     initial_path,
     mountain_pass,
-    path_energy_profile,
     second_difference,
 )
 from choreo.optimize import Objective
@@ -24,6 +24,19 @@ def tied_endpoints(cutoff=16):
         FourierLoop.circle(R1, -1, dim=2, cutoff=cutoff),
         FourierLoop.circle(R2, -2, dim=2, cutoff=cutoff),
     )
+
+
+def eight_endpoints(K=20):
+    from choreo.bounds import bound_chain_minimum
+
+    R = bound_chain_minimum(3, 1.0)["radius"]
+    cos = np.zeros((K, 3))
+    sin = np.zeros((K, 3))
+    sin[0, 1] = R
+    cos[0, 2] = R
+    cos2 = cos.copy()
+    cos2[0, 2] = -R
+    return FourierLoop(np.zeros(3), cos, sin), FourierLoop(np.zeros(3), cos2, sin)
 
 
 def tied_config(cutoff=16, **kw):
@@ -58,8 +71,7 @@ def test_equal_endpoints_return_immediately():
     assert res.converged
     assert res.sweeps == 0
     assert abs(res.action.total - res.endpoint_actions[0]) < 1e-12
-    profile = path_energy_profile(res.path)
-    vals = [a for _, a in profile]
+    vals = res.path.actions
     assert max(vals) - min(vals) < 1e-12  # flat profile
 
 
@@ -103,6 +115,24 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
     assert res.sweeps == 40 and res.refine_iters > 0 and res.converged
     assert len(seen) > 1000
     assert not repeats
+
+
+@pytest.mark.parametrize("case", ["tied", "eight"])
+def test_basin_probe_sends_perturbed_endpoints_home(case):
+    if case == "tied":
+        p = SystemParams(n=3, alpha=1.0, omega=1.5)
+        obj = Objective(p, cutoff=16)
+        ends = tied_endpoints()
+    else:
+        p = SystemParams(n=3, d=3, alpha=1.0)
+        obj = Objective(p, cutoff=20, symmetry=EIGHT3D)
+        ends = eight_endpoints()
+    va, vb = (obj.pack(e) for e in ends)
+    rng = np.random.default_rng(0)
+    for side, v in enumerate((va, vb)):
+        for _ in range(3):
+            x = v + 0.03 * np.where(obj.mask, rng.standard_normal(v.size), 0.0)
+            assert _basin(obj, x, (va, vb)) == side
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +202,8 @@ def test_profile_reports_maximum(tied_saddle):
 def eight_saddle():
     K = 20  # residual tail of the smooth saddle decays below 1e-3 by K=20
     p = SystemParams(n=3, d=3, alpha=1.0, omega=0.0)
-    from choreo.bounds import bound_chain_minimum
-
-    R = bound_chain_minimum(3, 1.0)["radius"]
-    cos = np.zeros((K, 3))
-    sin = np.zeros((K, 3))
-    sin[0, 1] = R
-    cos[0, 2] = R
-    end_a = FourierLoop(np.zeros(3), cos, sin)
-    cos2 = cos.copy()
-    cos2[0, 2] = -R
-    end_b = FourierLoop(np.zeros(3), cos2, sin)
+    end_a, end_b = eight_endpoints(K)
+    R = float(end_a.sin_coeffs[0, 1])
     bc = np.zeros((K, 3))
     bs = np.zeros((K, 3))
     bs[1, 0] = 1.0  # sin 2t in the first component, allowed by the group

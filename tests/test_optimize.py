@@ -181,6 +181,28 @@ def test_descend_one_force_stage_per_accepted_step(max_iters):
     assert out.value_evals >= accepted + 1
 
 
+@pytest.mark.parametrize("n, omega, winding", [(3, 0.5, -1), (5, 2.1, -2)])
+def test_minimize_evaluates_each_vector_once(monkeypatch, n, omega, winding):
+    # the reported action is the descent's last accepted trial, not a
+    # second evaluation of the final vector
+    seen, repeats = set(), []
+    evaluate = Objective.evaluate
+
+    def counted(self, vec):
+        key = vec.tobytes()
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return evaluate(self, vec)
+
+    monkeypatch.setattr(Objective, "evaluate", counted)
+    p = SystemParams(n=n, alpha=1.0, omega=omega)
+    res = minimize(p, noisy_circle(p, winding, seed=0), DescentConfig(cutoff=6))
+    assert res.converged
+    assert len(seen) == res.value_evals
+    assert not repeats
+
+
 # ---------------------------------------------------------------------------
 # the H^1 metric step
 
