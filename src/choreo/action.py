@@ -39,7 +39,16 @@ pair sum), checks the collision guard and returns an :class:`Evaluation`;
 ``Evaluation.gradient`` runs only the force stage on the same arrays, its
 pullback and the kinetic gradient.  A descent step therefore pays for one
 value stage per trial and one force stage per accepted point.  The Newton
-residual reuses the same force stage.
+residual reuses the evaluation's force array.
+
+Batches: the value stage takes coefficient vectors and samples with leading
+batch axes, (..., N) and (..., M, d), and returns per row a value, a guard
+result and a force stage.  A single vector is the case without leading
+axes.  Every form is chosen so that a row of a stack evaluates bit for bit
+as it does alone: the samples and Lx as stacks of matrix products, the
+potential sum over each row's contiguous squared distances, the kinetic
+value a per-row dot product.  Lx as one gemm over the stack, or the kinetic
+sums as one einsum, would not keep the bits.
 
 Near-collisions are a hard error below the guard separation (no smoothing):
 minimizers of interest are collisionless, and smoothing would corrupt the
@@ -49,8 +58,10 @@ certified values.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -161,11 +172,17 @@ def velocity_map(d: int, K: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kinetic(vec: np.ndarray, d: int, K: int, omega: float):
-    """(kinetic value, L, w * Lx) of a packed vector."""
+    """(kinetic value, L, w * Lx) of packed vectors of shape (..., N), row
+    by row: the values have shape vec.shape[:-1].
+
+    Lx and the kinetic value 1/2 (Lx) . (w * Lx) are stacks of
+    matrix-vector and vector-vector products, so each row equals the
+    products of that row alone, bit for bit.
+    """
     L, w = velocity_map(d, K, omega)
-    v = L @ vec
+    v = (L @ vec[..., None])[..., 0]
     wv = w * v
-    return 0.5 * float(v @ wv), L, wv
+    return 0.5 * (v[..., None, :] @ wv[..., :, None])[..., 0, 0], L, wv
 
 
 def _pack(mean, cos, sin) -> np.ndarray:
@@ -185,7 +202,7 @@ def kinetic_value(
     components.  Evaluated as the weighted sum of squares of the velocity
     coefficients, see :func:`velocity_map`.
     """
-    return _kinetic(_pack(mean, cos, sin), *cos.shape[::-1], omega)[0]
+    return float(_kinetic(_pack(mean, cos, sin), *cos.shape[::-1], omega)[0])
 
 
 def kinetic_gradient(
@@ -197,47 +214,68 @@ def kinetic_gradient(
     return _split(L.T @ wv, d, K)
 
 
-def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
-    """Value stage of the discretised pair potential of a choreography
-    sample array X, shape (M, d) with M a multiple of n.
+def _guard_stage(r2: np.ndarray, alpha: float, guard: float, M: int, lags: bool):
+    """Per-row sums of r2^(-alpha/2) over the last axis of the squared
+    distances r2 (shape (..., S)), and the collision guard.
 
-    Forms every lag difference and squared distance at once, checks the
-    collision guard and returns (value, force); ``force()`` is the force
-    stage, the exact derivative dU/dX of the value, computed from the same
-    arrays.
+    Returns (sums, collision): ``collision(row)`` is the
+    :class:`CollisionError` the row trips (a separation below ``guard``),
+    or None.  S runs over the grid, lag-major when ``lags`` (S = (n-1) M);
+    a tripped row's sum is meaningless and is formed without warnings.
     """
-    M = X.shape[0]
-    diff = lag_differences(X, n)  # (n-1, M, d)
-    r2 = np.einsum("hmd,hmd->hm", diff, diff)
-    flat_min = int(np.argmin(r2))
-    min_sep = math.sqrt(float(r2.flat[flat_min]))
-    if min_sep < guard:
-        h, j = divmod(flat_min, M)
-        raise CollisionError(min_sep, j * TWO_PI / M, h + 1)
-    value = (math.pi / M) * float(np.sum(r2 ** (-alpha / 2.0)))
+    sep = np.sqrt(r2.min(axis=-1, keepdims=True))  # (..., 1)
+    trip = sep < guard
+    quiet = np.count_nonzero(trip)
+    with np.errstate(divide="ignore", over="ignore") if quiet else nullcontext():
+        sums = (r2 ** (-alpha / 2.0)).sum(axis=-1)
 
-    def force() -> np.ndarray:
-        w = r2 ** (-(alpha + 2.0) / 2.0)
-        return -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff)
+    def collision(row: tuple) -> CollisionError | None:
+        if not trip[row]:
+            return None
+        h, j = divmod(int(np.argmin(r2[row])), M)
+        return CollisionError(float(sep[row][0]), j * TWO_PI / M, h + 1 if lags else None)
 
-    return value, force
+    return sums, collision
+
+
+def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
+    """Value stage of the discretised pair potential of choreography sample
+    arrays X, shape (..., M, d) with M a multiple of n.
+
+    Forms every lag difference and squared distance of every row of the
+    leading axes at once and returns (value, collision, force): ``value``
+    holds each row's potential (shape X.shape[:-2]); ``collision(row)`` is
+    the :class:`CollisionError` the row trips, or None (its value is then
+    meaningless); ``force(row)`` is the row's force stage, the exact
+    derivative dU/dX of its value, computed from the same arrays.  A row is
+    an index tuple into the leading axes, () for a single (M, d) array.
+    """
+    M = X.shape[-2]
+    diff = lag_differences(X, n)  # (..., n-1, M, d)
+    r2 = np.einsum("...hmd,...hmd->...hm", diff, diff)
+    flat = r2.reshape(r2.shape[:-2] + (-1,))  # lag-major per row
+    sums, collision = _guard_stage(flat, alpha, guard, M, True)
+
+    def force(row: tuple) -> np.ndarray:
+        w = r2[row] ** (-(alpha + 2.0) / 2.0)
+        return -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff[row])
+
+    return (math.pi / M) * sums, collision, force
 
 
 def single_potential(X: np.ndarray, alpha: float, guard: float):
-    """Value stage of the Kepler potential int dt/|q|^alpha on the grid;
-    returns (value, force) like :func:`pair_potential`."""
-    M = X.shape[0]
-    r2 = np.sum(X**2, axis=1)
-    jmin = int(np.argmin(r2))
-    sep = math.sqrt(float(r2[jmin]))
-    if sep < guard:
-        raise CollisionError(sep, jmin * TWO_PI / M, None)
-    value = (TWO_PI / M) * float(np.sum(r2 ** (-alpha / 2.0)))
+    """Value stage of the Kepler potential int dt/|q|^alpha on the grid of
+    sample arrays X, shape (..., M, d); returns (value, collision, force)
+    like :func:`pair_potential`."""
+    M = X.shape[-2]
+    r2 = np.sum(X**2, axis=-1)
+    sums, collision = _guard_stage(r2, alpha, guard, M, False)
 
-    def force() -> np.ndarray:
-        return -(TWO_PI * alpha / M) * (r2 ** (-(alpha + 2.0) / 2.0))[:, None] * X
+    def force(row: tuple) -> np.ndarray:
+        w = r2[row] ** (-(alpha + 2.0) / 2.0)
+        return -(TWO_PI * alpha / M) * w[:, None] * X[row]
 
-    return value, force
+    return (TWO_PI / M) * sums, collision, force
 
 
 def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
@@ -251,7 +289,7 @@ def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def potential_kernel(n: int | None, alpha: float, guard: float):
-    """The potential as a callable X -> (value, force stage), see
+    """The potential as a callable X -> (value, collision, force), see
     :func:`pair_potential`: the Kepler term int dt/|q|^alpha when n is None,
     the n-body pair sum otherwise."""
     if n is None:
@@ -259,72 +297,140 @@ def potential_kernel(n: int | None, alpha: float, guard: float):
     return lambda X: pair_potential(X, n, alpha, guard)
 
 
-class Evaluation:
-    """The discretised action at one packed coefficient vector.
+@dataclass
+class KernelCounts:
+    """Work done through :func:`action_kernel`: calls, value stages (one per
+    row) and force stages (one per completed gradient or force array)."""
 
-    Construction is the value stage: ``kinetic``, ``potential`` and their
-    sum ``value``.  :meth:`gradient` completes it with the force stage on
-    the same lag differences, its pullback and the kinetic gradient
-    L^T (w * Lx), projected by ``mask`` when one is given.  The gradient is
-    computed on the first call and returned as is (read-only) afterwards.
+    kernel_calls: int = 0
+    value_evals: int = 0
+    grad_evals: int = 0
+
+
+class _Batch:
+    """What the rows of one kernel call share: the samples X, the velocity
+    map L, w * Lx, the force stage, the cutoff, the gradient mask and the
+    counts to charge."""
+
+    __slots__ = ("X", "L", "wv", "force", "K", "mask", "counts")
+
+    def __init__(self, X, L, wv, force, K, mask, counts):
+        self.X, self.L, self.wv, self.force = X, L, wv, force
+        self.K, self.mask, self.counts = K, mask, counts
+
+
+@lru_cache(maxsize=64)
+def _rows(lead: tuple) -> tuple:
+    """Index tuples of every row of the leading axes, in C order."""
+    return tuple(product(*map(range, lead)))
+
+
+class Evaluation:
+    """The discretised action at one packed coefficient vector, row ``row``
+    of a kernel call.
+
+    Construction is the value stage: ``kinetic``, ``potential``, their sum
+    ``value`` and the grid ``samples``.  :meth:`force` runs the force stage
+    on the same lag differences, once; :meth:`gradient` completes it with
+    its pullback and the kinetic gradient L^T (w * Lx), projected by the
+    mask when the call has one.  Both are computed on the first call and
+    returned as is (read-only gradient) afterwards.
     """
 
-    __slots__ = (
-        "kinetic", "potential", "value", "_L", "_wv", "_force", "_K", "_mask", "_grad"
-    )
+    __slots__ = ("kinetic", "potential", "value", "_batch", "_row", "_force", "_grad")
 
-    def __init__(self, kinetic, potential, L, wv, force, K, mask):
+    def __init__(self, kinetic: float, potential: float, batch: _Batch, row: tuple):
         self.kinetic = kinetic
         self.potential = potential
         self.value = kinetic + potential
-        self._L, self._wv, self._force, self._K, self._mask = L, wv, force, K, mask
-        self._grad = None
+        self._batch, self._row = batch, row
+        self._force = self._grad = None
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._batch.X[self._row]
+
+    def force(self) -> np.ndarray:
+        """dU/dX on the grid, from the value stage's arrays."""
+        if self._force is None:
+            self._force = self._batch.force(self._row)
+            self._batch.counts.grad_evals += 1
+        return self._force
 
     def gradient(self) -> np.ndarray:
         if self._grad is None:
-            grad = self._L.T @ self._wv + pullback_to_coefficients(self._force(), self._K)
-            if self._mask is not None:
-                grad = np.where(self._mask, grad, 0.0)
+            b = self._batch
+            grad = b.L.T @ b.wv[self._row] + pullback_to_coefficients(self.force(), b.K)
+            if b.mask is not None:
+                grad = np.where(b.mask, grad, 0.0)
             grad.flags.writeable = False
             self._grad = grad
         return self._grad
 
 
 def action_kernel(
-    vec: np.ndarray, X: np.ndarray, omega: float, potential, mask=None
-) -> Evaluation:
-    """Value stage of the discretised action at the packed vector ``vec``,
-    whose grid samples are X (shape (M, d)).
+    vec: np.ndarray, X: np.ndarray, omega: float, potential, counts, mask=None
+) -> list:
+    """Value stage of the discretised action at packed vectors ``vec`` of
+    shape (..., N), whose grid samples are X, shape (..., M, d).
 
-    Every functional of this module and the optimizer's objective evaluate
-    through here.
+    The leading axes are batch axes: one call samples, forms the lag
+    differences and checks the guard for every row at once, and each row
+    equals the evaluation of that row alone, bit for bit.  Returns one entry
+    per row (C order): its :class:`Evaluation`, or the
+    :class:`CollisionError` it trips.  A single vector is the case without
+    leading axes, a one-entry list.  The work is charged to ``counts``, a
+    :class:`KernelCounts`.  Every functional of this module and the
+    optimizer's objective evaluate through here.
     """
-    d = X.shape[1]
-    K = (vec.size // d - 1) // 2
-    pot, force = potential(X)
+    d = X.shape[-1]
+    K = (vec.shape[-1] // d - 1) // 2
+    pot, collision, force = potential(X)
     kin, L, wv = _kinetic(vec, d, K, omega)
-    return Evaluation(kin, pot, L, wv, force, K, mask)
+    batch = _Batch(X, L, wv, force, K, mask, counts)
+    rows = _rows(vec.shape[:-1])
+    counts.kernel_calls += 1
+    counts.value_evals += len(rows)
+    out = []
+    for row in rows:
+        err = collision(row)
+        if err is not None:
+            out.append(err)
+        else:
+            out.append(Evaluation(float(kin[row]), float(pot[row]), batch, row))
+    return out
+
+
+def single(entries: list) -> Evaluation:
+    """The one entry of an :func:`action_kernel` result, raising its
+    :class:`CollisionError`."""
+    (ev,) = entries
+    if isinstance(ev, CollisionError):
+        raise ev
+    return ev
 
 
 def _loop_kernel(x: FourierLoop, omega, potential, M: int) -> Evaluation:
-    return action_kernel(pack_coefficients(x), x.sample(M), omega, potential)
+    vec = pack_coefficients(x)
+    return single(action_kernel(vec, x.sample(M), omega, potential, KernelCounts()))
 
 
-def _residual(x: FourierLoop, omega: float, potential, M: int) -> float:
-    """L^2 norm of x'' + frame terms - (M / 2 pi) force on the grid.
+def force_residual(x: FourierLoop, omega: float, ev: Evaluation) -> float:
+    """L^2 norm of x'' + frame terms - (M / 2 pi) force on the grid, where
+    ``ev`` is the evaluation of x: its samples and force stage are reused.
 
     The potential's force array is dU/dX, which at each node is 2 pi / M
     times the gradient of sum_h |x - x_h|^{-alpha} (of |q|^{-alpha} for
     Kepler); the last term is therefore the force of the equations of motion.
     """
-    X = x.sample(M)
-    force = potential(X)[1]()
+    X = ev.samples
+    M = X.shape[0]
     res = x.derivative().derivative().sample(M)
     if omega:
         vel = x.derivative().sample(M)
         res[:, 0] += -2.0 * omega * vel[:, 1] - omega**2 * X[:, 0]
         res[:, 1] += 2.0 * omega * vel[:, 0] - omega**2 * X[:, 1]
-    res -= (M / TWO_PI) * force
+    res -= (M / TWO_PI) * ev.force()
     return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
 
 
@@ -419,7 +525,7 @@ def newton_residual(
     """
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
     potential = potential_kernel(params.n, params.alpha, guard)
-    return _residual(x, params.omega, potential, M)
+    return force_residual(x, params.omega, _loop_kernel(x, params.omega, potential, M))
 
 
 def kepler_newton_residual(
@@ -430,4 +536,5 @@ def kepler_newton_residual(
 ) -> float:
     """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid."""
     M = resolve_grid_size(q.cutoff, 2, grid_size)
-    return _residual(q, 0.0, potential_kernel(None, alpha, guard), M)
+    potential = potential_kernel(None, alpha, guard)
+    return force_residual(q, 0.0, _loop_kernel(q, 0.0, potential, M))

@@ -231,17 +231,19 @@ def _shift_index(n: int) -> np.ndarray:
 
 
 def lag_differences(X: np.ndarray, n: int) -> np.ndarray:
-    """x(t_j) - x(t_j + h tau) for the grid samples X of shape (M, d).
+    """x(t_j) - x(t_j + h tau) for grid samples X of shape (..., M, d).
 
-    Row h-1 of the (n-1, M, d) result holds lag h.  The grid splits into n
-    blocks of M/n samples, and the shift by h tau moves every block h
-    places, so the shifted loops are gathered block by block.
+    Leading axes are batch axes: each sample array along them is handled
+    alike.  Row h-1 of the (..., n-1, M, d) result holds lag h.  The grid
+    splits into n blocks of M/n samples, and the shift by h tau moves every
+    block h places, so the shifted loops are gathered block by block.
     """
-    M, d = X.shape
+    lead, (M, d) = X.shape[:-2], X.shape[-2:]
     if M % n:
         raise ValueError(f"grid size {M} is not a multiple of n={n}")
-    blocks = X.reshape(n, M // n, d)
-    return (blocks[None] - np.take(blocks, _shift_index(n), axis=0)).reshape(n - 1, M, d)
+    blocks = X.reshape(lead + (n, M // n, d))
+    shifted = np.take(blocks, _shift_index(n), axis=-3)  # (..., n-1, n, M/n, d)
+    return (blocks[..., None, :, :, :] - shifted).reshape(lead + (n - 1, M, d))
 
 
 def default_grid_size(cutoff: int, n: int) -> int:

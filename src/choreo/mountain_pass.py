@@ -16,7 +16,13 @@ would raise the maximal action.  The maximal action
 is nonincreasing across sweeps by construction.  Every node keeps its
 :class:`action.Evaluation` beside it, so an unchanged node is never
 evaluated again: not after reparametrisation, not for the refine trigger,
-not for its basin probe.
+not for its basin probe.  The vectors a sweep knows it needs are evaluated
+as one stack (:meth:`optimize.Objective.evaluate_batch`, bit for bit the
+single evaluations): the backtracking ladder t, t/2, ... of a node step in
+chunks of ten rungs, of which the first that passes the Armijo test is
+taken, and all nodes that reparametrisation moved.  The path phase reports
+why it stopped (``path_stop``: the sweep budget, the refine trigger or
+stagnation).
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
 crossing is located directly: walking out from the maximal node, the first
@@ -34,7 +40,9 @@ symmetry zero modes stay inert; a trust region adapted on gradient-norm
 decrease stabilises the far field.  Near the saddle exactly one eigenvalue
 is negative, the modification is the identity and the iteration is plain
 Newton with quadratic convergence.  Starting on the basin boundary matters:
-started inside a basin, the same iteration can drain to a minimum.
+started inside a basin, the same iteration can drain to a minimum.  The
+Hessian's 2 nfree gradient columns at x +- h e_i are one stacked
+evaluation.
 
 Interpolated nodes that would collide are repaired by escalating transverse
 offsets; if the repair budget is exhausted the offending segment is
@@ -92,6 +100,7 @@ class MountainPassConfig:
 _STEP = 0.25
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
+_LADDER = 10  # backtracking rungs per stacked evaluation; 9 is the most seen
 _REFINE_TRIGGER = 5e-3
 _STAGNATION_WINDOW = 60
 _STAGNATION_TOL = 1e-8
@@ -136,6 +145,14 @@ class SaddleResult:
     max_action_history: tuple[float, ...]
     profile: tuple[float, ...]
     endpoint_actions: tuple[float, float]
+    # why the path phase ended: "max_sweeps", "refine_trigger" or
+    # "stagnation" (None when the endpoints coincide and it never ran)
+    path_stop: str | None
+    # the objective's work over the whole search: value stages (every
+    # ladder rung included), kernel calls, completed gradients
+    value_evals: int
+    kernel_calls: int
+    grad_evals: int
 
     @property
     def above_endpoints(self) -> bool:
@@ -153,6 +170,10 @@ class SaddleResult:
             "endpoint_actions": list(self.endpoint_actions),
             "diagnostics": self.diagnostics.as_dict(),
             "profile": list(self.profile),
+            "path_stop": self.path_stop,
+            "value_evals": self.value_evals,
+            "kernel_calls": self.kernel_calls,
+            "grad_evals": self.grad_evals,
         }
 
 
@@ -228,13 +249,12 @@ def _reparametrise(path: list, pin: int) -> list:
         if arc[-1] <= 0.0:
             return chunk
         targets = np.linspace(0.0, arc[-1], count)
-        out = []
-        for tgt in targets:
-            j = int(np.searchsorted(arc, tgt, side="right") - 1)
-            j = min(max(j, 0), len(chunk) - 2)
-            span = arc[j + 1] - arc[j]
-            w = 0.0 if span <= 0 else (tgt - arc[j]) / span
-            out.append((1.0 - w) * pts[j] + w * pts[j + 1])
+        j = np.searchsorted(arc, targets, side="right") - 1
+        j = np.clip(j, 0, len(chunk) - 2)
+        span = arc[j + 1] - arc[j]
+        # w = 0 on zero-length spans
+        w = np.divide(targets - arc[j], span, out=np.zeros(count), where=~(span <= 0))
+        out = list((1.0 - w)[:, None] * pts[j] + w[:, None] * pts[j + 1])
         out[0] = chunk[0]
         out[-1] = chunk[-1]
         return out
@@ -272,11 +292,14 @@ def _descend_node(
     t = min(_STEP, mesh / gnorm)
     gsq = gnorm * gnorm
     while t * gnorm > 1e-14:
-        cand = vec - t * g
-        ev_c = _node_eval(obj, cand)
-        if ev_c is not None and ev_c.value <= f - _ARMIJO * t * gsq:
-            return cand, ev_c
-        t *= _BACKTRACK
+        ladder = []  # the next rungs t, t/2, ... in one stacked evaluation
+        while len(ladder) < _LADDER and t * gnorm > 1e-14:
+            ladder.append(t)
+            t *= _BACKTRACK
+        cands = vec - np.multiply.outer(ladder, g)
+        for tk, cand, ev_c in zip(ladder, cands, obj.evaluate_batch(cands)):
+            if ev_c is not None and ev_c.value <= f - _ARMIJO * tk * gsq:
+                return cand, ev_c
     return vec, ev
 
 
@@ -334,13 +357,22 @@ def _bisect_to_boundary(
 
 
 def _fd_hessian(obj: Objective, vec: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of the gradient, all 2 nfree columns
+    vec + h e_0, vec - h e_0, vec + h e_1, ... in one stacked evaluation.
+
+    A colliding column raises the :class:`CollisionError` of the first
+    colliding column in that order.
+    """
     idx = np.flatnonzero(obj.mask)
-    H = np.zeros((idx.size, idx.size))
-    for col, i in enumerate(idx):
-        e = np.zeros_like(vec)
-        e[i] = h
-        _, gp = obj.value_and_grad(vec + e)
-        _, gm = obj.value_and_grad(vec - e)
+    E = np.zeros((idx.size, vec.size))
+    E[np.arange(idx.size), idx] = h
+    cols = np.stack([vec + E, vec - E], axis=1).reshape(-1, vec.size)
+    evs = obj.evaluate_batch(cols)
+    if None in evs:
+        obj.evaluate(cols[evs.index(None)])  # raises that column's error
+    H = np.empty((idx.size, idx.size))
+    for col in range(idx.size):
+        gp, gm = evs[2 * col].gradient(), evs[2 * col + 1].gradient()
         H[:, col] = (gp - gm)[idx] / (2.0 * h)
     return 0.5 * (H + H.T)
 
@@ -428,7 +460,7 @@ def mountain_pass(
             loop=obj.unpack(va),
             action=act,
             grad_norm=float(np.linalg.norm(ev_a.gradient())),
-            newton_residual=obj.residual(va),
+            newton_residual=obj.residual(va, ev_a),
             sweeps=0,
             refine_iters=0,
             converged=True,
@@ -437,6 +469,10 @@ def mountain_pass(
             max_action_history=(act.total,),
             profile=tuple(path.actions.tolist()),
             endpoint_actions=(act.total, act.total),
+            path_stop=None,
+            value_evals=obj.counts.value_evals,
+            kernel_calls=obj.counts.kernel_calls,
+            grad_evals=obj.counts.grad_evals,
         )
 
     for name, ev in (("first", ev_a), ("second", ev_b)):
@@ -451,13 +487,14 @@ def mountain_pass(
     # every node keeps its evaluation beside it, so no vector is evaluated
     # twice; the first and last nodes are the endpoints
     nodes = initial_path(obj, va, vb, cfg)
-    evs = [ev_a, *(_node_eval(obj, v) for v in nodes[1:-1]), ev_b]
+    evs = [ev_a, *obj.evaluate_batch(np.stack(nodes[1:-1])), ev_b]
     for i in range(1, len(nodes) - 1):
         if evs[i] is None:
             evs[i] = _repair(obj, nodes, i)
     acts = np.array([ev.value for ev in evs])
     history: list[float] = []
     sweeps_done = 0
+    path_stop = "max_sweeps"
     for sweep in range(1, cfg.max_sweeps + 1):
         sweeps_done = sweep
         im = 1 + int(np.argmax(acts[1:-1]))
@@ -477,9 +514,15 @@ def mountain_pass(
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
         # the endpoints, the pinned node and any node left in place are
-        # unchanged vectors: they keep their evaluations
+        # unchanged vectors: they keep their evaluations; the moved nodes
+        # are evaluated in one stacked call
         known = {v.tobytes(): ev for v, ev in zip(nodes, evs)}
-        new_evs = [known.get(v.tobytes()) or _node_eval(obj, v) for v in new_nodes]
+        new_evs = [known.get(v.tobytes()) for v in new_nodes]
+        moved = [k for k, ev in enumerate(new_evs) if ev is None]
+        if moved:
+            batch = obj.evaluate_batch(np.stack([new_nodes[k] for k in moved]))
+            for k, ev in zip(moved, batch):
+                new_evs[k] = ev
         new_acts = np.array([math.inf if ev is None else ev.value for ev in new_evs])
         if float(np.max(new_acts[1:-1])) <= current_max + 1e-12:
             nodes, evs, acts = new_nodes, new_evs, new_acts
@@ -488,9 +531,11 @@ def mountain_pass(
 
         im = 1 + int(np.argmax(acts[1:-1]))
         if float(np.linalg.norm(evs[im].gradient())) < _REFINE_TRIGGER:
+            path_stop = "refine_trigger"
             break
         w = _STAGNATION_WINDOW
         if len(history) > w and history[-w - 1] - history[-1] < _STAGNATION_TOL:
+            path_stop = "stagnation"
             break
 
     # --- bracket phase ----------------------------------------------------
@@ -541,7 +586,7 @@ def mountain_pass(
         loop=loop,
         action=act,
         grad_norm=gnorm,
-        newton_residual=obj.residual(refined),
+        newton_residual=obj.residual(refined, ev),
         sweeps=sweeps_done,
         refine_iters=refine_iters,
         converged=gnorm < cfg.saddle_tol,
@@ -550,6 +595,10 @@ def mountain_pass(
         max_action_history=tuple(history),
         profile=tuple(acts.tolist()),
         endpoint_actions=(act_a, act_b),
+        path_stop=path_stop,
+        value_evals=obj.counts.value_evals,
+        kernel_calls=obj.counts.kernel_calls,
+        grad_evals=obj.counts.grad_evals,
     )
 
 

@@ -51,14 +51,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import action as action_mod
 from .action import (
     ActionValue,
     CollisionError,
     DEFAULT_GUARD,
     Evaluation,
+    KernelCounts,
     action_kernel,
+    force_residual,
     potential_kernel,
+    single,
     velocity_map,
 )
 from .loops import (
@@ -170,6 +172,9 @@ class Objective:
     made once here: both evaluate through :func:`action.action_kernel`.
     :meth:`evaluate` returns the value stage; its ``gradient()`` completes
     the masked gradient, and ``value`` / ``value_and_grad`` wrap it.
+    :meth:`evaluate_batch` evaluates the rows of a stack in one kernel call.
+    ``counts`` (:class:`action.KernelCounts`) holds the kernel calls, value
+    stages and force stages made so far; deterministic for a given run.
     """
 
     def __init__(
@@ -193,18 +198,13 @@ class Objective:
             self.omega = 0.0
             pin_mean = True
             self._potential = potential_kernel(None, self.alpha, DEFAULT_GUARD)
-            self._residual = lambda loop: action_mod.kepler_newton_residual(
-                loop, self.alpha, self.grid_size
-            )
         else:
             self.alpha = params.alpha
             self.dim = params.d
             self.n = params.n
             self.omega = params.omega
             self._potential = potential_kernel(params.n, params.alpha, DEFAULT_GUARD)
-            self._residual = lambda loop: action_mod.newton_residual(
-                loop, params, self.grid_size
-            )
+        self.counts = KernelCounts()  # the kernel's work so far
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
         self.symmetry = symmetry
         self.pin_mean = pin_mean
@@ -244,10 +244,21 @@ class Objective:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _kernel(self, vecs: np.ndarray) -> list:
+        X = self._basis @ vecs.reshape(vecs.shape[:-1] + (-1, self.dim))
+        return action_kernel(vecs, X, self.omega, self._potential, self.counts, self.mask)
+
     def evaluate(self, vec: np.ndarray) -> Evaluation:
-        """Value stage at ``vec``; ``.gradient()`` gives the masked gradient."""
-        X = self._basis @ vec.reshape(-1, self.dim)
-        return action_kernel(vec, X, self.omega, self._potential, self.mask)
+        """Value stage at ``vec``; ``.gradient()`` gives the masked gradient.
+        Raises :class:`CollisionError` where the guard trips."""
+        return single(self._kernel(vec))
+
+    def evaluate_batch(self, vecs: np.ndarray) -> list[Evaluation | None]:
+        """Value stages of the rows of a (P, N) stack in one kernel call:
+        each row's evaluation, equal to :meth:`evaluate` of that row bit for
+        bit, or None where the row trips the collision guard."""
+        entries = self._kernel(vecs)
+        return [None if isinstance(ev, CollisionError) else ev for ev in entries]
 
     def value(self, vec: np.ndarray) -> float:
         return self.evaluate(vec).value
@@ -259,8 +270,11 @@ class Objective:
     def rms(self, vec: np.ndarray) -> float:
         return math.sqrt(float(self._rms_weights @ (vec * vec)))
 
-    def residual(self, vec: np.ndarray) -> float:
-        return self._residual(self.unpack(vec))
+    def residual(self, vec: np.ndarray, ev: Evaluation) -> float:
+        """Newton residual of the loop ``vec``, whose evaluation is ``ev``:
+        its samples and force array are reused, see
+        :func:`action.force_residual`."""
+        return force_residual(self.unpack(vec), self.omega, ev)
 
     # -- the H^1 metric -----------------------------------------------------
 
@@ -281,7 +295,7 @@ class Objective:
             self._metric = idx, np.linalg.inv(np.linalg.cholesky(P))
         idx, C_inv = self._metric
         z = C_inv @ g[idx]
-        direction = np.zeros_like(g)
+        direction = np.zeros(g.shape)
         direction[idx] = C_inv.T @ z
         return direction, float(z @ z)
 
@@ -300,6 +314,12 @@ _MIN_STEP = 1e-16
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _ESCAPE_WINDOW = 200  # iterations of monotone rms growth before an escape
+
+
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v . v), what np.linalg.norm computes for a vector, bit for bit,
+    without its argument handling (a descent step takes one or two)."""
+    return math.sqrt(float(v @ v))
 
 
 @dataclass
@@ -354,7 +374,7 @@ def descend(
     converged = escaped = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         converged = gnorm < cfg.grad_tol
         if not converged:  # g != 0, so the direction is too
             direction, slope = obj.metric_direction(g)
@@ -397,14 +417,14 @@ def descend(
         rms = new_rms
         if measurable:
             t = min(t * 2.0, _MAX_STEP)
-        elif float(np.linalg.norm(g)) > gnorm:
+        elif _norm(g) > gnorm:
             # noise-floor regime: an overshooting step is invisible to the
             # Armijo test, so stabilise on the gradient norm instead
             t *= _BACKTRACK
     else:
         abort = "iteration budget exhausted"
         it = cfg.max_iters
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     return _DescentOutcome(
         vec=x,
         ev=ev,
@@ -469,15 +489,11 @@ def _finish(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
         kepler_params = SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
         diag = loop_diagnostics(loop, kepler_params, obj.grid_size)
         clusters = None
-    try:
-        resid = obj.residual(out.vec)
-    except CollisionError:
-        resid = math.inf
     return MinimizeResult(
         loop=loop,
         action=act,
         grad_norm=out.grad_norm,
-        newton_residual=resid,
+        newton_residual=obj.residual(out.vec, out.ev),
         iters=out.iters,
         diagnostics=diag,
         clusters=clusters,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from choreo.action import (
     CollisionError,
+    KernelCounts,
     choreography_action,
     gradient,
     kepler_action,
@@ -276,6 +278,71 @@ def test_evaluation_gradient_equals_value_and_grad_bitwise(rng):
         assert ev.value == f == ob.value(v)
         assert np.array_equal(ev.gradient(), g)
         assert np.array_equal(ev.gradient(), g)  # a second completion repeats
+
+
+# kernel points (n, d, K, M) of the benchmark's per-layer report
+KERNEL_POINTS = [(3, 2, 6, 48), (6, 2, 12, 96), (12, 3, 12, 96), (3, 2, 16, 66)]
+
+
+def _assert_same_evaluation(ev, ref):
+    assert ev.value == ref.value
+    assert ev.kinetic == ref.kinetic
+    assert ev.potential == ref.potential
+    assert np.array_equal(ev.gradient(), ref.gradient())
+
+
+@pytest.mark.parametrize("point", [*KERNEL_POINTS, "kepler"])
+def test_evaluate_batch_equals_evaluate_bitwise(rng, point):
+    # one stacked kernel call gives each row exactly what a call on that
+    # row alone gives: value, kinetic, potential and gradient
+    if point == "kepler":
+        obj = Objective(None, cutoff=6, alpha=1.3, dim=2)
+        loops = [circle(float(rng.uniform(0.7, 1.4)), cutoff=6) for _ in range(5)]
+    else:
+        n, d, K, M = point
+        p = SystemParams(n=n, d=d, alpha=1.0, omega=0.7)
+        obj = Objective(p, cutoff=K, grid_size=M)
+        assert obj.grid_size == M
+        loops = [random_loop(rng, p, cutoff=K) for _ in range(5)]
+    stack = np.stack([obj.pack(loop) for loop in loops])
+    for rows in (stack[:1], stack[:3], stack):
+        evs = obj.evaluate_batch(rows)
+        assert len(evs) == len(rows)
+        for ev, vec in zip(evs, rows):
+            _assert_same_evaluation(ev, obj.evaluate(vec))
+
+
+@pytest.mark.parametrize("kepler", [False, True])
+def test_evaluate_batch_colliding_row_is_none(rng, kepler):
+    # the zero vector puts every body (or the Kepler body) on the origin;
+    # its row alone trips the guard, quietly, and the others are unchanged
+    if kepler:
+        obj = Objective(None, cutoff=5, alpha=1.0, dim=2)
+        good = [obj.pack(circle(r, cutoff=5)) for r in (0.8, 1.2)]
+    else:
+        p = SystemParams(n=3, alpha=1.0, omega=1.5)
+        obj = Objective(p, cutoff=6)
+        good = [obj.pack(random_loop(rng, p, cutoff=6)) for _ in range(2)]
+    bad = np.zeros_like(good[0])
+    with pytest.raises(CollisionError):
+        obj.evaluate(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evs = obj.evaluate_batch(np.stack([good[0], bad, good[1]]))
+    assert evs[1] is None
+    for ev, vec in ((evs[0], good[0]), (evs[2], good[1])):
+        _assert_same_evaluation(ev, obj.evaluate(vec))
+
+
+def test_objective_counts_kernel_work(rng):
+    p = SystemParams(n=3, alpha=1.0)
+    obj = Objective(p, cutoff=6)
+    stack = np.stack([obj.pack(random_loop(rng, p, cutoff=6)) for _ in range(4)])
+    obj.evaluate(stack[0]).gradient()
+    evs = obj.evaluate_batch(stack)
+    evs[1].gradient()
+    evs[1].gradient()  # cached: no second force stage
+    assert obj.counts == KernelCounts(kernel_calls=2, value_evals=5, grad_evals=2)
 
 
 def test_gradient_finite_difference_full(rng):

@@ -254,6 +254,12 @@ def test_mpa_config_runs_and_writes(tmp_path, capsys):
     doc = json.loads((tmp_path / "mpa" / "saddle.json").read_text())
     assert doc["result"]["converged"] is True
     assert doc["result"]["above_endpoints"] is True
+    # why the path phase stopped and how much the search evaluated
+    result = doc["result"]
+    assert result["path_stop"] in ("max_sweeps", "refine_trigger", "stagnation")
+    for key in ("value_evals", "kernel_calls", "grad_evals"):
+        assert isinstance(result[key], int) and result[key] > 0
+    assert result["value_evals"] > result["kernel_calls"]
     assert (tmp_path / "mpa" / "path.json").exists()
     assert (tmp_path / "mpa" / "saddle.svg").exists()
 

@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from choreo.loops import EIGHT3D, FourierLoop, SystemParams
+from choreo.action import CollisionError
 from choreo.mountain_pass import (
     MountainPassConfig,
     _basin,
+    _descend_node,
+    _fd_hessian,
+    _reparametrise,
     initial_path,
     mountain_pass,
     second_difference,
@@ -97,24 +102,182 @@ def test_initial_linear_path_max_above_endpoints():
 def test_saddle_search_evaluates_each_vector_once(monkeypatch):
     # every node keeps its evaluation: descending a node, re-scoring the
     # path after reparametrisation, the refine trigger, the basin probes of
-    # nodes and the refinement never evaluate a vector a second time
-    seen, repeats = set(), []
-    evaluate = Objective.evaluate
+    # nodes and the refinement never evaluate a vector a second time; the
+    # rows of stacked evaluations (resampled nodes, backtracking ladders,
+    # Hessian columns) count like single ones, and a ladder rung that is
+    # never accepted is still a distinct vector
+    seen, repeats, calls = set(), [], []
+    evaluate, evaluate_batch = Objective.evaluate, Objective.evaluate_batch
 
-    def counted(self, vec):
+    def see(vec):
         key = vec.tobytes()
         if key in seen:
             repeats.append(key)
         seen.add(key)
+
+    def counted(self, vec):
+        see(vec)
+        calls.append(1)
         return evaluate(self, vec)
 
+    def counted_batch(self, vecs):
+        for vec in vecs:
+            see(vec)
+        calls.append(len(vecs))
+        return evaluate_batch(self, vecs)
+
     monkeypatch.setattr(Objective, "evaluate", counted)
+    monkeypatch.setattr(Objective, "evaluate_batch", counted_batch)
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     end_a, end_b = tied_endpoints(cutoff=8)
     res = mountain_pass(end_a, end_b, p, tied_config(cutoff=8, nodes=9, max_sweeps=40))
     assert res.sweeps == 40 and res.refine_iters > 0 and res.converged
     assert len(seen) > 1000
     assert not repeats
+    # the reported counts are the objective's: every row, every call
+    assert res.value_evals == sum(calls) == len(seen)
+    assert res.kernel_calls == len(calls) < res.value_evals
+    assert 0 < res.grad_evals < res.value_evals
+    assert res.path_stop == "max_sweeps"
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluations against the sequential loops they replace
+
+
+def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent):
+    """The node step with one evaluation per halving of t."""
+    g = ev.gradient()
+    that = tangent / np.linalg.norm(tangent)
+    g = g - float(g @ that) * that
+    gnorm = float(np.linalg.norm(g))
+    t = min(0.25, mesh / gnorm)
+    while t * gnorm > 1e-14:
+        cand = vec - t * g
+        try:
+            ev_c = obj.evaluate(cand)
+        except CollisionError:
+            ev_c = None
+        if ev_c is not None and ev_c.value <= ev.value - 1e-4 * t * gnorm * gnorm:
+            return cand, ev_c
+        t *= 0.5
+    return vec, ev
+
+
+@pytest.mark.parametrize("amplitude, mesh", [(0.35, 0.05), (0.35, 5.0), (0.01, 1e3)])
+def test_descend_node_takes_the_first_armijo_rung(amplitude, mesh):
+    # the ladder t, t/2, ... evaluated in stacks of rungs accepts the same
+    # rung, vector and evaluation as trying the rungs one at a time; the
+    # flat bulge puts the middle node next to a collision, where the step
+    # backtracks over more rungs than one stack holds
+    p = SystemParams(n=3, alpha=1.0, omega=1.5)
+    obj = Objective(p, cutoff=8)
+    end_a, end_b = tied_endpoints(cutoff=8)
+    cfg = tied_config(cutoff=8, nodes=11, bulge_amplitude=amplitude)
+    nodes = initial_path(obj, obj.pack(end_a), obj.pack(end_b), cfg)
+    most_rungs = 0
+    for i in range(1, 10):
+        tangent = nodes[i + 1] - nodes[i - 1]
+        ev = obj.evaluate(nodes[i])
+        got, got_ev = _descend_node(obj, nodes[i], ev, mesh, tangent)
+        calls = obj.counts.kernel_calls
+        want, want_ev = descend_node_rung_by_rung(obj, nodes[i], ev, mesh, tangent)
+        most_rungs = max(most_rungs, obj.counts.kernel_calls - calls)
+        assert np.array_equal(got, want)
+        assert got_ev.value == want_ev.value
+        assert np.array_equal(got_ev.gradient(), want_ev.gradient())
+    if amplitude < 0.1:
+        assert most_rungs > 10  # the ladder ran past its first stack
+
+
+def fd_hessian_by_columns(obj, vec, h):
+    """Central differences one gradient at a time: +e_0, -e_0, +e_1, ..."""
+    idx = np.flatnonzero(obj.mask)
+    H = np.zeros((idx.size, idx.size))
+    for col, i in enumerate(idx):
+        e = np.zeros_like(vec)
+        e[i] = h
+        _, gp = obj.value_and_grad(vec + e)
+        _, gm = obj.value_and_grad(vec - e)
+        H[:, col] = (gp - gm)[idx] / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+def test_fd_hessian_equals_column_by_column_reference():
+    p = SystemParams(n=3, alpha=1.0, omega=1.5)
+    obj = Objective(p, cutoff=8)
+    end_a, end_b = tied_endpoints(cutoff=8)
+    vec = initial_path(obj, obj.pack(end_a), obj.pack(end_b), tied_config(cutoff=8))[10]
+    h = 1e-6 * max(1.0, float(np.linalg.norm(vec)))
+    assert np.array_equal(_fd_hessian(obj, vec, h), fd_hessian_by_columns(obj, vec, h))
+    eight = Objective(SystemParams(n=3, d=3, alpha=1.0), cutoff=20, symmetry=EIGHT3D)
+    vec = eight.pack(eight_endpoints()[0])
+    H = _fd_hessian(eight, vec, 1e-6)
+    assert np.array_equal(H, fd_hessian_by_columns(eight, vec, 1e-6))
+
+
+def test_fd_hessian_raises_the_first_column_collision():
+    # the Kepler loop (cos t, b sin t + c cos 3t) passes at distance b from
+    # the centre at t = pi/2, a grid node; a step of h = b closes the gap in
+    # several columns, at different separations and nodes, and the first of
+    # them in the order +e_0, -e_0, +e_1, ... is the error raised
+    obj = Objective(None, cutoff=4, alpha=1.0, dim=2)
+    b = 0.5
+    cos, sin = np.zeros((4, 2)), np.zeros((4, 2))
+    cos[0, 0], sin[0, 1], cos[2, 1] = 1.0, b, 0.25
+    vec = obj.pack(FourierLoop(np.zeros(2), cos, sin))
+    with pytest.raises(CollisionError) as ref:
+        fd_hessian_by_columns(obj, vec, b)
+    with pytest.raises(CollisionError) as got:
+        _fd_hessian(obj, vec, b)
+    assert str(got.value) == str(ref.value)
+    assert (got.value.separation, got.value.t) == (ref.value.separation, ref.value.t)
+
+
+def reparametrise_by_targets(path, pin):
+    """Arclength resampling with one interpolation per target node."""
+
+    def resample(chunk, count):
+        if count <= 2 or len(chunk) < 2:
+            return chunk
+        pts = np.stack(chunk)
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        arc = np.concatenate([[0.0], np.cumsum(seg)])
+        if arc[-1] <= 0.0:
+            return chunk
+        out = []
+        for tgt in np.linspace(0.0, arc[-1], count):
+            j = int(np.searchsorted(arc, tgt, side="right") - 1)
+            j = min(max(j, 0), len(chunk) - 2)
+            span = arc[j + 1] - arc[j]
+            w = 0.0 if span <= 0 else (tgt - arc[j]) / span
+            out.append((1.0 - w) * pts[j] + w * pts[j + 1])
+        out[0] = chunk[0]
+        out[-1] = chunk[-1]
+        return out
+
+    left = resample(path[: pin + 1], pin + 1)
+    right = resample(path[pin:], len(path) - pin)
+    return left + right[1:]
+
+
+def test_reparametrise_equals_per_target_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        P = int(rng.integers(3, 12))
+        path = [rng.standard_normal(10) for _ in range(P)]
+        for _ in range(int(rng.integers(0, 4))):  # coincident consecutive nodes
+            i = int(rng.integers(1, P))
+            path[i] = path[i - 1].copy()
+        if trial % 10 == 0:  # a chunk of one repeated node
+            path = [path[0].copy() for _ in range(P)]
+        for pin in range(1, P - 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # zero-length spans divide quietly
+                got = _reparametrise(path, pin)
+            want = reparametrise_by_targets(path, pin)
+            assert len(got) == len(want) == P
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("case", ["tied", "eight"])
@@ -169,8 +332,6 @@ def test_saddle_signature(tied_saddle):
     res, p = tied_saddle
     obj = Objective(p, cutoff=res.path.cutoff)
     x = obj.pack(res.loop)
-    from choreo.mountain_pass import _fd_hessian
-
     H = _fd_hessian(obj, x, 1e-6 * max(1.0, float(np.linalg.norm(x))))
     evals, evecs = np.linalg.eigh(H)
     assert evals[0] < -1e-3

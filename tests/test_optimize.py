@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from choreo import action
 from choreo.action import CollisionError, kinetic_gradient
 from choreo.loops import EIGHT3D, FourierLoop, SystemParams, pack_coefficients
 from choreo.optimize import (
@@ -139,13 +140,13 @@ class _Counted:
         potential = obj._potential
 
         def counted_potential(X):
-            value, force = potential(X)
+            value, collision, force = potential(X)
 
-            def counted_force():
+            def counted_force(row):
                 self.forces += 1
-                return force()
+                return force(row)
 
-            return value, counted_force
+            return value, collision, counted_force
 
         obj._potential = counted_potential
         evaluate = obj.evaluate
@@ -179,6 +180,29 @@ def test_descend_one_force_stage_per_accepted_step(max_iters):
     assert counted.evals == out.value_evals
     assert counted.collisions == out.collision_rejects
     assert out.value_evals >= accepted + 1
+
+
+@pytest.mark.parametrize("n, omega, winding", [(3, 0.5, -1), (5, 2.1, -2)])
+def test_minimize_runs_no_extra_force_stage(monkeypatch, n, omega, winding):
+    # the Newton residual of the result reuses the force array of the last
+    # accepted evaluation: one force stage per completed gradient, no more
+    forces = []
+    pair_potential = action.pair_potential
+
+    def counted(X, *args):
+        value, collision, force = pair_potential(X, *args)
+
+        def counted_force(row):
+            forces.append(row)
+            return force(row)
+
+        return value, collision, counted_force
+
+    monkeypatch.setattr(action, "pair_potential", counted)
+    p = SystemParams(n=n, alpha=1.0, omega=omega)
+    res = minimize(p, noisy_circle(p, winding, seed=0), DescentConfig(cutoff=6))
+    assert res.converged and res.newton_residual < 1e-5
+    assert len(forces) == res.grad_evals
 
 
 @pytest.mark.parametrize("n, omega, winding", [(3, 0.5, -1), (5, 2.1, -2)])
