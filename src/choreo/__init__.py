@@ -7,15 +7,16 @@ an attractive pair potential 1/r^alpha.  It provides:
 * ``loops`` -- truncated Fourier loops, body trajectories, symmetry
   projection and orbit diagnostics;
 * ``action`` -- Kepler, inertial and rotating-frame action functionals with
-  exact coefficient gradients and a force-balance residual;
+  exact coefficient gradients and a force-balance residual, all evaluated
+  through one ``Objective`` over packed Fourier coefficients;
 * ``spectral`` -- the circulant second-difference operator on the body
   cycle, its eigenvalues, admissible eigenbranches, the circle-restricted
   optimum and the regime classifier over the frame angular velocity;
 * ``bounds`` -- executable inequality oracles (Poincare, Jensen, the
   trigonometric estimate, the constrained power-sum minimum, the Rayleigh
   bound) and the two-step lower-bound chain with equality certificates;
-* ``optimize`` -- steepest-descent minimization over Fourier coefficients
-  with escape detection and cluster diagnostics;
+* ``optimize`` -- Armijo descent in the H^1 kinetic metric over Fourier
+  coefficients, with escape detection and cluster diagnostics;
 * ``mountain_pass`` -- a path-based minimax saddle search between two local
   minimizers;
 * ``cli`` -- the ``choreo`` command line front end.

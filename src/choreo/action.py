@@ -31,10 +31,11 @@ as the quadratic form 1/2 x^T Q x: at the converged (n, alpha, w) =
 (5, 1, 2.1) winding-2 circle that form is off by 1.1e-13 (the sum of squares
 by 2e-15), close to the Armijo test's slack of 2.5e-13 there.
 
-One evaluation path: every functional here, and the optimizer's
-``Objective``, evaluates through :func:`action_kernel`.  Its value stage
-samples the loop, forms the lag differences and squared distances of the
-potential chosen once by :func:`potential_kernel` (the Kepler term or the
+One evaluation path: :class:`Objective` is the only door into the value
+stage.  The functionals of this module build one at the loop's cutoff; the
+descent of :mod:`optimize` and the saddle search of :mod:`mountain_pass`
+keep one per run.  The value stage samples the loop, forms the lag
+differences and squared distances of the potential (the Kepler term or the
 pair sum), checks the collision guard and returns an :class:`Evaluation`;
 ``Evaluation.gradient`` runs only the force stage on the same arrays, its
 pullback and the kinetic gradient.  A descent step therefore pays for one
@@ -50,9 +51,9 @@ potential sum over each row's contiguous squared distances, the kinetic
 value a per-row dot product.  Lx as one gemm over the stack, or the kinetic
 sums as one einsum, would not keep the bits.
 
-Near-collisions are a hard error below the guard separation (no smoothing):
-minimizers of interest are collisionless, and smoothing would corrupt the
-certified values.
+Near-collisions are a hard error below the guard separation ``GUARD`` (no
+smoothing): minimizers of interest are collisionless, and smoothing would
+corrupt the certified values.
 """
 
 from __future__ import annotations
@@ -68,14 +69,18 @@ import numpy as np
 from .loops import (
     TWO_PI,
     FourierLoop,
+    SymmetryGroup,
     SystemParams,
     lag_differences,
     pack_coefficients,
     resolve_grid_size,
     sample_basis,
+    unpack_coefficients,
 )
 
-DEFAULT_GUARD = 1e-8
+# Smallest separation of two bodies (of the Kepler body and the center) that
+# the value stage accepts.
+GUARD = 1e-8
 
 
 class CollisionError(RuntimeError):
@@ -126,7 +131,7 @@ class GradientVector:
 
 
 # ---------------------------------------------------------------------------
-# raw-array kernels (shared with the optimizer)
+# raw-array stages
 
 # Largest packed coefficient count d (2K + 1) the dense velocity map may
 # have: 4096^2 doubles are 128 MB.
@@ -171,18 +176,17 @@ def velocity_map(d: int, K: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
     return L, w
 
 
-def _kinetic(vec: np.ndarray, d: int, K: int, omega: float):
-    """(kinetic value, L, w * Lx) of packed vectors of shape (..., N), row
-    by row: the values have shape vec.shape[:-1].
+def _kinetic(vec: np.ndarray, L: np.ndarray, w: np.ndarray):
+    """(kinetic value, w * Lx) of packed vectors of shape (..., N), row by
+    row, for the velocity map (L, w): the values have shape vec.shape[:-1].
 
     Lx and the kinetic value 1/2 (Lx) . (w * Lx) are stacks of
     matrix-vector and vector-vector products, so each row equals the
     products of that row alone, bit for bit.
     """
-    L, w = velocity_map(d, K, omega)
     v = (L @ vec[..., None])[..., 0]
     wv = w * v
-    return 0.5 * (v[..., None, :] @ wv[..., :, None])[..., 0, 0], L, wv
+    return 0.5 * (v[..., None, :] @ wv[..., :, None])[..., 0, 0], wv
 
 
 def _pack(mean, cos, sin) -> np.ndarray:
@@ -202,7 +206,8 @@ def kinetic_value(
     components.  Evaluated as the weighted sum of squares of the velocity
     coefficients, see :func:`velocity_map`.
     """
-    return float(_kinetic(_pack(mean, cos, sin), *cos.shape[::-1], omega)[0])
+    K, d = cos.shape
+    return float(_kinetic(_pack(mean, cos, sin), *velocity_map(d, K, omega))[0])
 
 
 def kinetic_gradient(
@@ -210,21 +215,22 @@ def kinetic_gradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradient L^T (w * Lx) of :func:`kinetic_value` in (mean, cos, sin)."""
     K, d = cos.shape
-    _, L, wv = _kinetic(_pack(mean, cos, sin), d, K, omega)
+    L, w = velocity_map(d, K, omega)
+    _, wv = _kinetic(_pack(mean, cos, sin), L, w)
     return _split(L.T @ wv, d, K)
 
 
-def _guard_stage(r2: np.ndarray, alpha: float, guard: float, M: int, lags: bool):
+def _guard_stage(r2: np.ndarray, alpha: float, M: int, lags: bool):
     """Per-row sums of r2^(-alpha/2) over the last axis of the squared
     distances r2 (shape (..., S)), and the collision guard.
 
     Returns (sums, collision): ``collision(row)`` is the
-    :class:`CollisionError` the row trips (a separation below ``guard``),
+    :class:`CollisionError` the row trips (a separation below ``GUARD``),
     or None.  S runs over the grid, lag-major when ``lags`` (S = (n-1) M);
     a tripped row's sum is meaningless and is formed without warnings.
     """
     sep = np.sqrt(r2.min(axis=-1, keepdims=True))  # (..., 1)
-    trip = sep < guard
+    trip = sep < GUARD
     quiet = np.count_nonzero(trip)
     with np.errstate(divide="ignore", over="ignore") if quiet else nullcontext():
         sums = (r2 ** (-alpha / 2.0)).sum(axis=-1)
@@ -238,7 +244,7 @@ def _guard_stage(r2: np.ndarray, alpha: float, guard: float, M: int, lags: bool)
     return sums, collision
 
 
-def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
+def pair_potential(X: np.ndarray, n: int, alpha: float):
     """Value stage of the discretised pair potential of choreography sample
     arrays X, shape (..., M, d) with M a multiple of n.
 
@@ -254,7 +260,7 @@ def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
     diff = lag_differences(X, n)  # (..., n-1, M, d)
     r2 = np.einsum("...hmd,...hmd->...hm", diff, diff)
     flat = r2.reshape(r2.shape[:-2] + (-1,))  # lag-major per row
-    sums, collision = _guard_stage(flat, alpha, guard, M, True)
+    sums, collision = _guard_stage(flat, alpha, M, True)
 
     def force(row: tuple) -> np.ndarray:
         w = r2[row] ** (-(alpha + 2.0) / 2.0)
@@ -263,13 +269,13 @@ def pair_potential(X: np.ndarray, n: int, alpha: float, guard: float):
     return (math.pi / M) * sums, collision, force
 
 
-def single_potential(X: np.ndarray, alpha: float, guard: float):
+def single_potential(X: np.ndarray, alpha: float):
     """Value stage of the Kepler potential int dt/|q|^alpha on the grid of
     sample arrays X, shape (..., M, d); returns (value, collision, force)
     like :func:`pair_potential`."""
     M = X.shape[-2]
     r2 = np.sum(X**2, axis=-1)
-    sums, collision = _guard_stage(r2, alpha, guard, M, False)
+    sums, collision = _guard_stage(r2, alpha, M, False)
 
     def force(row: tuple) -> np.ndarray:
         w = r2[row] ** (-(alpha + 2.0) / 2.0)
@@ -285,38 +291,54 @@ def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the evaluation kernel
-
-
-def potential_kernel(n: int | None, alpha: float, guard: float):
-    """The potential as a callable X -> (value, collision, force), see
-    :func:`pair_potential`: the Kepler term int dt/|q|^alpha when n is None,
-    the n-body pair sum otherwise."""
-    if n is None:
-        return lambda X: single_potential(X, alpha, guard)
-    return lambda X: pair_potential(X, n, alpha, guard)
+# the objective: the one door into the value stage
 
 
 @dataclass
 class KernelCounts:
-    """Work done through :func:`action_kernel`: calls, value stages (one per
-    row) and force stages (one per completed gradient or force array)."""
+    """Work done through one :class:`Objective`: kernel calls, value stages
+    (one per row), rows that tripped the collision guard, and force stages
+    (one per completed gradient or force array)."""
 
     kernel_calls: int = 0
     value_evals: int = 0
     grad_evals: int = 0
+    collisions: int = 0
+
+
+@lru_cache(maxsize=128)
+def _coordinates(
+    d: int, K: int, symmetry: SymmetryGroup | None, pin_mean: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The free-coordinate mask of packed vectors and the weights that make
+    rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 one weighted dot product.
+    Built once per (d, K, symmetry, pin_mean); both arrays are read-only."""
+    if symmetry is not None:
+        if symmetry.dim != d:
+            raise ValueError(f"symmetry group needs dimension {symmetry.dim}, run has {d}")
+        mmask, cmask, smask = symmetry.masks(K)
+    else:
+        mmask = np.ones(d, dtype=bool)
+        cmask = np.ones((K, d), dtype=bool)
+        smask = np.ones((K, d), dtype=bool)
+    if pin_mean:
+        mmask = np.zeros(d, dtype=bool)
+    mask = np.concatenate([mmask, cmask.ravel(), smask.ravel()])
+    weights = np.full(mask.size, 0.5)
+    weights[:d] = 1.0
+    mask.flags.writeable = False
+    weights.flags.writeable = False
+    return mask, weights
 
 
 class _Batch:
-    """What the rows of one kernel call share: the samples X, the velocity
-    map L, w * Lx, the force stage, the cutoff, the gradient mask and the
-    counts to charge."""
+    """What the rows of one kernel call share: the objective, the samples
+    X, w * Lx and the force stage."""
 
-    __slots__ = ("X", "L", "wv", "force", "K", "mask", "counts")
+    __slots__ = ("obj", "X", "wv", "force")
 
-    def __init__(self, X, L, wv, force, K, mask, counts):
-        self.X, self.L, self.wv, self.force = X, L, wv, force
-        self.K, self.mask, self.counts = K, mask, counts
+    def __init__(self, obj, X, wv, force):
+        self.obj, self.X, self.wv, self.force = obj, X, wv, force
 
 
 @lru_cache(maxsize=64)
@@ -333,8 +355,8 @@ class Evaluation:
     ``value`` and the grid ``samples``.  :meth:`force` runs the force stage
     on the same lag differences, once; :meth:`gradient` completes it with
     its pullback and the kinetic gradient L^T (w * Lx), projected by the
-    mask when the call has one.  Both are computed on the first call and
-    returned as is (read-only gradient) afterwards.
+    objective's mask.  Both are computed on the first call and returned as
+    is (read-only gradient) afterwards.
     """
 
     __slots__ = ("kinetic", "potential", "value", "_batch", "_row", "_force", "_grad")
@@ -354,65 +376,172 @@ class Evaluation:
         """dU/dX on the grid, from the value stage's arrays."""
         if self._force is None:
             self._force = self._batch.force(self._row)
-            self._batch.counts.grad_evals += 1
+            self._batch.obj.counts.grad_evals += 1
         return self._force
 
     def gradient(self) -> np.ndarray:
         if self._grad is None:
             b = self._batch
-            grad = b.L.T @ b.wv[self._row] + pullback_to_coefficients(self.force(), b.K)
-            if b.mask is not None:
-                grad = np.where(b.mask, grad, 0.0)
+            obj = b.obj
+            grad = obj._L.T @ b.wv[self._row] + pullback_to_coefficients(
+                self.force(), obj.cutoff
+            )
+            grad = np.where(obj.mask, grad, 0.0)
             grad.flags.writeable = False
             self._grad = grad
         return self._grad
 
 
-def action_kernel(
-    vec: np.ndarray, X: np.ndarray, omega: float, potential, counts, mask=None
-) -> list:
-    """Value stage of the discretised action at packed vectors ``vec`` of
-    shape (..., N), whose grid samples are X, shape (..., M, d).
+class Objective:
+    """Discretised action and gradient over packed coefficient vectors.
 
-    The leading axes are batch axes: one call samples, forms the lag
-    differences and checks the guard for every row at once, and each row
-    equals the evaluation of that row alone, bit for bit.  Returns one entry
-    per row (C order): its :class:`Evaluation`, or the
-    :class:`CollisionError` it trips.  A single vector is the case without
-    leading axes, a one-entry list.  The work is charged to ``counts``, a
-    :class:`KernelCounts`.  Every functional of this module and the
-    optimizer's objective evaluate through here.
+    ``params=None`` selects the Kepler functional (one body around a fixed
+    center, zero mean pinned); otherwise the rotating-frame choreography
+    action at params.omega (the inertial one when omega = 0).  ``symmetry``
+    and ``pin_mean`` fix coordinates at zero: ``mask`` marks the free ones,
+    and gradients vanish off it.
+
+    :meth:`evaluate` is the value stage at one vector; its ``gradient()``
+    completes the masked gradient, and ``value`` / ``value_and_grad`` wrap
+    it.  :meth:`evaluate_batch` evaluates the rows of a stack in one kernel
+    call.  ``counts`` (:class:`KernelCounts`) holds the work done so far;
+    deterministic for a given run.
     """
-    d = X.shape[-1]
-    K = (vec.shape[-1] // d - 1) // 2
-    pot, collision, force = potential(X)
-    kin, L, wv = _kinetic(vec, d, K, omega)
-    batch = _Batch(X, L, wv, force, K, mask, counts)
-    rows = _rows(vec.shape[:-1])
-    counts.kernel_calls += 1
-    counts.value_evals += len(rows)
-    out = []
-    for row in rows:
-        err = collision(row)
-        if err is not None:
-            out.append(err)
+
+    def __init__(
+        self,
+        params: SystemParams | None,
+        cutoff: int,
+        grid_size: int | None = None,
+        symmetry: SymmetryGroup | None = None,
+        pin_mean: bool = False,
+        alpha: float | None = None,
+        dim: int | None = None,
+    ):
+        self.params = params
+        self.cutoff = int(cutoff)
+        if params is None:
+            if alpha is None or dim is None:
+                raise ValueError("Kepler objective needs alpha and dim")
+            self.alpha = float(alpha)
+            self.dim = int(dim)
+            self.n = 2
+            self.omega = 0.0
+            pin_mean = True
         else:
-            out.append(Evaluation(float(kin[row]), float(pot[row]), batch, row))
-    return out
+            self.alpha = params.alpha
+            self.dim = params.d
+            self.n = params.n
+            self.omega = params.omega
+        self.counts = KernelCounts()  # the kernel's work so far
+        self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
+        self.symmetry = symmetry
+        self.pin_mean = pin_mean
+        self._basis = sample_basis(self.cutoff, self.grid_size)
+        self._L, self._w = velocity_map(self.dim, self.cutoff, self.omega)
+        self.mask, self._rms_weights = _coordinates(
+            self.dim, self.cutoff, symmetry, pin_mean
+        )
+        self._metric = None  # factored on the first metric_direction call
 
+    # -- packing ------------------------------------------------------------
 
-def single(entries: list) -> Evaluation:
-    """The one entry of an :func:`action_kernel` result, raising its
-    :class:`CollisionError`."""
-    (ev,) = entries
-    if isinstance(ev, CollisionError):
-        raise ev
-    return ev
+    def pack(self, loop: FourierLoop) -> np.ndarray:
+        if loop.dim != self.dim:
+            raise ValueError("loop dimension does not match the objective")
+        vec = pack_coefficients(loop.padded(self.cutoff))
+        return np.where(self.mask, vec, 0.0)
 
+    def unpack(self, vec: np.ndarray) -> FourierLoop:
+        return unpack_coefficients(vec, self.dim, self.cutoff)
 
-def _loop_kernel(x: FourierLoop, omega, potential, M: int) -> Evaluation:
-    vec = pack_coefficients(x)
-    return single(action_kernel(vec, x.sample(M), omega, potential, KernelCounts()))
+    # -- evaluation ---------------------------------------------------------
+
+    def _potential(self, X: np.ndarray):
+        """(value, collision, force) of the potential at samples X, see
+        :func:`pair_potential`; the module function is looked up per call."""
+        if self.params is None:
+            return single_potential(X, self.alpha)
+        return pair_potential(X, self.n, self.alpha)
+
+    def _kernel(self, vecs: np.ndarray) -> list:
+        """Value stage at packed vectors ``vecs`` of shape (..., N).
+
+        The leading axes are batch axes: one call samples, forms the lag
+        differences and checks the guard for every row at once, and each
+        row equals the evaluation of that row alone, bit for bit.  Returns
+        one entry per row (C order): its :class:`Evaluation`, or the
+        :class:`CollisionError` it trips.  The work is charged to ``counts``.
+        """
+        X = self._basis @ vecs.reshape(vecs.shape[:-1] + (-1, self.dim))
+        pot, collision, force = self._potential(X)
+        kin, wv = _kinetic(vecs, self._L, self._w)
+        batch = _Batch(self, X, wv, force)
+        rows = _rows(vecs.shape[:-1])
+        counts = self.counts
+        counts.kernel_calls += 1
+        counts.value_evals += len(rows)
+        out = []
+        for row in rows:
+            err = collision(row)
+            if err is None:
+                out.append(Evaluation(float(kin[row]), float(pot[row]), batch, row))
+            else:
+                counts.collisions += 1
+                out.append(err)
+        return out
+
+    def evaluate(self, vec: np.ndarray) -> Evaluation:
+        """Value stage at ``vec``; ``.gradient()`` gives the masked gradient.
+        Raises :class:`CollisionError` where the guard trips."""
+        (ev,) = self._kernel(vec)
+        if isinstance(ev, CollisionError):
+            raise ev
+        return ev
+
+    def evaluate_batch(self, vecs: np.ndarray) -> list[Evaluation | None]:
+        """Value stages of the rows of a (P, N) stack in one kernel call:
+        each row's evaluation, equal to :meth:`evaluate` of that row bit for
+        bit, or None where the row trips the collision guard."""
+        entries = self._kernel(vecs)
+        return [None if isinstance(ev, CollisionError) else ev for ev in entries]
+
+    def value(self, vec: np.ndarray) -> float:
+        return self.evaluate(vec).value
+
+    def value_and_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
+        ev = self.evaluate(vec)
+        return ev.value, ev.gradient()
+
+    def rms(self, vec: np.ndarray) -> float:
+        return math.sqrt(float(self._rms_weights @ (vec * vec)))
+
+    def residual(self, vec: np.ndarray, ev: Evaluation) -> float:
+        """Newton residual of the loop ``vec``, whose evaluation is ``ev``:
+        its samples and force array are reused, see :func:`force_residual`."""
+        return force_residual(self.unpack(vec), self.omega, ev)
+
+    # -- the H^1 metric -----------------------------------------------------
+
+    def metric_direction(self, g: np.ndarray) -> tuple[np.ndarray, float]:
+        """(P^-1 g, g^T P^-1 g) for the kinetic metric P = L^T diag(w) L + I.
+
+        L, w are :func:`velocity_map`, so x^T P x is the kinetic quadratic
+        form plus the squared coefficient norm: the H^1 inner product of the
+        rotating-frame loop.  P is restricted to the mask coordinates, so
+        the direction is zero wherever the mask is, and factored (Cholesky,
+        P = C C^T) once, on the first call.
+        """
+        if self._metric is None:
+            idx = np.flatnonzero(self.mask)
+            Lm = self._L[:, idx]
+            P = Lm.T @ (self._w[:, None] * Lm) + np.eye(idx.size)
+            self._metric = idx, np.linalg.inv(np.linalg.cholesky(P))
+        idx, C_inv = self._metric
+        z = C_inv @ g[idx]
+        direction = np.zeros(g.shape)
+        direction[idx] = C_inv.T @ z
+        return direction, float(z @ z)
 
 
 def force_residual(x: FourierLoop, omega: float, ev: Evaluation) -> float:
@@ -438,82 +567,72 @@ def force_residual(x: FourierLoop, omega: float, ev: Evaluation) -> float:
 # public functionals
 
 
+def _evaluate(
+    x: FourierLoop,
+    params: SystemParams | None,
+    grid_size: int | None,
+    alpha: float | None = None,
+) -> tuple[Objective, Evaluation]:
+    """The objective at x's cutoff (Kepler's when ``params`` is None) and
+    its evaluation of x."""
+    if params is None and float(np.max(np.abs(x.mean))) > 1e-12:
+        raise ValueError("Kepler loops must have zero mean")
+    obj = Objective(params, x.cutoff, grid_size, alpha=alpha, dim=x.dim)
+    return obj, obj.evaluate(obj.pack(x))
+
+
 def kepler_action(
-    q: FourierLoop,
-    alpha: float,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    q: FourierLoop, alpha: float, grid_size: int | None = None
 ) -> ActionValue:
     """Two-body action 1/2 int |q'|^2 + int dt/|q|^alpha for zero-mean q."""
-    if float(np.max(np.abs(q.mean))) > 1e-12:
-        raise ValueError("Kepler loops must have zero mean")
-    M = resolve_grid_size(q.cutoff, 2, grid_size)
-    ev = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M)
-    return ActionValue(ev.kinetic, ev.potential, M)
+    obj, ev = _evaluate(q, None, grid_size, alpha)
+    return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
 
 
 def choreography_action(
-    x: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    x: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> ActionValue:
     """Inertial choreography action: :func:`rotating_action` at omega = 0."""
-    return rotating_action(x, replace(params, omega=0.0), grid_size, guard)
+    return rotating_action(x, replace(params, omega=0.0), grid_size)
 
 
 def rotating_action(
-    y: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    y: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> ActionValue:
     """Rotating-frame action at params.omega (the inertial action when 0).
 
     Mutual distances are rotation invariant, so only the kinetic part
     differs from the inertial functional.
     """
-    M = resolve_grid_size(y.cutoff, params.n, grid_size)
-    potential = potential_kernel(params.n, params.alpha, guard)
-    ev = _loop_kernel(y, params.omega, potential, M)
-    return ActionValue(ev.kinetic, ev.potential, M)
+    obj, ev = _evaluate(y, params, grid_size)
+    return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
 
 
 def gradient(
-    x: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    x: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> GradientVector:
     """Exact derivative of the discretised action w.r.t. each coefficient.
 
-    The kinetic part is L^T (w * Lx) of the velocity map; the potential part accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on
-    the grid and pulls it back through the shift structure and the basis
-    functions.
+    The kinetic part is L^T (w * Lx) of the velocity map; the potential part
+    accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on the grid and
+    pulls it back through the shift structure and the basis functions.
     """
-    M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    potential = potential_kernel(params.n, params.alpha, guard)
-    grad = _loop_kernel(x, params.omega, potential, M).gradient()
-    return GradientVector(*_split(grad, x.dim, x.cutoff))
+    _, ev = _evaluate(x, params, grid_size)
+    return GradientVector(*_split(ev.gradient(), x.dim, x.cutoff))
 
 
 def kepler_gradient(
-    q: FourierLoop,
-    alpha: float,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    q: FourierLoop, alpha: float, grid_size: int | None = None
 ) -> GradientVector:
-    # the mean is not a Kepler degree of freedom; report its component anyway
-    M = resolve_grid_size(q.cutoff, 2, grid_size)
-    grad = _loop_kernel(q, 0.0, potential_kernel(None, alpha, guard), M).gradient()
-    return GradientVector(*_split(grad, q.dim, q.cutoff))
+    """Exact derivative of :func:`kepler_action` w.r.t. the harmonic
+    coefficients of zero-mean q.  The mean is pinned, not a degree of
+    freedom: its component is reported as 0."""
+    _, ev = _evaluate(q, None, grid_size, alpha)
+    return GradientVector(*_split(ev.gradient(), q.dim, q.cutoff))
 
 
 def newton_residual(
-    x: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    x: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> float:
     """L^2 norm of the equations of motion along body 0.
 
@@ -523,18 +642,13 @@ def newton_residual(
     A loop is a critical point of the discretised action iff the gradient
     vanishes; this residual must co-vanish (up to the truncation tail).
     """
-    M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    potential = potential_kernel(params.n, params.alpha, guard)
-    return force_residual(x, params.omega, _loop_kernel(x, params.omega, potential, M))
+    _, ev = _evaluate(x, params, grid_size)
+    return force_residual(x, params.omega, ev)
 
 
 def kepler_newton_residual(
-    q: FourierLoop,
-    alpha: float,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    q: FourierLoop, alpha: float, grid_size: int | None = None
 ) -> float:
-    """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid."""
-    M = resolve_grid_size(q.cutoff, 2, grid_size)
-    potential = potential_kernel(None, alpha, guard)
-    return force_residual(q, 0.0, _loop_kernel(q, 0.0, potential, M))
+    """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid, for zero-mean q."""
+    _, ev = _evaluate(q, None, grid_size, alpha)
+    return force_residual(q, 0.0, ev)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .action import DEFAULT_GUARD, CollisionError, kinetic_value, rotating_action
+from .action import GUARD, CollisionError, kinetic_value, rotating_action
 from .loops import (
     TWO_PI,
     FourierLoop,
@@ -80,7 +80,6 @@ def jensen_gap(
     params: SystemParams,
     h: int,
     grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
 ) -> JensenGap:
     """Convexity gap for pair lag h.
 
@@ -94,7 +93,7 @@ def jensen_gap(
     diff = lag_differences(x.sample(M), params.n)[h - 1]
     r2 = np.sum(diff**2, axis=1)
     sep = math.sqrt(float(np.min(r2)))
-    if sep < guard:
+    if sep < GUARD:
         raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)
     lhs = float(np.mean(r2 ** (-params.alpha / 2.0)))
     xi_h = float(pair_square_integrals(x, params.n)[h - 1])
@@ -282,10 +281,7 @@ class BoundChainReport:
 
 
 def bound_chain(
-    x: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    guard: float = DEFAULT_GUARD,
+    x: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> BoundChainReport:
     """Evaluate the full chain on one loop (inertial action).
 
@@ -294,7 +290,7 @@ def bound_chain(
     A- : Rayleigh bound applied to the kinetic term as well.
     """
     inertial = SystemParams(n=params.n, d=params.d, alpha=params.alpha, omega=0.0)
-    a = rotating_action(x, inertial, grid_size=grid_size, guard=guard).total
+    a = rotating_action(x, inertial, grid_size=grid_size).total
     spec = spectral.circulant_spectrum(params.n, params.alpha, cross_validate=False)
     xi = pair_square_integrals(x, params.n)
     y = float(spec.mu_bar @ xi)

@@ -17,7 +17,7 @@ is nonincreasing across sweeps by construction.  Every node keeps its
 :class:`action.Evaluation` beside it, so an unchanged node is never
 evaluated again: not after reparametrisation, not for the refine trigger,
 not for its basin probe.  The vectors a sweep knows it needs are evaluated
-as one stack (:meth:`optimize.Objective.evaluate_batch`, bit for bit the
+as one stack (:meth:`action.Objective.evaluate_batch`, bit for bit the
 single evaluations): the backtracking ladder t, t/2, ... of a node step in
 chunks of ten rungs, of which the first that passes the Armijo test is
 taken, and all nodes that reparametrisation moved.  The path phase reports
@@ -56,17 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionValue, CollisionError, Evaluation
+from .action import CollisionError, Evaluation, Objective
 from .loops import (
     FourierLoop,
-    LoopDiagnostics,
     SymmetryGroup,
     SystemParams,
     check_discretisation,
-    diagnostics as loop_diagnostics,
     pack_coefficients,
 )
-from .optimize import DescentConfig, Objective, descend
+from .optimize import DescentConfig, SearchResult, descend
 
 
 class MountainPassError(RuntimeError):
@@ -132,15 +130,9 @@ class LoopPath:
 
 
 @dataclass(frozen=True)
-class SaddleResult:
-    loop: FourierLoop
-    action: ActionValue
-    grad_norm: float
-    newton_residual: float
+class SaddleResult(SearchResult):
     sweeps: int
     refine_iters: int
-    converged: bool
-    diagnostics: LoopDiagnostics
     path: LoopPath
     max_action_history: tuple[float, ...]
     profile: tuple[float, ...]
@@ -148,11 +140,9 @@ class SaddleResult:
     # why the path phase ended: "max_sweeps", "refine_trigger" or
     # "stagnation" (None when the endpoints coincide and it never ran)
     path_stop: str | None
-    # the objective's work over the whole search: value stages (every
-    # ladder rung included), kernel calls, completed gradients
-    value_evals: int
+    # the objective's kernel calls: each evaluates one vector or a stack
+    # (ladder rungs, resampled nodes, Hessian columns)
     kernel_calls: int
-    grad_evals: int
 
     @property
     def above_endpoints(self) -> bool:
@@ -160,20 +150,14 @@ class SaddleResult:
 
     def as_dict(self) -> dict:
         return {
-            "action": self.action.as_dict(),
-            "grad_norm": self.grad_norm,
-            "newton_residual": self.newton_residual,
+            **super().as_dict(),
             "sweeps": self.sweeps,
             "refine_iters": self.refine_iters,
-            "converged": self.converged,
             "above_endpoints": self.above_endpoints,
             "endpoint_actions": list(self.endpoint_actions),
-            "diagnostics": self.diagnostics.as_dict(),
             "profile": list(self.profile),
             "path_stop": self.path_stop,
-            "value_evals": self.value_evals,
             "kernel_calls": self.kernel_calls,
-            "grad_evals": self.grad_evals,
         }
 
 
@@ -454,25 +438,20 @@ def mountain_pass(
     act_a, act_b = ev_a.value, ev_b.value
 
     if np.array_equal(va, vb):
-        act = ActionValue(ev_a.kinetic, ev_a.potential, obj.grid_size)
-        path = LoopPath([va, va.copy(), vb], np.full(3, act.total), obj.dim, obj.cutoff)
-        return SaddleResult(
-            loop=obj.unpack(va),
-            action=act,
-            grad_norm=float(np.linalg.norm(ev_a.gradient())),
-            newton_residual=obj.residual(va, ev_a),
+        path = LoopPath([va, va.copy(), vb], np.full(3, act_a), obj.dim, obj.cutoff)
+        return SaddleResult.at(
+            obj,
+            va,
+            ev_a,
+            converged=True,
             sweeps=0,
             refine_iters=0,
-            converged=True,
-            diagnostics=loop_diagnostics(obj.unpack(va), params, obj.grid_size),
             path=path,
-            max_action_history=(act.total,),
+            max_action_history=(act_a,),
             profile=tuple(path.actions.tolist()),
-            endpoint_actions=(act.total, act.total),
+            endpoint_actions=(act_a, act_a),
             path_stop=None,
-            value_evals=obj.counts.value_evals,
             kernel_calls=obj.counts.kernel_calls,
-            grad_evals=obj.counts.grad_evals,
         )
 
     for name, ev in (("first", ev_a), ("second", ev_b)):
@@ -579,26 +558,19 @@ def mountain_pass(
         if alt_gn < gnorm and ev_alt.value > top:
             refined, ev, gnorm = alt, ev_alt, alt_gn
 
-    loop = obj.unpack(refined)
-    act = ActionValue(ev.kinetic, ev.potential, obj.grid_size)
-    path = LoopPath(nodes, acts, obj.dim, obj.cutoff)
-    return SaddleResult(
-        loop=loop,
-        action=act,
-        grad_norm=gnorm,
-        newton_residual=obj.residual(refined, ev),
+    return SaddleResult.at(
+        obj,
+        refined,
+        ev,
+        converged=gnorm < cfg.saddle_tol,
         sweeps=sweeps_done,
         refine_iters=refine_iters,
-        converged=gnorm < cfg.saddle_tol,
-        diagnostics=loop_diagnostics(loop, params, obj.grid_size),
-        path=path,
+        path=LoopPath(nodes, acts, obj.dim, obj.cutoff),
         max_action_history=tuple(history),
         profile=tuple(acts.tolist()),
         endpoint_actions=(act_a, act_b),
         path_stop=path_stop,
-        value_evals=obj.counts.value_evals,
         kernel_calls=obj.counts.kernel_calls,
-        grad_evals=obj.counts.grad_evals,
     )
 
 

@@ -10,7 +10,15 @@ P = L^T diag(w) L + I the kinetic Hessian plus the identity (L, w from
 :func:`action.velocity_map`; Neuberger, *Sobolev Gradients and Differential
 Equations*, LNM 1670).  P depends only on (d, K, omega); it is restricted to
 the free coordinates of the symmetry mask and the pinned mean, and factored
-once per objective.  Armijo backtracking uses the slope g^T P^-1 g.
+once per objective (:meth:`action.Objective.metric_direction`).  Armijo
+backtracking uses the slope g^T P^-1 g.
+
+The objective is :class:`action.Objective`, imported here, so
+``optimize.Objective`` names the same class; it counts the work of a run.
+Every search returns a :class:`SearchResult`, filled by
+:meth:`SearchResult.at` from the objective, the final vector and its
+evaluation: :class:`MinimizeResult` here, ``SaddleResult`` in
+:mod:`mountain_pass`.
 
 The step length t along -P^-1 g doubles after every accepted iterate with a
 resolvable decrease, up to 1.  On the high harmonics, where
@@ -51,18 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .action import (
-    ActionValue,
-    CollisionError,
-    DEFAULT_GUARD,
-    Evaluation,
-    KernelCounts,
-    action_kernel,
-    force_residual,
-    potential_kernel,
-    single,
-    velocity_map,
-)
+from .action import ActionValue, CollisionError, Evaluation, Objective
 from .loops import (
     FourierLoop,
     LoopDiagnostics,
@@ -71,11 +68,8 @@ from .loops import (
     check_discretisation,
     diagnostics as loop_diagnostics,
     lag_differences,
-    pack_coefficients,
     project_symmetry,
     resolve_grid_size,
-    sample_basis,
-    unpack_coefficients,
 )
 from .spectral import circle_radius_for_winding
 
@@ -123,181 +117,77 @@ class ClusterReport:
         }
 
 
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v . v), what np.linalg.norm computes for a vector, bit for bit,
+    without its argument handling (a descent step takes one or two)."""
+    return math.sqrt(float(v @ v))
+
+
 @dataclass(frozen=True)
-class MinimizeResult:
+class SearchResult:
+    """What every search reports about the point it ends at.
+
+    ``value_evals`` and ``grad_evals`` are the objective's value stages
+    (collisions included) and completed gradients over the whole search.
+    """
+
     loop: FourierLoop
     action: ActionValue
     grad_norm: float
     newton_residual: float
-    iters: int
-    # evaluations of the descent: value stages (the start and every trial),
-    # completed gradients, and trials rejected by the collision guard
+    converged: bool
+    diagnostics: LoopDiagnostics
     value_evals: int
     grad_evals: int
-    collision_rejects: int
-    diagnostics: LoopDiagnostics
-    clusters: ClusterReport | None
-    converged: bool
-    escaped_to_infinity: bool
-    abort_reason: str | None = None
-    history: tuple[tuple[int, float, float, float], ...] = ()
+
+    @classmethod
+    def at(cls, obj: Objective, vec: np.ndarray, ev: Evaluation, **fields):
+        """The record of a search on ``obj`` that ends at ``vec``, whose
+        evaluation is ``ev``; ``fields`` are ``converged`` and the
+        subclass's own."""
+        loop = obj.unpack(vec)
+        system = obj.params or SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
+        return cls(
+            loop=loop,
+            action=ActionValue(ev.kinetic, ev.potential, obj.grid_size),
+            grad_norm=_norm(ev.gradient()),
+            newton_residual=obj.residual(vec, ev),
+            diagnostics=loop_diagnostics(loop, system, obj.grid_size),
+            value_evals=obj.counts.value_evals,
+            grad_evals=obj.counts.grad_evals,
+            **fields,
+        )
 
     def as_dict(self) -> dict:
         return {
             "action": self.action.as_dict(),
             "grad_norm": self.grad_norm,
             "newton_residual": self.newton_residual,
-            "iters": self.iters,
+            "converged": self.converged,
+            "diagnostics": self.diagnostics.as_dict(),
             "value_evals": self.value_evals,
             "grad_evals": self.grad_evals,
-            "collision_rejects": self.collision_rejects,
-            "diagnostics": self.diagnostics.as_dict(),
-            "clusters": self.clusters.as_dict() if self.clusters else None,
-            "converged": self.converged,
-            "escaped_to_infinity": self.escaped_to_infinity,
-            "abort_reason": self.abort_reason,
         }
 
 
-# ---------------------------------------------------------------------------
-# packed objective
+@dataclass(frozen=True)
+class MinimizeResult(SearchResult):
+    iters: int
+    collision_rejects: int  # trials rejected by the collision guard
+    clusters: ClusterReport | None
+    escaped_to_infinity: bool
+    abort_reason: str | None = None
+    history: tuple[tuple[int, float, float, float], ...] = ()
 
-
-class Objective:
-    """Discretised action and gradient over packed coefficient vectors.
-
-    ``params=None`` selects the Kepler functional (one body around a fixed
-    center, zero mean pinned); otherwise the rotating-frame choreography
-    action at params.omega (the inertial one when omega = 0).  The choice is
-    made once here: both evaluate through :func:`action.action_kernel`.
-    :meth:`evaluate` returns the value stage; its ``gradient()`` completes
-    the masked gradient, and ``value`` / ``value_and_grad`` wrap it.
-    :meth:`evaluate_batch` evaluates the rows of a stack in one kernel call.
-    ``counts`` (:class:`action.KernelCounts`) holds the kernel calls, value
-    stages and force stages made so far; deterministic for a given run.
-    """
-
-    def __init__(
-        self,
-        params: SystemParams | None,
-        cutoff: int,
-        grid_size: int | None = None,
-        symmetry: SymmetryGroup | None = None,
-        pin_mean: bool = False,
-        alpha: float | None = None,
-        dim: int | None = None,
-    ):
-        self.params = params
-        self.cutoff = int(cutoff)
-        if params is None:
-            if alpha is None or dim is None:
-                raise ValueError("Kepler objective needs alpha and dim")
-            self.alpha = float(alpha)
-            self.dim = int(dim)
-            self.n = 2
-            self.omega = 0.0
-            pin_mean = True
-            self._potential = potential_kernel(None, self.alpha, DEFAULT_GUARD)
-        else:
-            self.alpha = params.alpha
-            self.dim = params.d
-            self.n = params.n
-            self.omega = params.omega
-            self._potential = potential_kernel(params.n, params.alpha, DEFAULT_GUARD)
-        self.counts = KernelCounts()  # the kernel's work so far
-        self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
-        self.symmetry = symmetry
-        self.pin_mean = pin_mean
-        self._basis = sample_basis(self.cutoff, self.grid_size)
-        self.mask = self._build_mask()
-        # rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 as one weighted dot product
-        self._rms_weights = np.full(self.mask.size, 0.5)
-        self._rms_weights[: self.dim] = 1.0
-        self._metric = None  # factored on the first metric_direction call
-
-    def _build_mask(self) -> np.ndarray:
-        d, K = self.dim, self.cutoff
-        if self.symmetry is not None:
-            if self.symmetry.dim != d:
-                raise ValueError(
-                    f"symmetry group needs dimension {self.symmetry.dim}, run has {d}"
-                )
-            mmask, cmask, smask = self.symmetry.masks(K)
-        else:
-            mmask = np.ones(d, dtype=bool)
-            cmask = np.ones((K, d), dtype=bool)
-            smask = np.ones((K, d), dtype=bool)
-        if self.pin_mean:
-            mmask = np.zeros(d, dtype=bool)
-        return np.concatenate([mmask, cmask.ravel(), smask.ravel()])
-
-    # -- packing ------------------------------------------------------------
-
-    def pack(self, loop: FourierLoop) -> np.ndarray:
-        if loop.dim != self.dim:
-            raise ValueError("loop dimension does not match the objective")
-        vec = pack_coefficients(loop.padded(self.cutoff))
-        return np.where(self.mask, vec, 0.0)
-
-    def unpack(self, vec: np.ndarray) -> FourierLoop:
-        return unpack_coefficients(vec, self.dim, self.cutoff)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _kernel(self, vecs: np.ndarray) -> list:
-        X = self._basis @ vecs.reshape(vecs.shape[:-1] + (-1, self.dim))
-        return action_kernel(vecs, X, self.omega, self._potential, self.counts, self.mask)
-
-    def evaluate(self, vec: np.ndarray) -> Evaluation:
-        """Value stage at ``vec``; ``.gradient()`` gives the masked gradient.
-        Raises :class:`CollisionError` where the guard trips."""
-        return single(self._kernel(vec))
-
-    def evaluate_batch(self, vecs: np.ndarray) -> list[Evaluation | None]:
-        """Value stages of the rows of a (P, N) stack in one kernel call:
-        each row's evaluation, equal to :meth:`evaluate` of that row bit for
-        bit, or None where the row trips the collision guard."""
-        entries = self._kernel(vecs)
-        return [None if isinstance(ev, CollisionError) else ev for ev in entries]
-
-    def value(self, vec: np.ndarray) -> float:
-        return self.evaluate(vec).value
-
-    def value_and_grad(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        ev = self.evaluate(vec)
-        return ev.value, ev.gradient()
-
-    def rms(self, vec: np.ndarray) -> float:
-        return math.sqrt(float(self._rms_weights @ (vec * vec)))
-
-    def residual(self, vec: np.ndarray, ev: Evaluation) -> float:
-        """Newton residual of the loop ``vec``, whose evaluation is ``ev``:
-        its samples and force array are reused, see
-        :func:`action.force_residual`."""
-        return force_residual(self.unpack(vec), self.omega, ev)
-
-    # -- the H^1 metric -----------------------------------------------------
-
-    def metric_direction(self, g: np.ndarray) -> tuple[np.ndarray, float]:
-        """(P^-1 g, g^T P^-1 g) for the kinetic metric P = L^T diag(w) L + I.
-
-        L, w are :func:`action.velocity_map`, so x^T P x is the kinetic
-        quadratic form plus the squared coefficient norm: the H^1 inner
-        product of the rotating-frame loop.  P is restricted to the mask
-        coordinates, so the direction is zero wherever the mask is, and
-        factored (Cholesky, P = C C^T) once, on the first call.
-        """
-        if self._metric is None:
-            idx = np.flatnonzero(self.mask)
-            L, w = velocity_map(self.dim, self.cutoff, self.omega)
-            Lm = L[:, idx]
-            P = Lm.T @ (w[:, None] * Lm) + np.eye(idx.size)
-            self._metric = idx, np.linalg.inv(np.linalg.cholesky(P))
-        idx, C_inv = self._metric
-        z = C_inv @ g[idx]
-        direction = np.zeros(g.shape)
-        direction[idx] = C_inv.T @ z
-        return direction, float(z @ z)
+    def as_dict(self) -> dict:
+        return {
+            **super().as_dict(),
+            "iters": self.iters,
+            "collision_rejects": self.collision_rejects,
+            "clusters": self.clusters.as_dict() if self.clusters else None,
+            "escaped_to_infinity": self.escaped_to_infinity,
+            "abort_reason": self.abort_reason,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +206,15 @@ _ARMIJO = 1e-4
 _ESCAPE_WINDOW = 200  # iterations of monotone rms growth before an escape
 
 
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v . v), what np.linalg.norm computes for a vector, bit for bit,
-    without its argument handling (a descent step takes one or two)."""
-    return math.sqrt(float(v @ v))
-
-
 @dataclass
 class _DescentOutcome:
     vec: np.ndarray
     ev: Evaluation  # of ``vec``
-    grad_norm: float
     iters: int
     converged: bool
     escaped: bool
     abort_reason: str | None
     history: list
-    value_evals: int
-    grad_evals: int
-    collision_rejects: int
 
 
 def descend(
@@ -358,13 +238,12 @@ def descend(
     point are taken from its trial's evaluation, so a step completes one
     gradient and evaluates nothing twice.  ``ev`` is the evaluation of
     ``x0`` when the caller has it (a masked ``x0``); the start is then not
-    evaluated again, and its stage still counts in ``value_evals``.
+    evaluated again.  The work is counted in ``obj.counts`` alone.
     """
     x = np.where(obj.mask, x0, 0.0)
     if ev is None:
         ev = obj.evaluate(x)
     f, g = ev.value, ev.gradient()
-    value_evals, grad_evals, rejects = 1, 1, 0
     t = _INITIAL_STEP
     rms = obj.rms(x)
     escape_at = cfg.escape_factor * max(1.0, rms)
@@ -393,15 +272,13 @@ def descend(
         accepted = False
         while t >= _MIN_STEP:
             trial = x - t * direction
-            value_evals += 1
             try:
                 trial_ev = obj.evaluate(trial)
             except CollisionError:
-                rejects += 1
-            else:
-                if trial_ev.value <= f - _ARMIJO * t * slope + noise:
-                    accepted = True
-                    break
+                trial_ev = None
+            if trial_ev is not None and trial_ev.value <= f - _ARMIJO * t * slope + noise:
+                accepted = True
+                break
             t *= _BACKTRACK
         if not accepted:
             abort = "no feasible descent step above the minimum step size"
@@ -411,7 +288,6 @@ def descend(
         measurable = f - trial_ev.value > noise
         x, ev = trial, trial_ev
         f, g = ev.value, ev.gradient()
-        grad_evals += 1
         new_rms = obj.rms(x)
         growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
         rms = new_rms
@@ -424,20 +300,7 @@ def descend(
     else:
         abort = "iteration budget exhausted"
         it = cfg.max_iters
-    gnorm = _norm(g)
-    return _DescentOutcome(
-        vec=x,
-        ev=ev,
-        grad_norm=gnorm,
-        iters=it,
-        converged=converged,
-        escaped=escaped,
-        abort_reason=abort,
-        history=history,
-        value_evals=value_evals,
-        grad_evals=grad_evals,
-        collision_rejects=rejects,
-    )
+    return _DescentOutcome(x, ev, it, converged, escaped, abort, history)
 
 
 # ---------------------------------------------------------------------------
@@ -479,31 +342,22 @@ def init_circle(
     return loop
 
 
-def _finish(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
-    loop = obj.unpack(out.vec)
-    act = ActionValue(out.ev.kinetic, out.ev.potential, obj.grid_size)
+def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> MinimizeResult:
+    out = descend(obj, x0, cfg)
+    clusters = None
     if obj.params is not None:
-        diag = loop_diagnostics(loop, obj.params, obj.grid_size)
-        clusters = detect_clusters(loop, obj.params, obj.grid_size)
-    else:
-        kepler_params = SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
-        diag = loop_diagnostics(loop, kepler_params, obj.grid_size)
-        clusters = None
-    return MinimizeResult(
-        loop=loop,
-        action=act,
-        grad_norm=out.grad_norm,
-        newton_residual=obj.residual(out.vec, out.ev),
-        iters=out.iters,
-        diagnostics=diag,
-        clusters=clusters,
+        clusters = detect_clusters(obj.unpack(out.vec), obj.params, obj.grid_size)
+    return MinimizeResult.at(
+        obj,
+        out.vec,
+        out.ev,
         converged=out.converged,
+        iters=out.iters,
+        collision_rejects=obj.counts.collisions,
+        clusters=clusters,
         escaped_to_infinity=out.escaped,
         abort_reason=out.abort_reason,
         history=tuple(out.history),
-        value_evals=out.value_evals,
-        grad_evals=out.grad_evals,
-        collision_rejects=out.collision_rejects,
     )
 
 
@@ -526,7 +380,7 @@ def minimize(
         pin_mean=cfg.pin_mean,
     )
     x0 = obj.pack(init if cfg.symmetry is None else project_symmetry(init, cfg.symmetry))
-    return _finish(obj, descend(obj, x0, cfg))
+    return _minimize(obj, x0, cfg)
 
 
 def kepler_minimize(
@@ -540,7 +394,7 @@ def kepler_minimize(
         alpha=alpha,
         dim=init.dim,
     )
-    return _finish(obj, descend(obj, obj.pack(init), cfg))
+    return _minimize(obj, obj.pack(init), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -215,10 +215,9 @@ class Lambda:
     value: float
 
 
-def admissible_lambdas(
-    spec: CirculantSpectrum, omega: float, r_range=range(-3, 4)
-) -> list[Lambda]:
-    """All branches (l, r) with l = 1..n-1, sorted ascending by value.
+def admissible_lambdas(spec: CirculantSpectrum, omega: float) -> list[Lambda]:
+    """All branches (l, r) with l = 1..n-1 and r = -3..3, sorted ascending
+    by value.
 
     Ties are preserved in the ordering (stable sort on (value, kappa)) and
     never broken: equal-value branches are genuinely tied minima.
@@ -228,7 +227,7 @@ def admissible_lambdas(
         delta = spec.delta_for(l)
         if delta <= 0.0:
             continue
-        for r in r_range:
+        for r in range(-3, 4):
             kappa = l + r * spec.n
             value = (omega - kappa) ** 2 / delta
             out.append(Lambda(l=l, r=r, kappa=kappa, delta=delta, value=value))
@@ -347,10 +346,9 @@ class CirclePrediction:
         }
 
 
-def predicted_circle(
-    n: int, alpha: float, omega: float, max_extra: int | None = None
-) -> CirclePrediction | None:
-    """Minimise the circle-restricted action over integer windings.
+def predicted_circle(n: int, alpha: float, omega: float) -> CirclePrediction | None:
+    """Minimise the circle-restricted action over the integer windings
+    -(ceil(w) + 2n + 2) <= m <= 2n + 2.
 
     Windings m with gcd(|m|, n) > 1 carry colliding circles (infinite
     potential) and never compete.  Returns None when an admissible winding
@@ -359,7 +357,7 @@ def predicted_circle(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    span = max_extra if max_extra is not None else 2 * n + 2
+    span = 2 * n + 2
     lo = -(math.ceil(omega) + span)
     hi = span
     best: list[tuple[int, float, float]] = []

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +141,20 @@ def test_minimize_escape_exit_code_two(tmp_path, capsys):
     assert "non-attainment" in err
 
 
+def test_minimize_budget_exhausted_exits_one(tmp_path, capsys):
+    out = tmp_path / "short"
+    code, _, err = run(
+        capsys,
+        "minimize",
+        "--n", "3", "--omega", "0.5", "--harmonics", "6",
+        "--max-iters", "2", "--out", str(out),
+    )
+    assert code == 1
+    assert err == "descent did not converge: iteration budget exhausted\n"
+    result = json.loads((out / "orbit.json").read_text())["result"]
+    assert result["converged"] is False and result["iters"] == 2
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -262,6 +277,53 @@ def test_mpa_config_runs_and_writes(tmp_path, capsys):
     assert result["value_evals"] > result["kernel_calls"]
     assert (tmp_path / "mpa" / "path.json").exists()
     assert (tmp_path / "mpa" / "saddle.svg").exists()
+
+
+def _two_body_mpa(tmp_path, **fields) -> Path:
+    """An mpa config between the winding +-1 circles of n = 2 at K = 4."""
+    config = {
+        "n": 2,
+        "harmonics": 4,
+        "nodes": 3,
+        "endpoints": [{"winding": 1}, {"winding": -1}],
+        **fields,
+    }
+    path = tmp_path / "mpa.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_mpa_unreachable_tolerance_exits_one(tmp_path, capsys):
+    path = _two_body_mpa(tmp_path, saddle_tol=1e-300, out=str(tmp_path / "mpa"))
+    code, _, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1
+    assert err.startswith("saddle search stopped at gradient norm")
+    assert "(tolerance 1.0e-300)" in err
+    result = json.loads((tmp_path / "mpa" / "saddle.json").read_text())["result"]
+    assert result["converged"] is False
+
+
+def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys):
+    # the endpoints are orbit.json files written by `choreo minimize --out`;
+    # the bulge is one harmonic of one component
+    ends = []
+    for winding in ("1", "-1"):
+        out = tmp_path / f"end{winding}"
+        code, _, _ = run(
+            capsys,
+            "minimize",
+            "--n", "2", "--harmonics", "4", "--winding", winding, "--out", str(out),
+        )
+        assert code == 0
+        ends.append({"orbit": str(out / "orbit.json")})
+    bulge = {"amplitude": 0.3, "component": 1, "harmonic": 1, "kind": "sin"}
+    path = _two_body_mpa(tmp_path, endpoints=ends, bulge=bulge, out=str(tmp_path / "mpa"))
+    code, _, _ = run(capsys, "mpa", "--config", str(path))
+    assert code == 0
+    doc = json.loads((tmp_path / "mpa" / "saddle.json").read_text())
+    assert doc["result"]["converged"] is True
+    assert doc["result"]["above_endpoints"] is True
+    assert doc["config"]["endpoints"] == ends
 
 
 def test_mpa_colliding_endpoint_exits_one(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from choreo.mountain_pass import (
     _basin,
     _descend_node,
     _fd_hessian,
+    _repair,
     _reparametrise,
     initial_path,
     mountain_pass,
@@ -86,6 +88,51 @@ def test_noncritical_endpoint_rejected():
     bad = FourierLoop.circle(2.0, -1, dim=2, cutoff=16)  # wrong radius
     with pytest.raises(ValueError):
         mountain_pass(bad, end_b, p, tied_config(max_sweeps=5))
+
+
+def two_body_circles(cutoff=4):
+    """The winding +1 and -1 circles of n = 2, alpha = 1 at the optimal
+    radius.  The straight segment's midpoint is (R cos t, 0), so the two
+    bodies meet at the origin at t = pi/2."""
+    R = circle_radius_for_winding(2, 1.0, 0.0, 1)
+    return (
+        FourierLoop.circle(R, 1, cutoff=cutoff),
+        FourierLoop.circle(R, -1, cutoff=cutoff),
+    )
+
+
+def test_repair_moves_a_colliding_node_across_the_segment():
+    obj = Objective(SystemParams(n=2, alpha=1.0), cutoff=4)
+    a, b = (obj.pack(loop) for loop in two_body_circles())
+    nodes = [a, 0.5 * (a + b), b]
+    mid = nodes[1]
+    with pytest.raises(CollisionError):
+        obj.evaluate(mid)
+    ev = _repair(obj, nodes, 1)
+    assert nodes[0] is a and nodes[2] is b
+    assert ev.value == obj.evaluate(nodes[1]).value
+    # a transverse offset inside the free coordinates
+    offset, seg = nodes[1] - mid, b - a
+    assert np.linalg.norm(offset) > 0.0
+    assert abs(offset @ seg) < 1e-12 * np.linalg.norm(offset) * np.linalg.norm(seg)
+    assert np.all(offset[~obj.mask] == 0.0)
+
+
+def test_saddle_search_repairs_a_colliding_initial_node(monkeypatch):
+    module = importlib.import_module("choreo.mountain_pass")
+    repaired = []
+
+    def counted(obj, path, i):
+        repaired.append(i)
+        return _repair(obj, path, i)
+
+    monkeypatch.setattr(module, "_repair", counted)
+    end_a, end_b = two_body_circles()
+    p = SystemParams(n=2, alpha=1.0)
+    res = mountain_pass(end_a, end_b, p, MountainPassConfig(nodes=3, cutoff=4))
+    assert repaired == [1]
+    assert res.converged and res.above_endpoints
+    assert res.diagnostics.min_separation > 0.1
 
 
 def test_initial_linear_path_max_above_endpoints():

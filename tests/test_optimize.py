@@ -176,10 +176,10 @@ def test_descend_one_force_stage_per_accepted_step(max_iters):
     # every iteration but a converged last one accepts a step
     accepted = out.iters - 1 if out.converged else out.iters
     assert out.converged == (max_iters > 5)
-    assert counted.forces == out.grad_evals == accepted + 1
-    assert counted.evals == out.value_evals
-    assert counted.collisions == out.collision_rejects
-    assert out.value_evals >= accepted + 1
+    assert counted.forces == obj.counts.grad_evals == accepted + 1
+    assert counted.evals == obj.counts.value_evals
+    assert counted.collisions == obj.counts.collisions
+    assert obj.counts.value_evals >= accepted + 1
 
 
 @pytest.mark.parametrize("n, omega, winding", [(3, 0.5, -1), (5, 2.1, -2)])
