@@ -34,22 +34,24 @@ by 2e-15), close to the Armijo test's slack of 2.5e-13 there.
 One evaluation path: :class:`Objective` is the only door into the value
 stage.  The functionals of this module build one at the loop's cutoff; the
 descent of :mod:`optimize` and the saddle search of :mod:`mountain_pass`
-keep one per run.  The value stage samples the loop, forms the lag
-differences and squared distances of the potential (the Kepler term or the
-pair sum), checks the collision guard and returns an :class:`Evaluation`;
-``Evaluation.gradient`` runs only the force stage on the same arrays, its
-pullback and the kinetic gradient.  A descent step therefore pays for one
-value stage per trial and one force stage per accepted point.  The Newton
-residual reuses the evaluation's force array.
+keep one per run.  The value stage samples the loop, runs the potential
+stage (:func:`pair_potential`, or its one-lag Kepler case), which returns
+each row's value and minimal separation with the lag differences D and
+squared distances r2, checks the collision guard and returns an
+:class:`Evaluation` per row that reads its row of those arrays on demand.
+Its force, -(2 pi alpha / M) sum_h r2^(-(alpha+2)/2) D, is formed only for
+a gradient or a residual, so a descent step pays for one value stage per
+trial and one force stage per accepted point.  The Newton residual applies
+the velocity map twice, (d/dt + w J P)^2 x, and reuses the force array.
 
 Batches: the value stage takes coefficient vectors and samples with leading
-batch axes, (..., N) and (..., M, d), and returns per row a value, a guard
-result and a force stage.  A single vector is the case without leading
-axes.  Every form is chosen so that a row of a stack evaluates bit for bit
-as it does alone: the samples and Lx as stacks of matrix products, the
-potential sum over each row's contiguous squared distances, the kinetic
-value a per-row dot product.  Lx as one gemm over the stack, or the kinetic
-sums as one einsum, would not keep the bits.
+batch axes, (..., N) and (..., M, d), and returns per row a value and a
+separation beside the arrays of the force stage.  A single vector is the
+case without leading axes.  Every form is chosen so that a row of a stack
+evaluates bit for bit as it does alone: the samples and Lx as stacks of
+matrix products, the potential sum over each row's contiguous squared
+distances, the kinetic value a per-row dot product.  Lx as one gemm over
+the stack, or the kinetic sums as one einsum, would not keep the bits.
 
 Near-collisions are a hard error below the guard separation ``GUARD`` (no
 smoothing): minimizers of interest are collisionless, and smoothing would
@@ -220,28 +222,17 @@ def kinetic_gradient(
     return _split(L.T @ wv, d, K)
 
 
-def _guard_stage(r2: np.ndarray, alpha: float, M: int, lags: bool):
-    """Per-row sums of r2^(-alpha/2) over the last axis of the squared
-    distances r2 (shape (..., S)), and the collision guard.
-
-    Returns (sums, collision): ``collision(row)`` is the
-    :class:`CollisionError` the row trips (a separation below ``GUARD``),
-    or None.  S runs over the grid, lag-major when ``lags`` (S = (n-1) M);
-    a tripped row's sum is meaningless and is formed without warnings.
-    """
-    sep = np.sqrt(r2.min(axis=-1, keepdims=True))  # (..., 1)
-    trip = sep < GUARD
-    quiet = np.count_nonzero(trip)
+def _power_sums(r2: np.ndarray, alpha: float):
+    """(sums, separation) of squared distances r2, shape (..., H, M): each
+    row's sum of r2^(-alpha/2) over its H M entries, lag-major, and its
+    minimal distance.  A row whose separation is below ``GUARD`` has a
+    meaningless sum, formed without warnings."""
+    flat = r2.reshape(r2.shape[:-2] + (-1,))
+    sep = np.sqrt(flat.min(axis=-1))
+    quiet = np.count_nonzero(sep < GUARD)
     with np.errstate(divide="ignore", over="ignore") if quiet else nullcontext():
-        sums = (r2 ** (-alpha / 2.0)).sum(axis=-1)
-
-    def collision(row: tuple) -> CollisionError | None:
-        if not trip[row]:
-            return None
-        h, j = divmod(int(np.argmin(r2[row])), M)
-        return CollisionError(float(sep[row][0]), j * TWO_PI / M, h + 1 if lags else None)
-
-    return sums, collision
+        sums = (flat ** (-alpha / 2.0)).sum(axis=-1)
+    return sums, sep
 
 
 def pair_potential(X: np.ndarray, n: int, alpha: float):
@@ -249,39 +240,24 @@ def pair_potential(X: np.ndarray, n: int, alpha: float):
     arrays X, shape (..., M, d) with M a multiple of n.
 
     Forms every lag difference and squared distance of every row of the
-    leading axes at once and returns (value, collision, force): ``value``
-    holds each row's potential (shape X.shape[:-2]); ``collision(row)`` is
-    the :class:`CollisionError` the row trips, or None (its value is then
-    meaningless); ``force(row)`` is the row's force stage, the exact
-    derivative dU/dX of its value, computed from the same arrays.  A row is
-    an index tuple into the leading axes, () for a single (M, d) array.
+    leading axes at once and returns (value, separation, D, r2): each row's
+    potential and minimal distance (shape X.shape[:-2]), the lag
+    differences D (..., n-1, M, d) and their squared norms r2 (..., n-1, M).
+    A row closer than ``GUARD`` has a meaningless value.
     """
-    M = X.shape[-2]
-    diff = lag_differences(X, n)  # (..., n-1, M, d)
-    r2 = np.einsum("...hmd,...hmd->...hm", diff, diff)
-    flat = r2.reshape(r2.shape[:-2] + (-1,))  # lag-major per row
-    sums, collision = _guard_stage(flat, alpha, M, True)
-
-    def force(row: tuple) -> np.ndarray:
-        w = r2[row] ** (-(alpha + 2.0) / 2.0)
-        return -(TWO_PI * alpha / M) * np.einsum("hm,hmd->md", w, diff[row])
-
-    return (math.pi / M) * sums, collision, force
+    D = lag_differences(X, n)
+    r2 = np.einsum("...hmd,...hmd->...hm", D, D)
+    sums, sep = _power_sums(r2, alpha)
+    return (math.pi / X.shape[-2]) * sums, sep, D, r2
 
 
 def single_potential(X: np.ndarray, alpha: float):
     """Value stage of the Kepler potential int dt/|q|^alpha on the grid of
-    sample arrays X, shape (..., M, d); returns (value, collision, force)
-    like :func:`pair_potential`."""
-    M = X.shape[-2]
-    r2 = np.sum(X**2, axis=-1)
-    sums, collision = _guard_stage(r2, alpha, M, False)
-
-    def force(row: tuple) -> np.ndarray:
-        w = r2[row] ** (-(alpha + 2.0) / 2.0)
-        return -(TWO_PI * alpha / M) * w[:, None] * X[row]
-
-    return (TWO_PI / M) * sums, collision, force
+    sample arrays X, shape (..., M, d); returns (value, separation, D, r2)
+    like :func:`pair_potential`, with the one lag D = X[..., None, :, :]."""
+    r2 = np.sum(X**2, axis=-1)[..., None, :]
+    sums, sep = _power_sums(r2, alpha)
+    return (TWO_PI / X.shape[-2]) * sums, sep, X[..., None, :, :], r2
 
 
 def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
@@ -331,16 +307,6 @@ def _coordinates(
     return mask, weights
 
 
-class _Batch:
-    """What the rows of one kernel call share: the objective, the samples
-    X, w * Lx and the force stage."""
-
-    __slots__ = ("obj", "X", "wv", "force")
-
-    def __init__(self, obj, X, wv, force):
-        self.obj, self.X, self.wv, self.force = obj, X, wv, force
-
-
 @lru_cache(maxsize=64)
 def _rows(lead: tuple) -> tuple:
     """Index tuples of every row of the leading axes, in C order."""
@@ -352,40 +318,50 @@ class Evaluation:
     of a kernel call.
 
     Construction is the value stage: ``kinetic``, ``potential``, their sum
-    ``value`` and the grid ``samples``.  :meth:`force` runs the force stage
-    on the same lag differences, once; :meth:`gradient` completes it with
-    its pullback and the kinetic gradient L^T (w * Lx), projected by the
-    objective's mask.  Both are computed on the first call and returned as
-    is (read-only gradient) afterwards.
+    ``value``, the grid minimum ``separation`` (of two bodies, or of the
+    Kepler body and the center) and the grid ``samples``, read from the
+    call's arrays on demand.  :meth:`force` runs the force stage on the same
+    lag differences, once; :meth:`gradient` completes it with its pullback
+    and the kinetic gradient L^T (w * Lx), projected by the objective's
+    mask.  Both are computed on the first call and returned as is
+    (read-only gradient) afterwards.
     """
 
-    __slots__ = ("kinetic", "potential", "value", "_batch", "_row", "_force", "_grad")
+    __slots__ = (
+        "kinetic", "potential", "value", "separation",
+        "_obj", "_arrays", "_row", "_force", "_grad",
+    )
 
-    def __init__(self, kinetic: float, potential: float, batch: _Batch, row: tuple):
+    def __init__(self, obj, arrays: tuple, row: tuple, kinetic, potential, separation):
         self.kinetic = kinetic
         self.potential = potential
         self.value = kinetic + potential
-        self._batch, self._row = batch, row
+        self.separation = separation
+        self._obj, self._arrays, self._row = obj, arrays, row
         self._force = self._grad = None
 
     @property
     def samples(self) -> np.ndarray:
-        return self._batch.X[self._row]
+        return self._arrays[0][self._row]
 
     def force(self) -> np.ndarray:
-        """dU/dX on the grid, from the value stage's arrays."""
+        """dU/dX on the grid: -(2 pi alpha / M) sum_h r2^(-(alpha+2)/2) D,
+        from the value stage's arrays."""
         if self._force is None:
-            self._force = self._batch.force(self._row)
-            self._batch.obj.counts.grad_evals += 1
+            _, _, D, r2 = self._arrays
+            alpha = self._obj.alpha
+            w = r2[self._row] ** (-(alpha + 2.0) / 2.0)
+            self._force = -(TWO_PI * alpha / r2.shape[-1]) * np.einsum(
+                "hm,hmd->md", w, D[self._row]
+            )
+            self._obj.counts.grad_evals += 1
         return self._force
 
     def gradient(self) -> np.ndarray:
         if self._grad is None:
-            b = self._batch
-            obj = b.obj
-            grad = obj._L.T @ b.wv[self._row] + pullback_to_coefficients(
-                self.force(), obj.cutoff
-            )
+            obj = self._obj
+            wv = self._arrays[1][self._row]
+            grad = obj._L.T @ wv + pullback_to_coefficients(self.force(), obj.cutoff)
             grad = np.where(obj.mask, grad, 0.0)
             grad.flags.writeable = False
             self._grad = grad
@@ -435,8 +411,6 @@ class Objective:
             self.omega = params.omega
         self.counts = KernelCounts()  # the kernel's work so far
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
-        self.symmetry = symmetry
-        self.pin_mean = pin_mean
         self._basis = sample_basis(self.cutoff, self.grid_size)
         self._L, self._w = velocity_map(self.dim, self.cutoff, self.omega)
         self.mask, self._rms_weights = _coordinates(
@@ -457,13 +431,6 @@ class Objective:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _potential(self, X: np.ndarray):
-        """(value, collision, force) of the potential at samples X, see
-        :func:`pair_potential`; the module function is looked up per call."""
-        if self.params is None:
-            return single_potential(X, self.alpha)
-        return pair_potential(X, self.n, self.alpha)
-
     def _kernel(self, vecs: np.ndarray) -> list:
         """Value stage at packed vectors ``vecs`` of shape (..., N).
 
@@ -471,24 +438,33 @@ class Objective:
         differences and checks the guard for every row at once, and each
         row equals the evaluation of that row alone, bit for bit.  Returns
         one entry per row (C order): its :class:`Evaluation`, or the
-        :class:`CollisionError` it trips.  The work is charged to ``counts``.
+        :class:`CollisionError` it trips (a separation below ``GUARD``).
+        The work is charged to ``counts``.  The potential stage is the
+        module function at call time, so a wrapper installed on the module
+        (a tracer) sees every call.
         """
         X = self._basis @ vecs.reshape(vecs.shape[:-1] + (-1, self.dim))
-        pot, collision, force = self._potential(X)
+        if self.params is None:
+            pot, sep, D, r2 = single_potential(X, self.alpha)
+        else:
+            pot, sep, D, r2 = pair_potential(X, self.n, self.alpha)
         kin, wv = _kinetic(vecs, self._L, self._w)
-        batch = _Batch(self, X, wv, force)
+        arrays = (X, wv, D, r2)
         rows = _rows(vecs.shape[:-1])
         counts = self.counts
         counts.kernel_calls += 1
         counts.value_evals += len(rows)
         out = []
         for row in rows:
-            err = collision(row)
-            if err is None:
-                out.append(Evaluation(float(kin[row]), float(pot[row]), batch, row))
-            else:
+            s = float(sep[row])
+            if s < GUARD:
                 counts.collisions += 1
-                out.append(err)
+                h, j = divmod(int(np.argmin(r2[row])), self.grid_size)
+                lag = None if self.params is None else h + 1
+                ev = CollisionError(s, j * TWO_PI / self.grid_size, lag)
+            else:
+                ev = Evaluation(self, arrays, row, float(kin[row]), float(pot[row]), s)
+            out.append(ev)
         return out
 
     def evaluate(self, vec: np.ndarray) -> Evaluation:
@@ -518,8 +494,14 @@ class Objective:
 
     def residual(self, vec: np.ndarray, ev: Evaluation) -> float:
         """Newton residual of the loop ``vec``, whose evaluation is ``ev``:
-        its samples and force array are reused, see :func:`force_residual`."""
-        return force_residual(self.unpack(vec), self.omega, ev)
+        the L^2 norm on the grid of (d/dt + w J P)^2 x - (M / 2 pi) force.
+        The frame operator squared, x'' + 2 w J x' - w^2 P x, is the
+        velocity map applied twice; the force array dU/dX is 2 pi / M times
+        the force of the equations of motion at each node."""
+        L, M = self._L, self.grid_size
+        acc = (L @ (L @ vec)).reshape(-1, self.dim)
+        res = self._basis @ acc - (M / TWO_PI) * ev.force()
+        return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
 
     # -- the H^1 metric -----------------------------------------------------
 
@@ -544,25 +526,6 @@ class Objective:
         return direction, float(z @ z)
 
 
-def force_residual(x: FourierLoop, omega: float, ev: Evaluation) -> float:
-    """L^2 norm of x'' + frame terms - (M / 2 pi) force on the grid, where
-    ``ev`` is the evaluation of x: its samples and force stage are reused.
-
-    The potential's force array is dU/dX, which at each node is 2 pi / M
-    times the gradient of sum_h |x - x_h|^{-alpha} (of |q|^{-alpha} for
-    Kepler); the last term is therefore the force of the equations of motion.
-    """
-    X = ev.samples
-    M = X.shape[0]
-    res = x.derivative().derivative().sample(M)
-    if omega:
-        vel = x.derivative().sample(M)
-        res[:, 0] += -2.0 * omega * vel[:, 1] - omega**2 * X[:, 0]
-        res[:, 1] += 2.0 * omega * vel[:, 0] - omega**2 * X[:, 1]
-    res -= (M / TWO_PI) * ev.force()
-    return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
-
-
 # ---------------------------------------------------------------------------
 # public functionals
 
@@ -572,20 +535,21 @@ def _evaluate(
     params: SystemParams | None,
     grid_size: int | None,
     alpha: float | None = None,
-) -> tuple[Objective, Evaluation]:
-    """The objective at x's cutoff (Kepler's when ``params`` is None) and
-    its evaluation of x."""
+) -> tuple[Objective, np.ndarray, Evaluation]:
+    """The objective at x's cutoff (Kepler's when ``params`` is None), x
+    packed for it, and its evaluation of x."""
     if params is None and float(np.max(np.abs(x.mean))) > 1e-12:
         raise ValueError("Kepler loops must have zero mean")
     obj = Objective(params, x.cutoff, grid_size, alpha=alpha, dim=x.dim)
-    return obj, obj.evaluate(obj.pack(x))
+    vec = obj.pack(x)
+    return obj, vec, obj.evaluate(vec)
 
 
 def kepler_action(
     q: FourierLoop, alpha: float, grid_size: int | None = None
 ) -> ActionValue:
     """Two-body action 1/2 int |q'|^2 + int dt/|q|^alpha for zero-mean q."""
-    obj, ev = _evaluate(q, None, grid_size, alpha)
+    obj, _, ev = _evaluate(q, None, grid_size, alpha)
     return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
 
 
@@ -604,7 +568,7 @@ def rotating_action(
     Mutual distances are rotation invariant, so only the kinetic part
     differs from the inertial functional.
     """
-    obj, ev = _evaluate(y, params, grid_size)
+    obj, _, ev = _evaluate(y, params, grid_size)
     return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
 
 
@@ -617,7 +581,7 @@ def gradient(
     accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on the grid and
     pulls it back through the shift structure and the basis functions.
     """
-    _, ev = _evaluate(x, params, grid_size)
+    _, _, ev = _evaluate(x, params, grid_size)
     return GradientVector(*_split(ev.gradient(), x.dim, x.cutoff))
 
 
@@ -627,7 +591,7 @@ def kepler_gradient(
     """Exact derivative of :func:`kepler_action` w.r.t. the harmonic
     coefficients of zero-mean q.  The mean is pinned, not a degree of
     freedom: its component is reported as 0."""
-    _, ev = _evaluate(q, None, grid_size, alpha)
+    _, _, ev = _evaluate(q, None, grid_size, alpha)
     return GradientVector(*_split(ev.gradient(), q.dim, q.cutoff))
 
 
@@ -642,13 +606,13 @@ def newton_residual(
     A loop is a critical point of the discretised action iff the gradient
     vanishes; this residual must co-vanish (up to the truncation tail).
     """
-    _, ev = _evaluate(x, params, grid_size)
-    return force_residual(x, params.omega, ev)
+    obj, vec, ev = _evaluate(x, params, grid_size)
+    return obj.residual(vec, ev)
 
 
 def kepler_newton_residual(
     q: FourierLoop, alpha: float, grid_size: int | None = None
 ) -> float:
     """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid, for zero-mean q."""
-    _, ev = _evaluate(q, None, grid_size, alpha)
-    return force_residual(q, 0.0, ev)
+    obj, vec, ev = _evaluate(q, None, grid_size, alpha)
+    return obj.residual(vec, ev)

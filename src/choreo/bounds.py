@@ -133,9 +133,13 @@ class PowerMinResult:
     iters: int
 
 
-def constrained_power_min(
-    mu, beta: float, tol: float = 1e-12, max_iters: int = 200
-) -> PowerMinResult:
+# Relative gradient at which the power-sum Newton iteration stops, and its
+# iteration cap.
+_POWER_TOL = 1e-12
+_POWER_MAX_ITERS = 200
+
+
+def constrained_power_min(mu, beta: float) -> PowerMinResult:
     """Minimise sum_h s_h^{-beta} subject to sum_h mu_h s_h = 1, s_h > 0.
 
     The constraint eliminates the last variable; the reduced objective
@@ -184,12 +188,12 @@ def constrained_power_min(
     u = 1.0 / (K * muN)  # interior start: constraint sum = (K-1)/K < 1
     f = value(u)
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _POWER_MAX_ITERS + 1):
         g, H = grad_hess(u)
         gnorm = float(np.linalg.norm(g))
-        # a relative gradient of tol is reachable in float arithmetic; any
+        # a relative gradient of _POWER_TOL is reachable in float arithmetic; any
         # tighter and the line search accepts rounding-level moves up to the cap
-        if gnorm < tol * max(1.0, abs(f)):
+        if gnorm < _POWER_TOL * max(1.0, abs(f)):
             break
         step = np.linalg.solve(H, -g)
         t = 1.0

@@ -6,7 +6,8 @@ Subcommands: minimize, classify, spectrum, verify, mpa.  Exit codes:
 * 2 -- mathematical non-attainment (the minimizing sequence escaped to
        infinity), which is a correct answer in the regimes where no minimum
        exists;
-* 1 -- operational failure (bad arguments, collisions, non-convergence).
+* 1 -- operational failure (bad arguments, collisions, non-convergence,
+       a saddle search that ends no higher than its distinct endpoints).
 
 Artifacts are deterministic: JSON is emitted with sorted keys, every file
 embeds the fully resolved configuration, and no timestamps are written.
@@ -384,6 +385,13 @@ def cmd_mpa(args) -> int:
         print(
             f"saddle search stopped at gradient norm {result.grad_norm:.3e} "
             f"(tolerance {cfg.saddle_tol:.1e})",
+            file=sys.stderr,
+        )
+        return 1
+    if result.path_stop is not None and not result.above_endpoints:
+        print(
+            f"saddle search ended at action {result.action.total:.10g}, not above "
+            f"the endpoints ({max(result.endpoint_actions):.10g})",
             file=sys.stderr,
         )
         return 1

@@ -574,15 +574,18 @@ def mountain_pass(
     )
 
 
-def second_difference(
-    obj: Objective, vec: np.ndarray, direction: np.ndarray, eps: float = 1e-4
-) -> float:
+# Step of the second-difference probe.
+_SECOND_DIFFERENCE_STEP = 1e-4
+
+
+def second_difference(obj: Objective, vec: np.ndarray, direction: np.ndarray) -> float:
     """(A(x+eps v) - 2 A(x) + A(x-eps v)) / eps^2 along a unit direction."""
     d = np.where(obj.mask, direction, 0.0)
     nrm = float(np.linalg.norm(d))
     if nrm == 0.0:
         raise ValueError("probe direction vanishes under the mask")
     d = d / nrm
+    eps = _SECOND_DIFFERENCE_STEP
     f0 = obj.value(vec)
     fp = obj.value(vec + eps * d)
     fm = obj.value(vec - eps * d)

@@ -54,7 +54,7 @@ against the arithmetic rule bodies i = m (mod j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -144,15 +144,19 @@ class SearchResult:
     def at(cls, obj: Objective, vec: np.ndarray, ev: Evaluation, **fields):
         """The record of a search on ``obj`` that ends at ``vec``, whose
         evaluation is ``ev``; ``fields`` are ``converged`` and the
-        subclass's own."""
+        subclass's own.  A Kepler record's minimal separation is the
+        evaluation's, the distance of the body to the center."""
         loop = obj.unpack(vec)
         system = obj.params or SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
+        diag = loop_diagnostics(loop, system, obj.grid_size)
+        if obj.params is None:
+            diag = replace(diag, min_separation=ev.separation)
         return cls(
             loop=loop,
             action=ActionValue(ev.kinetic, ev.potential, obj.grid_size),
             grad_norm=_norm(ev.gradient()),
             newton_residual=obj.residual(vec, ev),
-            diagnostics=loop_diagnostics(loop, system, obj.grid_size),
+            diagnostics=diag,
             value_evals=obj.counts.value_evals,
             grad_evals=obj.counts.grad_evals,
             **fields,

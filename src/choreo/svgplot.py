@@ -10,6 +10,13 @@ import numpy as np
 
 from .loops import FourierLoop, SystemParams, body_trajectories, resolve_grid_size
 
+# Canvas edge in pixels, the margin around the curves as a fraction of
+# their extent, the background colour, and the coordinate plane drawn.
+_SIZE = 640
+_MARGIN = 0.06
+_BACKGROUND = "#ffffff"
+_PLANE = (0, 1)
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -30,13 +37,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def curves_svg(
-    curves,
-    size: int = 640,
-    margin: float = 0.06,
-    stroke_scale: float = 1.0,
-    background: str = "#ffffff",
-) -> str:
+def curves_svg(curves) -> str:
     """Render closed polylines.
 
     ``curves`` is a sequence of (points, color, width, opacity) with points
@@ -46,20 +47,20 @@ def curves_svg(
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-    pad = margin * span
+    pad = _MARGIN * span
     x0, y0 = lo[0] - pad, lo[1] - pad
     width = span + 2 * pad
 
     def to_px(p):
         # y axis flipped: SVG grows downward
-        px = (p[:, 0] - x0) / width * size
-        py = size - (p[:, 1] - y0) / width * size
+        px = (p[:, 0] - x0) / width * _SIZE
+        py = _SIZE - (p[:, 1] - y0) / width * _SIZE
         return px, py
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="{background}"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="{_BACKGROUND}"/>',
     ]
     for points, color, width_px, opacity in curves:
         closed = np.vstack([points, points[:1]])
@@ -67,50 +68,38 @@ def curves_svg(
         coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width_px * stroke_scale)}" '
+            f'stroke-width="{_fmt(width_px)}" '
             f'stroke-opacity="{_fmt(opacity)}" stroke-linejoin="round"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def orbit_svg(
-    loop: FourierLoop,
-    params: SystemParams,
-    grid_size: int | None = None,
-    plane: tuple[int, int] = (0, 1),
-    size: int = 640,
-    stroke_scale: float = 1.0,
-) -> str:
-    """All n body curves projected on the chosen coordinate plane, one
-    stroke color per body."""
-    M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    p, q = plane
+def orbit_svg(loop: FourierLoop, params: SystemParams) -> str:
+    """All n body curves projected on the rotation plane, one stroke color
+    per body."""
+    M = resolve_grid_size(loop.cutoff, params.n, None)
     curves = []
     for i, body in enumerate(body_trajectories(loop, params)):
-        pts = body.sample(M)[:, (p, q)]
+        pts = body.sample(M)[:, _PLANE]
         curves.append((pts, PALETTE[i % len(PALETTE)], 2.0, 0.95))
-    return curves_svg(curves, size=size, stroke_scale=stroke_scale)
+    return curves_svg(curves)
 
 
 def saddle_svg(
     saddle: FourierLoop,
     endpoints: tuple[FourierLoop, FourierLoop],
     params: SystemParams,
-    grid_size: int | None = None,
-    plane: tuple[int, int] = (0, 1),
-    size: int = 640,
 ) -> str:
     """Endpoint orbits (faint) with the saddle candidate overlaid."""
-    p, q = plane
     curves = []
     for end in endpoints:
-        M = resolve_grid_size(end.cutoff, params.n, grid_size)
+        M = resolve_grid_size(end.cutoff, params.n, None)
         for i, body in enumerate(body_trajectories(end, params)):
-            pts = body.sample(M)[:, (p, q)]
+            pts = body.sample(M)[:, _PLANE]
             curves.append((pts, PALETTE[i % len(PALETTE)], 1.0, 0.30))
-    M = resolve_grid_size(saddle.cutoff, params.n, grid_size)
+    M = resolve_grid_size(saddle.cutoff, params.n, None)
     for i, body in enumerate(body_trajectories(saddle, params)):
-        pts = body.sample(M)[:, (p, q)]
+        pts = body.sample(M)[:, _PLANE]
         curves.append((pts, PALETTE[i % len(PALETTE)], 2.5, 1.0))
-    return curves_svg(curves, size=size)
+    return curves_svg(curves)

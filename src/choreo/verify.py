@@ -50,22 +50,26 @@ class CheckOutcome:
 # random loop generation
 
 
+# Noise amplitude of a random loop, the separation it must keep, and the
+# draws (each with 0.7 times the noise of the last) before giving up.
+_NOISE = 0.35
+_MIN_SEP = 1e-3
+_MAX_TRIES = 64
+
+
 def random_loop(
     rng: np.random.Generator,
     params: SystemParams,
     cutoff: int = 6,
-    amplitude: float = 0.35,
     zero_mean: bool = False,
-    min_sep: float = 1e-3,
-    max_tries: int = 64,
 ) -> FourierLoop:
     """Collision-free random loop: a unit circle plus decaying noise.
 
     The base winding is +-1 so the loop stays separated for moderate noise;
     retries shrink the noise if a near-collision slips through.
     """
-    for attempt in range(max_tries):
-        amp = amplitude * (0.7**attempt)
+    for attempt in range(_MAX_TRIES):
+        amp = _NOISE * (0.7**attempt)
         winding = 1 if rng.integers(0, 2) else -1
         radius = float(rng.uniform(0.6, 1.4))
         loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=cutoff)
@@ -79,7 +83,7 @@ def random_loop(
             else 0.2 * amp * rng.standard_normal(params.d)
         )
         loop = FourierLoop(mean, cos, sin)
-        if min_separation(loop, params) > min_sep:
+        if min_separation(loop, params) > _MIN_SEP:
             return loop
     raise RuntimeError("could not draw a collision-free random loop")
 
@@ -88,7 +92,11 @@ def random_loop(
 # spectral suite
 
 
-def suite_spectral(max_n: int = 50) -> list[CheckOutcome]:
+# Largest n of the spectral suite.
+_SPECTRAL_MAX_N = 50
+
+
+def suite_spectral() -> list[CheckOutcome]:
     alphas = (0.5, 1.0, 2.0, 3.0)
     worst_delta1 = 0.0
     worst_dense = 0.0
@@ -97,7 +105,7 @@ def suite_spectral(max_n: int = 50) -> list[CheckOutcome]:
     worst_chord = 0.0
     bound_ok = True
     mult_ok = True
-    for n in range(2, max_n + 1):
+    for n in range(2, _SPECTRAL_MAX_N + 1):
         for alpha in alphas:
             spec = spectral.circulant_spectrum(n, alpha, cross_validate=False)
             worst_delta1 = max(worst_delta1, abs(spec.deltas[1] - 1.0 / TWO_PI))
@@ -159,7 +167,7 @@ def suite_spectral(max_n: int = 50) -> list[CheckOutcome]:
             f"max relative |c~ - pi sum (2 sin)^(-alpha)| = {worst_chord:.3e}",
         ),
     ]
-    return [CheckOutcome("spectral", n_, ok, d) for n_, ok, d in checks]
+    return [CheckOutcome("spectral", n_, bool(ok), d) for n_, ok, d in checks]
 
 
 # ---------------------------------------------------------------------------

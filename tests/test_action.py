@@ -406,6 +406,40 @@ def test_kepler_gradient_finite_difference(rng):
 # Newton residual
 
 
+def _frame_residual(x, omega, ev):
+    """The Newton residual with the rotating frame written out by hand:
+    x'' and x' from the term-by-term derivative, the Coriolis and
+    centrifugal terms on the rotation plane, and the evaluation's force."""
+    X = ev.samples
+    M = X.shape[0]
+    res = x.derivative().derivative().sample(M)
+    if omega:
+        vel = x.derivative().sample(M)
+        res[:, 0] += -2.0 * omega * vel[:, 1] - omega**2 * X[:, 0]
+        res[:, 1] += 2.0 * omega * vel[:, 0] - omega**2 * X[:, 1]
+    res -= (M / TWO_PI) * ev.force()
+    return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
+
+
+@pytest.mark.parametrize("kepler", [False, True])
+def test_residual_matches_hand_written_frame_terms(rng, kepler):
+    # (d/dt + w J P)^2 applied as the velocity map twice equals
+    # x'' + 2 w J x' - w^2 P x; d = 3 has rows outside the rotation plane
+    for i in range(8):
+        if kepler:
+            alpha = 0.6 + 0.2 * i
+            x = random_loop(rng, SystemParams(n=2, d=2 + i % 2), zero_mean=True)
+            obj = Objective(None, cutoff=x.cutoff, alpha=alpha, dim=x.dim)
+            got = kepler_newton_residual(x, alpha)
+        else:
+            p = SystemParams(n=3 + i % 3, d=3, alpha=0.6 + 0.2 * i, omega=0.35 + 0.4 * i)
+            x = random_loop(rng, p)
+            obj = Objective(p, cutoff=x.cutoff)
+            got = newton_residual(x, p)
+        ref = _frame_residual(x, obj.omega, obj.evaluate(obj.pack(x)))
+        assert abs(got - ref) <= 1e-12 * ref
+
+
 def test_residual_vanishes_at_lagrange_circle():
     # force balance: R^3 = 1/sqrt(3) for n=3, alpha=1
     p = SystemParams(n=3, alpha=1.0)

@@ -244,6 +244,17 @@ def test_verify_report_file(tmp_path, capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_spectral_report_file(tmp_path, capsys):
+    # the spectral checks compare numpy scalars: the report must still be
+    # plain JSON booleans
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--suite", "spectral", "--out", str(report))
+    assert code == 0, err
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is True
+    assert all(c["passed"] is True for c in doc["checks"])
+
+
 # ---------------------------------------------------------------------------
 # mountain pass
 
@@ -303,9 +314,9 @@ def test_mpa_unreachable_tolerance_exits_one(tmp_path, capsys):
     assert result["converged"] is False
 
 
-def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys):
-    # the endpoints are orbit.json files written by `choreo minimize --out`;
-    # the bulge is one harmonic of one component
+def _minimized_endpoints(tmp_path, capsys) -> list:
+    """mpa endpoints: the orbit.json files of `choreo minimize --out` for the
+    winding +-1 circles of n = 2 at K = 4."""
     ends = []
     for winding in ("1", "-1"):
         out = tmp_path / f"end{winding}"
@@ -316,6 +327,13 @@ def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys)
         )
         assert code == 0
         ends.append({"orbit": str(out / "orbit.json")})
+    return ends
+
+
+def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys):
+    # the endpoints are orbit.json files written by `choreo minimize --out`;
+    # the bulge is one harmonic of one component
+    ends = _minimized_endpoints(tmp_path, capsys)
     bulge = {"amplitude": 0.3, "component": 1, "harmonic": 1, "kind": "sin"}
     path = _two_body_mpa(tmp_path, endpoints=ends, bulge=bulge, out=str(tmp_path / "mpa"))
     code, _, _ = run(capsys, "mpa", "--config", str(path))
@@ -324,6 +342,22 @@ def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys)
     assert doc["result"]["converged"] is True
     assert doc["result"]["above_endpoints"] is True
     assert doc["config"]["endpoints"] == ends
+
+
+def test_mpa_drained_to_endpoint_level_exits_one(tmp_path, capsys):
+    # with these endpoints and bulge the search converges at the endpoints'
+    # own action, a critical point but no saddle above them
+    ends = _minimized_endpoints(tmp_path, capsys)
+    bulge = {"amplitude": 0.3, "component": 0, "harmonic": 2, "kind": "sin"}
+    path = _two_body_mpa(tmp_path, endpoints=ends, bulge=bulge, out=str(tmp_path / "mpa"))
+    code, _, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1
+    assert err.startswith("saddle search ended at action")
+    assert len(err.strip().splitlines()) == 1
+    result = json.loads((tmp_path / "mpa" / "saddle.json").read_text())["result"]
+    assert result["converged"] is True
+    assert result["above_endpoints"] is False
+    assert result["path_stop"] is not None
 
 
 def test_mpa_colliding_endpoint_exits_one(tmp_path, capsys):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from choreo import action
-from choreo.action import CollisionError, kinetic_gradient
+from choreo.action import CollisionError, Evaluation, kinetic_gradient
 from choreo.loops import EIGHT3D, FourierLoop, SystemParams, pack_coefficients
 from choreo.optimize import (
     DescentConfig,
@@ -131,24 +130,40 @@ def test_minimize_kepler():
     assert abs(res.action.total - 3 * math.pi) < 1e-5
 
 
+def test_kepler_result_reports_distance_to_center():
+    # the Kepler guard tests |q(t)|, the distance to the fixed center, not
+    # the distance |q(t) - q(t + pi)| of two bodies: 1, not 2, on the unit
+    # circle, the converged loop of alpha = 1
+    q0 = FourierLoop.circle(1.0, 1, cutoff=4)
+    res = kepler_minimize(1.0, q0, DescentConfig(cutoff=4))
+    assert res.converged
+    assert abs(res.diagnostics.min_separation - 1.0) < 1e-12
+    samples = res.loop.sample(res.action.grid_size)
+    assert res.diagnostics.min_separation == math.sqrt(np.min(np.sum(samples**2, axis=1)))
+
+
+def _count_forces(monkeypatch) -> dict:
+    """Record every evaluation whose force array is asked for; each is one
+    force stage, since an evaluation computes its force once.  The dict
+    keeps the evaluations alive, so their ids stay distinct."""
+    forced = {}
+    force = Evaluation.force
+
+    def counted_force(ev):
+        forced[id(ev)] = ev
+        return force(ev)
+
+    monkeypatch.setattr(Evaluation, "force", counted_force)
+    return forced
+
+
 class _Counted:
     """Objective wrapper counting value stages, force stages and collision
     rejections; the value / value_and_grad wrappers must not be used."""
 
-    def __init__(self, obj):
-        self.evals, self.forces, self.collisions = 0, 0, 0
-        potential = obj._potential
-
-        def counted_potential(X):
-            value, collision, force = potential(X)
-
-            def counted_force(row):
-                self.forces += 1
-                return force(row)
-
-            return value, collision, counted_force
-
-        obj._potential = counted_potential
+    def __init__(self, obj, monkeypatch):
+        self.evals, self.collisions = 0, 0
+        self.forced = _count_forces(monkeypatch)
         evaluate = obj.evaluate
 
         def counted_evaluate(vec):
@@ -165,13 +180,17 @@ class _Counted:
         obj.evaluate = counted_evaluate
         obj.value = obj.value_and_grad = forbidden
 
+    @property
+    def forces(self) -> int:
+        return len(self.forced)
+
 
 @pytest.mark.parametrize("max_iters", [200_000, 5])
-def test_descend_one_force_stage_per_accepted_step(max_iters):
+def test_descend_one_force_stage_per_accepted_step(monkeypatch, max_iters):
     p = SystemParams(n=3, alpha=1.0, omega=0.5)
     cfg = DescentConfig(cutoff=6, max_iters=max_iters)
     obj = Objective(p, cutoff=6)
-    counted = _Counted(obj)
+    counted = _Counted(obj, monkeypatch)
     out = descend(obj, obj.pack(noisy_circle(p, -1, seed=4)), cfg)
     # every iteration but a converged last one accepts a step
     accepted = out.iters - 1 if out.converged else out.iters
@@ -186,19 +205,7 @@ def test_descend_one_force_stage_per_accepted_step(max_iters):
 def test_minimize_runs_no_extra_force_stage(monkeypatch, n, omega, winding):
     # the Newton residual of the result reuses the force array of the last
     # accepted evaluation: one force stage per completed gradient, no more
-    forces = []
-    pair_potential = action.pair_potential
-
-    def counted(X, *args):
-        value, collision, force = pair_potential(X, *args)
-
-        def counted_force(row):
-            forces.append(row)
-            return force(row)
-
-        return value, collision, counted_force
-
-    monkeypatch.setattr(action, "pair_potential", counted)
+    forces = _count_forces(monkeypatch)
     p = SystemParams(n=n, alpha=1.0, omega=omega)
     res = minimize(p, noisy_circle(p, winding, seed=0), DescentConfig(cutoff=6))
     assert res.converged and res.newton_residual < 1e-5
