@@ -115,7 +115,7 @@ _FD_STEP = 1e-6  # relative central-difference step of the refine Hessian
 class LoopPath:
     """P coefficient vectors with endpoints fixed and cached node actions."""
 
-    nodes: list  # list of packed vectors
+    nodes: np.ndarray  # (P, N): one packed vector per row
     actions: np.ndarray
     dim: int
     cutoff: int
@@ -173,7 +173,7 @@ def _node_eval(obj: Objective, vec: np.ndarray) -> Evaluation | None:
         return None
 
 
-def _repair(obj: Objective, path: list, i: int) -> Evaluation:
+def _repair(obj: Objective, path, i: int) -> Evaluation:
     """Replace a colliding interior node by the neighbour midpoint plus an
     escalating deterministic transverse offset; returns its evaluation."""
     base = 0.5 * (path[i - 1] + path[i + 1])
@@ -203,9 +203,10 @@ def initial_path(
     end_a: np.ndarray,
     end_b: np.ndarray,
     cfg: MountainPassConfig,
-) -> list:
+) -> np.ndarray:
     """Straight-line path in coefficient space with optional transverse
-    bulge; :func:`mountain_pass` evaluates it and repairs colliding nodes."""
+    bulge, one node per row; :func:`mountain_pass` evaluates it and repairs
+    colliding nodes."""
     P = cfg.nodes
     s = np.linspace(0.0, 1.0, P)
     path = [(1.0 - si) * end_a + si * end_b for si in s]
@@ -218,34 +219,33 @@ def initial_path(
             direction /= nrm
         for i in range(1, P - 1):
             path[i] = path[i] + cfg.bulge_amplitude * math.sin(math.pi * s[i]) * direction
-    return path
+    return np.stack(path)
 
 
-def _reparametrise(path: list, pin: int) -> list:
-    """Uniform arclength resampling with node ``pin`` kept as a knot."""
+def _reparametrise(path: np.ndarray, pin: int) -> np.ndarray:
+    """Uniform arclength resampling of the (P, N) path with node ``pin``
+    kept as a knot."""
 
-    def resample(chunk: list, count: int) -> list:
-        if count <= 2 or len(chunk) < 2:
-            return chunk
-        pts = np.stack(chunk)
+    def resample(pts: np.ndarray) -> np.ndarray:
+        count = len(pts)
+        if count <= 2:
+            return pts
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         arc = np.concatenate([[0.0], np.cumsum(seg)])
         if arc[-1] <= 0.0:
-            return chunk
+            return pts
         targets = np.linspace(0.0, arc[-1], count)
         j = np.searchsorted(arc, targets, side="right") - 1
-        j = np.clip(j, 0, len(chunk) - 2)
+        j = np.clip(j, 0, count - 2)
         span = arc[j + 1] - arc[j]
         # w = 0 on zero-length spans
         w = np.divide(targets - arc[j], span, out=np.zeros(count), where=~(span <= 0))
-        out = list((1.0 - w)[:, None] * pts[j] + w[:, None] * pts[j + 1])
-        out[0] = chunk[0]
-        out[-1] = chunk[-1]
+        out = (1.0 - w)[:, None] * pts[j] + w[:, None] * pts[j + 1]
+        out[0] = pts[0]
+        out[-1] = pts[-1]
         return out
 
-    left = resample(path[: pin + 1], pin + 1)
-    right = resample(path[pin:], len(path) - pin)
-    return left + right[1:]
+    return np.concatenate([resample(path[: pin + 1]), resample(path[pin:])[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def mountain_pass(
     act_a, act_b = ev_a.value, ev_b.value
 
     if np.array_equal(va, vb):
-        path = LoopPath([va, va.copy(), vb], np.full(3, act_a), obj.dim, obj.cutoff)
+        path = LoopPath(np.stack([va, va, vb]), np.full(3, act_a), obj.dim, obj.cutoff)
         return SaddleResult.at(
             obj,
             va,
@@ -466,7 +466,7 @@ def mountain_pass(
     # every node keeps its evaluation beside it, so no vector is evaluated
     # twice; the first and last nodes are the endpoints
     nodes = initial_path(obj, va, vb, cfg)
-    evs = [ev_a, *obj.evaluate_batch(np.stack(nodes[1:-1])), ev_b]
+    evs = [ev_a, *obj.evaluate_batch(nodes[1:-1]), ev_b]
     for i in range(1, len(nodes) - 1):
         if evs[i] is None:
             evs[i] = _repair(obj, nodes, i)
@@ -493,14 +493,12 @@ def mountain_pass(
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
         # the endpoints, the pinned node and any node left in place are
-        # unchanged vectors: they keep their evaluations; the moved nodes
-        # are evaluated in one stacked call
-        known = {v.tobytes(): ev for v, ev in zip(nodes, evs)}
-        new_evs = [known.get(v.tobytes()) for v in new_nodes]
-        moved = [k for k, ev in enumerate(new_evs) if ev is None]
-        if moved:
-            batch = obj.evaluate_batch(np.stack([new_nodes[k] for k in moved]))
-            for k, ev in zip(moved, batch):
+        # unchanged rows: they keep their evaluations; the moved nodes are
+        # evaluated in one stacked call
+        moved = np.flatnonzero(np.any(new_nodes != nodes, axis=1))
+        new_evs = list(evs)
+        if moved.size:
+            for k, ev in zip(moved, obj.evaluate_batch(new_nodes[moved])):
                 new_evs[k] = ev
         new_acts = np.array([math.inf if ev is None else ev.value for ev in new_evs])
         if float(np.max(new_acts[1:-1])) <= current_max + 1e-12:

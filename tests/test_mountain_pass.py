@@ -321,9 +321,9 @@ def test_reparametrise_equals_per_target_loop():
         for pin in range(1, P - 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero-length spans divide quietly
-                got = _reparametrise(path, pin)
+                got = _reparametrise(np.stack(path), pin)
             want = reparametrise_by_targets(path, pin)
-            assert len(got) == len(want) == P
+            assert got.shape == (P, 10) and len(want) == P
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
