@@ -4,31 +4,41 @@ The saddle between two local minimizers is characterised as the minimum,
 over continuous paths joining them, of the maximal action along the path.
 The search runs in three phases.
 
-Path phase.  P loops (coefficient vectors) with the two endpoints pinned are
-swept repeatedly: (1) apply one bounded, backtracked descent step to the
-maximal interior node and its two neighbours, descending only the gradient
-component orthogonal to the local path tangent (a full steepest-descent step
-would also slide nodes along the path, and the straight segments that
-reparametrisation re-bridges across the ridge can cut below the barrier);
-(2) redistribute the nodes to near-uniform coefficient spacing with the
-current maximal node kept as a knot, rejecting the redistribution if it
-would raise the maximal action.  The maximal action
-is nonincreasing across sweeps by construction.  Every node keeps its
+Path phase.  P loops (coefficient vectors, the rows of one (P, N) array)
+with the two endpoints pinned are swept repeatedly: (1) apply one bounded,
+backtracked step to the maximal interior node and its two neighbours along
+p = -P^-1 g, the gradient in the H^1 metric of :mod:`optimize` (the
+kinetic Hessian plus the identity), with p's component along the local path
+tangent removed (a full step would also slide nodes along the path, and the
+straight segments that reparametrisation re-bridges across the ridge can
+cut below the barrier); (2) redistribute the nodes to near-uniform
+coefficient spacing with the current maximal node kept as a knot, rejecting
+the redistribution if it would raise the maximal action.  A node step is
+guarded between nodes: a rung of its backtracking ladder is taken only if
+it passes the Armijo test and its midpoints to the node's interior
+neighbours are collision-free and no higher than the path's node maximum
+(segments to the endpoints are not guarded).  The maximal node action is
+nonincreasing across sweeps by construction.  Every node keeps its
 :class:`action.Evaluation` beside it, so an unchanged node is never
 evaluated again: not after reparametrisation, not for the refine trigger,
 not for its basin probe.  The vectors a sweep knows it needs are evaluated
 as one stack (:meth:`action.Objective.evaluate_batch`, bit for bit the
-single evaluations): the backtracking ladder t, t/2, ... of a node step in
-chunks of ten rungs, of which the first that passes the Armijo test is
-taken, and all nodes that reparametrisation moved.  The path phase reports
-why it stopped (``path_stop``: the sweep budget, the refine trigger or
-stagnation).
+single evaluations): the ladder t, t/2, ... of a node step with the
+midpoints of each rung, in chunks of ten rungs, of which the first that
+passes is taken, and all nodes that reparametrisation moved.  The rows of a
+node's last blocked step are remembered by their actions, so a step tried
+again from the same rows evaluates none of them twice.  The path phase
+reports why it stopped (``path_stop``: the sweep budget, the refine trigger
+or stagnation), and the result reports ``midpoint_max``, the highest action
+at the final path's segment midpoints, from one more stacked call: node
+actions alone can miss the path's maximum.
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
 crossing is located directly: walking out from the maximal node, the first
 pair of consecutive nodes whose basin probes relax into different endpoint
 basins brackets the basin boundary, and bisection of that segment pins a
-point on the boundary to relative accuracy.  A probe is
+point on the boundary to relative accuracy (its first probe starts from
+the midpoint evaluation above).  A probe is
 :func:`optimize.descend` in the H^1 metric, run down to gradient norm 1e-4
 (at most 800 iterations), and is classified by the nearer endpoint.
 
@@ -40,9 +50,11 @@ symmetry zero modes stay inert; a trust region adapted on gradient-norm
 decrease stabilises the far field.  Near the saddle exactly one eigenvalue
 is negative, the modification is the identity and the iteration is plain
 Newton with quadratic convergence.  Starting on the basin boundary matters:
-started inside a basin, the same iteration can drain to a minimum.  The
-Hessian's 2 nfree gradient columns at x +- h e_i are one stacked
-evaluation.
+started inside a basin, the same iteration can drain to a minimum, so a
+refinement that drains or stalls is retried once from the maximal node, and
+the retry is kept when it ends above the endpoints and the first did not,
+or reaches a smaller gradient above them.  The Hessian's 2 nfree gradient
+columns at x +- h e_i are one stacked evaluation.
 
 Interpolated nodes that would collide are repaired by escalating transverse
 offsets; if the repair budget is exhausted the offending segment is
@@ -90,15 +102,15 @@ class MountainPassConfig:
             raise ValueError("saddle_tol must be positive")
 
 
-# path phase: a sweep descends the top node and its neighbours by one
-# Armijo-backtracked step of length at most _STEP; the phase ends when the
-# top node's gradient falls below _REFINE_TRIGGER or the maximal action
+# path phase: a sweep moves the top node and its neighbours by one
+# Armijo-backtracked metric step t p, t at most _STEP; the phase ends when
+# the top node's gradient falls below _REFINE_TRIGGER or the maximal action
 # fell by less than _STAGNATION_TOL over _STAGNATION_WINDOW sweeps;
 # _STEP is also the refinement's initial trust radius
 _STEP = 0.25
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
-_LADDER = 10  # backtracking rungs per stacked evaluation; 9 is the most seen
+_LADDER = 10  # backtracking rungs (with their midpoints) per stacked evaluation
 _REFINE_TRIGGER = 5e-3
 _STAGNATION_WINDOW = 60
 _STAGNATION_TOL = 1e-8
@@ -141,8 +153,11 @@ class SaddleResult(SearchResult):
     # "stagnation" (None when the endpoints coincide and it never ran)
     path_stop: str | None
     # the objective's kernel calls: each evaluates one vector or a stack
-    # (ladder rungs, resampled nodes, Hessian columns)
+    # (ladder rungs and their midpoints, resampled nodes, Hessian columns)
     kernel_calls: int
+    # the highest action at the final path's segment midpoints, inf where a
+    # midpoint trips the collision guard (None in as_dict)
+    midpoint_max: float
 
     @property
     def above_endpoints(self) -> bool:
@@ -158,6 +173,9 @@ class SaddleResult(SearchResult):
             "profile": list(self.profile),
             "path_stop": self.path_stop,
             "kernel_calls": self.kernel_calls,
+            "midpoint_max": (
+                self.midpoint_max if math.isfinite(self.midpoint_max) else None
+            ),
         }
 
 
@@ -257,33 +275,65 @@ def _descend_node(
     vec: np.ndarray,
     ev: Evaluation,
     mesh: float,
-    tangent: np.ndarray | None,
+    tangent: np.ndarray,
+    guard: tuple[np.ndarray, ...],
+    ceiling: float,
+    tried: dict,
 ) -> tuple[np.ndarray, Evaluation]:
-    """One backtracked descent step with displacement capped by the mesh,
-    restricted to the gradient component orthogonal to the path tangent.
+    """One backtracked step along p = -P^-1 g, the gradient in the H^1
+    metric, with p's component along the path tangent removed and the
+    displacement capped by the mesh: the rungs t, t/2, ... from
+    t = min(_STEP, mesh / |p|).
 
-    ``ev`` is the node's evaluation; the node returned comes with its own.
+    ``ev`` is the node's evaluation; the node returned comes with its own,
+    and a blocked step returns ``vec`` and ``ev`` themselves, as does a
+    node whose slope g^T p is not negative.  A rung is taken when it passes
+    the Armijo test on that slope and its midpoint to each vector in
+    ``guard`` (the node's interior neighbours) is collision-free and no
+    higher than ``ceiling``.  The rungs of a chunk and their midpoints are
+    one stacked evaluation, less the rows found in ``tried``: the rows of
+    the node's previous blocked step, by their bytes, with their actions
+    (None on a collision).  A blocked step leaves its own rows there in
+    their place.
     """
     f, g = ev.value, ev.gradient()
-    if tangent is not None:
-        tn = float(np.linalg.norm(tangent))
-        if tn > 0.0:
-            that = tangent / tn
-            g = g - float(g @ that) * that
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < 1e-15:
+    p = -obj.metric_direction(g)[0]
+    tn = float(np.linalg.norm(tangent))
+    if tn > 0.0:
+        that = tangent / tn
+        p -= float(p @ that) * that
+    slope = float(g @ p)
+    if slope >= 0.0:
         return vec, ev
-    t = min(_STEP, mesh / gnorm)
-    gsq = gnorm * gnorm
-    while t * gnorm > 1e-14:
+    pnorm = float(np.linalg.norm(p))
+    t = min(_STEP, mesh / pnorm)
+    rows = 1 + len(guard)
+    used = set()
+    while t * pnorm > 1e-14:
         ladder = []  # the next rungs t, t/2, ... in one stacked evaluation
-        while len(ladder) < _LADDER and t * gnorm > 1e-14:
+        while len(ladder) < _LADDER and t * pnorm > 1e-14:
             ladder.append(t)
             t *= _BACKTRACK
-        cands = vec - np.multiply.outer(ladder, g)
-        for tk, cand, ev_c in zip(ladder, cands, obj.evaluate_batch(cands)):
-            if ev_c is not None and ev_c.value <= f - _ARMIJO * tk * gsq:
-                return cand, ev_c
+        cands = vec + np.multiply.outer(ladder, p)
+        stack = np.stack([cands, *(0.5 * (cands + nb) for nb in guard)], axis=1)
+        stack = stack.reshape(-1, vec.size)
+        keys = [row.tobytes() for row in stack]
+        used.update(keys)
+        fresh = [k for k, key in enumerate(keys) if key not in tried]
+        evs = dict(zip(fresh, obj.evaluate_batch(stack[fresh]) if fresh else ()))
+        for k, ev_k in evs.items():
+            tried[keys[k]] = None if ev_k is None else ev_k.value
+        for k, tk in enumerate(ladder):
+            f_c, *mids = (tried[key] for key in keys[rows * k : rows * (k + 1)])
+            if (
+                f_c is not None
+                and f_c <= f + _ARMIJO * tk * slope
+                and all(m is not None and m <= ceiling for m in mids)
+            ):
+                # a rung known only by its action is evaluated again
+                return cands[k], evs.get(rows * k) or obj.evaluate(cands[k])
+    for key in tried.keys() - used:
+        del tried[key]
     return vec, ev
 
 
@@ -316,17 +366,19 @@ def _basin(
 
 
 def _bisect_to_boundary(
-    p_a: np.ndarray, p_b: np.ndarray, basin_fn
+    p_a: np.ndarray, p_b: np.ndarray, basin_fn, ev_mid: Evaluation
 ) -> np.ndarray | None:
     """Shrink a straddling segment onto the basin boundary; returns the
-    midpoint, or None if classification breaks down."""
+    midpoint, or None if classification breaks down.  ``ev_mid`` is the
+    evaluation of the segment's midpoint, the first point probed."""
     p_a, p_b = p_a.copy(), p_b.copy()
     scale = max(1.0, float(np.linalg.norm(p_a)))
     for _ in range(80):
         if float(np.linalg.norm(p_a - p_b)) < _BISECT_TOL * scale:
             break
         mid = 0.5 * (p_a + p_b)
-        side = basin_fn(mid)
+        side = basin_fn(mid, ev_mid)
+        ev_mid = None
         if side == 0:
             p_a = mid
         elif side == 1:
@@ -405,6 +457,9 @@ def _refine(
             radius = min(radius * 2.0, 10.0 * _STEP)
         else:
             radius *= 0.5
+            # a radius the rejected step still fits in would try it again
+            while norm <= radius and radius >= 1e-12:
+                radius *= 0.5
             if radius < 1e-12:
                 break
     return x, ev, gnorm, _MAX_REFINE_ITERS
@@ -452,6 +507,7 @@ def mountain_pass(
             endpoint_actions=(act_a, act_a),
             path_stop=None,
             kernel_calls=obj.counts.kernel_calls,
+            midpoint_max=act_a,
         )
 
     for name, ev in (("first", ev_a), ("second", ev_b)):
@@ -466,12 +522,14 @@ def mountain_pass(
     # every node keeps its evaluation beside it, so no vector is evaluated
     # twice; the first and last nodes are the endpoints
     nodes = initial_path(obj, va, vb, cfg)
+    interior = range(1, len(nodes) - 1)
     evs = [ev_a, *obj.evaluate_batch(nodes[1:-1]), ev_b]
-    for i in range(1, len(nodes) - 1):
+    for i in interior:
         if evs[i] is None:
             evs[i] = _repair(obj, nodes, i)
     acts = np.array([ev.value for ev in evs])
     history: list[float] = []
+    blocked: dict[int, dict] = {}  # node -> the rows its last blocked step tried
     sweeps_done = 0
     path_stop = "max_sweeps"
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -483,12 +541,18 @@ def mountain_pass(
         )
         mesh = max(mesh, 1e-12)
         for idx in (im - 1, im, im + 1):
-            if 0 < idx < len(nodes) - 1:
-                tangent = nodes[idx + 1] - nodes[idx - 1]
-                nodes[idx], evs[idx] = _descend_node(
-                    obj, nodes[idx], evs[idx], mesh, tangent
-                )
-                acts[idx] = evs[idx].value
+            if idx not in interior:
+                continue
+            guard = tuple(nodes[j] for j in (idx - 1, idx + 1) if j in interior)
+            tried = blocked.pop(idx, {})
+            vec, ev = _descend_node(
+                obj, nodes[idx], evs[idx], mesh, nodes[idx + 1] - nodes[idx - 1],
+                guard, float(np.max(acts[1:-1])), tried,
+            )  # fmt: skip
+            if ev is evs[idx]:
+                blocked[idx] = tried
+            else:
+                nodes[idx], evs[idx], acts[idx] = vec, ev, ev.value
         current_max = float(np.max(acts[1:-1]))
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
@@ -515,6 +579,10 @@ def mountain_pass(
             path_stop = "stagnation"
             break
 
+    # the path's maximum between nodes, from one stacked call
+    mids = obj.evaluate_batch(0.5 * (nodes[:-1] + nodes[1:]))
+    midpoint_max = max(math.inf if ev is None else ev.value for ev in mids)
+
     # --- bracket phase ----------------------------------------------------
     def basin_fn(x, ev=None):
         return _basin(obj, x, (va, vb), ev)
@@ -527,8 +595,8 @@ def mountain_pass(
             sides[i] = basin_fn(nodes[i], evs[i])
         return sides[i]
 
-    start = vec_candidate = nodes[im].copy()
-    ev_candidate = evs[im]
+    start, ev_start = nodes[im].copy(), evs[im]
+    vec_candidate, ev_candidate = start, ev_start
     # walk outward from the max node for the nearest straddling segment
     found = None
     for offset in range(0, len(nodes)):
@@ -542,18 +610,24 @@ def mountain_pass(
         if found:
             break
     if found:
-        boundary = _bisect_to_boundary(nodes[found[0]], nodes[found[1]], basin_fn)
-        if boundary is not None:
-            vec_candidate, ev_candidate = boundary, None
+        i, j = found
+        k = min(i, j)  # segment k joins nodes k, k + 1; its midpoint is probed first
+        if mids[k] is not None:  # else that probe would collide
+            boundary = _bisect_to_boundary(nodes[i], nodes[j], basin_fn, mids[k])
+            if boundary is not None:
+                vec_candidate, ev_candidate = boundary, None
+    # the refinement needs no other evaluation of the path phase: free the
+    # stacked calls' arrays they hold
+    del evs, mids, blocked
 
     # --- refinement phase ---------------------------------------------------
     top = max(act_a, act_b) + 1e-9
     refined, ev, gnorm, refine_iters = _refine(obj, vec_candidate, cfg, ev_candidate)
     if gnorm >= cfg.saddle_tol or ev.value <= top:
         # drained to a minimum or stalled: retry once from the raw max node
-        alt, ev_alt, alt_gn, alt_it = _refine(obj, start, cfg, evs[im])
+        alt, ev_alt, alt_gn, alt_it = _refine(obj, start, cfg, ev_start)
         refine_iters += alt_it
-        if alt_gn < gnorm and ev_alt.value > top:
+        if ev_alt.value > top and (ev.value <= top or alt_gn < gnorm):
             refined, ev, gnorm = alt, ev_alt, alt_gn
 
     return SaddleResult.at(
@@ -569,6 +643,7 @@ def mountain_pass(
         endpoint_actions=(act_a, act_b),
         path_stop=path_stop,
         kernel_calls=obj.counts.kernel_calls,
+        midpoint_max=midpoint_max,
     )
 
 

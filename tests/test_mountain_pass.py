@@ -135,6 +135,31 @@ def test_saddle_search_repairs_a_colliding_initial_node(monkeypatch):
     assert res.diagnostics.min_separation > 0.1
 
 
+def test_refine_retry_keeps_a_saddle_above_the_endpoints(monkeypatch):
+    # the first refinement drains to an endpoint at a tiny gradient norm,
+    # the retry from the top node ends above the endpoints at a larger one
+    # that still meets the tolerance: the result is the retry's
+    module = importlib.import_module("choreo.mountain_pass")
+    starts = []
+
+    def refine(obj, vec, cfg, ev):
+        starts.append(vec)
+        if len(starts) == 1:
+            end = obj.pack(two_body_circles()[0])
+            return end, obj.evaluate(end), 1e-12, 3
+        return vec, ev, 1e-8, 5
+
+    monkeypatch.setattr(module, "_refine", refine)
+    end_a, end_b = two_body_circles()
+    p = SystemParams(n=2, alpha=1.0)
+    cfg = MountainPassConfig(nodes=3, cutoff=4, max_sweeps=5)
+    res = mountain_pass(end_a, end_b, p, cfg)
+    assert len(starts) == 2 and res.refine_iters == 8
+    assert res.converged and res.above_endpoints
+    obj = Objective(p, cutoff=4)
+    assert np.array_equal(obj.pack(res.loop), starts[1])
+
+
 def test_initial_linear_path_max_above_endpoints():
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     end_a, end_b = tied_endpoints()
@@ -192,49 +217,96 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
 # the stacked evaluations against the sequential loops they replace
 
 
-def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent):
-    """The node step with one evaluation per halving of t."""
+def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent, guard, ceiling):
+    """The node step with one evaluation per vector: each halving of t
+    evaluates the rung, then its midpoint to each guard neighbour.  Returns
+    the node, its evaluation and the number of rungs tried."""
     g = ev.gradient()
+    p = -obj.metric_direction(g)[0]
     that = tangent / np.linalg.norm(tangent)
-    g = g - float(g @ that) * that
-    gnorm = float(np.linalg.norm(g))
-    t = min(0.25, mesh / gnorm)
-    while t * gnorm > 1e-14:
-        cand = vec - t * g
-        try:
-            ev_c = obj.evaluate(cand)
-        except CollisionError:
-            ev_c = None
-        if ev_c is not None and ev_c.value <= ev.value - 1e-4 * t * gnorm * gnorm:
-            return cand, ev_c
+    p = p - float(p @ that) * that
+    slope = float(g @ p)
+    if slope >= 0.0:
+        return vec, ev, 0
+    pnorm = float(np.linalg.norm(p))
+    t = min(0.25, mesh / pnorm)
+    rungs = 0
+    while t * pnorm > 1e-14:
+        rungs += 1
+        cand = vec + t * p
+        ok = True
+        for v in (cand, *(0.5 * (cand + nb) for nb in guard)):
+            try:
+                ev_v = obj.evaluate(v)
+            except CollisionError:
+                ok = False
+                continue
+            if v is cand:
+                ev_c = ev_v
+                ok &= ev_v.value <= ev.value + 1e-4 * t * slope
+            else:
+                ok &= ev_v.value <= ceiling
+        if ok:
+            return cand, ev_c, rungs
         t *= 0.5
-    return vec, ev
+    return vec, ev, rungs
+
+
+def node_step(obj, nodes, i, ev, mesh, ceiling, tried):
+    """_descend_node at node i of the path, guarded by its interior
+    neighbours, with the tangent and guard it was given."""
+    tangent = nodes[i + 1] - nodes[i - 1]
+    guard = tuple(nodes[j] for j in (i - 1, i + 1) if 0 < j < len(nodes) - 1)
+    got = _descend_node(obj, nodes[i], ev, mesh, tangent, guard, ceiling, tried)
+    return got, tangent, guard
 
 
 @pytest.mark.parametrize("amplitude, mesh", [(0.35, 0.05), (0.35, 5.0), (0.01, 1e3)])
 def test_descend_node_takes_the_first_armijo_rung(amplitude, mesh):
-    # the ladder t, t/2, ... evaluated in stacks of rungs accepts the same
-    # rung, vector and evaluation as trying the rungs one at a time; the
-    # flat bulge puts the middle node next to a collision, where the step
-    # backtracks over more rungs than one stack holds
+    # the metric step with its ladder t, t/2, ... and the midpoints of each
+    # rung evaluated in stacks accepts the same rung, vector and evaluation
+    # as trying the vectors one at a time; at the bulge 0.35 the guard
+    # blocks the top nodes, whose ladders run past their first stack, and
+    # the flat bulge puts the middle node next to a collision, where the
+    # step backtracks on the Armijo test
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     obj = Objective(p, cutoff=8)
     end_a, end_b = tied_endpoints(cutoff=8)
     cfg = tied_config(cutoff=8, nodes=11, bulge_amplitude=amplitude)
     nodes = initial_path(obj, obj.pack(end_a), obj.pack(end_b), cfg)
+    evs = [obj.evaluate(v) for v in nodes]
+    ceiling = max(ev.value for ev in evs[1:-1])
     most_rungs = 0
     for i in range(1, 10):
-        tangent = nodes[i + 1] - nodes[i - 1]
-        ev = obj.evaluate(nodes[i])
-        got, got_ev = _descend_node(obj, nodes[i], ev, mesh, tangent)
-        calls = obj.counts.kernel_calls
-        want, want_ev = descend_node_rung_by_rung(obj, nodes[i], ev, mesh, tangent)
-        most_rungs = max(most_rungs, obj.counts.kernel_calls - calls)
+        step = node_step(obj, nodes, i, evs[i], mesh, ceiling, {})
+        (got, got_ev), tangent, guard = step
+        want, want_ev, rungs = descend_node_rung_by_rung(
+            obj, nodes[i], evs[i], mesh, tangent, guard, ceiling
+        )
+        most_rungs = max(most_rungs, rungs)
         assert np.array_equal(got, want)
         assert got_ev.value == want_ev.value
         assert np.array_equal(got_ev.gradient(), want_ev.gradient())
-    if amplitude < 0.1:
-        assert most_rungs > 10  # the ladder ran past its first stack
+    assert most_rungs > (10 if amplitude > 0.1 else 5)
+
+
+def test_blocked_node_step_is_not_evaluated_again():
+    # below every midpoint's action no rung passes the guard; the same step
+    # again finds every row among the rows it tried and evaluates nothing
+    p = SystemParams(n=3, alpha=1.0, omega=1.5)
+    obj = Objective(p, cutoff=8)
+    end_a, end_b = tied_endpoints(cutoff=8)
+    cfg = tied_config(cutoff=8, nodes=11)
+    nodes = initial_path(obj, obj.pack(end_a), obj.pack(end_b), cfg)
+    ev = obj.evaluate(nodes[5])
+    tried = {}
+    (vec, ev_1), _, guard = node_step(obj, nodes, 5, ev, 0.05, -math.inf, tried)
+    assert ev_1 is ev and np.array_equal(vec, nodes[5]) and len(guard) == 2
+    rows, calls = obj.counts.value_evals, obj.counts.kernel_calls
+    assert len(tried) > 3 * 10  # more than one stack of rungs and midpoints
+    (vec, ev_2), _, _ = node_step(obj, nodes, 5, ev, 0.05, -math.inf, tried)
+    assert ev_2 is ev
+    assert (obj.counts.value_evals, obj.counts.kernel_calls) == (rows, calls)
 
 
 def fd_hessian_by_columns(obj, vec, h):
@@ -402,12 +474,54 @@ def test_profile_reports_maximum(tied_saddle):
     assert res.path.actions[im] == max(res.path.actions[1:-1])
 
 
+@pytest.mark.parametrize("case", ["tied", "eight"])
+def test_midpoint_max_equals_midpoints_one_at_a_time(case, tied_saddle, eight_saddle):
+    res, p = tied_saddle if case == "tied" else eight_saddle
+    group = EIGHT3D if case == "eight" else None
+    obj = Objective(p, cutoff=res.path.cutoff, symmetry=group)
+    nodes = res.path.nodes
+    mids = [obj.value(0.5 * (a + b)) for a, b in zip(nodes[:-1], nodes[1:])]
+    assert res.midpoint_max == max(mids)
+    assert res.as_dict()["midpoint_max"] == res.midpoint_max
+    # on the resolved eight, nodes and midpoints sample the path's maximum
+    # to about 4e-3 of the saddle; the tied path jumps a near-collision
+    # ridge between two nodes, far above its saddle (ROADMAP item 5)
+    if case == "eight":
+        assert abs(res.midpoint_max - res.action.total) < 1e-2
+
+
+# tied: (cutoff, nodes, bulge); eight: (nodes, bulge as a fraction of R)
+ROBUST = [
+    ("tied", (8, 15, 0.5), 6.26120178),
+    ("tied", (12, 11, 0.2), 6.19377084),
+    ("tied", (16, 31, 0.5), 6.27844954),
+    ("eight", (11, 0.3), 8.12397549),
+]
+
+
+@pytest.mark.parametrize("case, setting, action", ROBUST)
+def test_saddle_search_off_the_criterion_settings(case, setting, action):
+    # other cutoffs, node counts and bulges find the saddle above the
+    # endpoints too
+    if case == "tied":
+        K, nodes, bulge = setting
+        p = SystemParams(n=3, alpha=1.0, omega=1.5)
+        end_a, end_b = tied_endpoints(cutoff=K)
+        cfg = tied_config(cutoff=K, nodes=nodes, bulge_amplitude=bulge)
+        res = mountain_pass(end_a, end_b, p, cfg)
+    else:
+        res, _ = eight_search(*setting)
+    assert res.converged and res.above_endpoints
+    assert abs(res.action.total - action) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # the symmetric three-dimensional saddle (figure eight)
 
 
-@pytest.fixture(scope="module")
-def eight_saddle():
+def eight_search(nodes=21, bulge=0.5):
+    """The symmetric search between the eight's endpoints, with a bulge of
+    ``bulge`` times their radius."""
     K = 20  # residual tail of the smooth saddle decays below 1e-3 by K=20
     p = SystemParams(n=3, d=3, alpha=1.0, omega=0.0)
     end_a, end_b = eight_endpoints(K)
@@ -415,17 +529,21 @@ def eight_saddle():
     bc = np.zeros((K, 3))
     bs = np.zeros((K, 3))
     bs[1, 0] = 1.0  # sin 2t in the first component, allowed by the group
-    bulge = FourierLoop(np.zeros(3), bc, bs)
     cfg = MountainPassConfig(
-        nodes=21,
+        nodes=nodes,
         cutoff=K,
         saddle_tol=1e-6,
         symmetry=EIGHT3D,
-        bulge=bulge,
-        bulge_amplitude=0.5 * R,
+        bulge=FourierLoop(np.zeros(3), bc, bs),
+        bulge_amplitude=bulge * R,
         max_sweeps=800,
     )
     return mountain_pass(end_a, end_b, p, cfg), p
+
+
+@pytest.fixture(scope="module")
+def eight_saddle():
+    return eight_search()
 
 
 def test_eight_is_planar_saddle(eight_saddle):
