@@ -4,10 +4,10 @@ The saddle between two local minimizers is characterised as the minimum,
 over continuous paths joining them, of the maximal action along the path.
 The search runs in three phases.
 
-Path phase.  P loops (coefficient vectors, the rows of one (P, N) array)
-with the two endpoints pinned are swept repeatedly: (1) apply one bounded,
+Path phase.  The path, one coefficient vector per row of an array with the
+two endpoint rows pinned, is swept repeatedly: (1) apply one bounded,
 backtracked step to the maximal interior node and its two neighbours along
-p = -P^-1 g, the gradient in the H^1 metric of :mod:`optimize` (the
+p = -P^-1 g, the gradient in the H^1 metric of :mod:`optimize` (P is the
 kinetic Hessian plus the identity), with p's component along the local path
 tangent removed (a full step would also slide nodes along the path, and the
 straight segments that reparametrisation re-bridges across the ridge can
@@ -191,7 +191,7 @@ def _node_eval(obj: Objective, vec: np.ndarray) -> Evaluation | None:
         return None
 
 
-def _repair(obj: Objective, path, i: int) -> Evaluation:
+def _repair(obj: Objective, path: np.ndarray, i: int) -> Evaluation:
     """Replace a colliding interior node by the neighbour midpoint plus an
     escalating deterministic transverse offset; returns its evaluation."""
     base = 0.5 * (path[i - 1] + path[i + 1])
@@ -320,7 +320,9 @@ def _descend_node(
         keys = [row.tobytes() for row in stack]
         used.update(keys)
         fresh = [k for k, key in enumerate(keys) if key not in tried]
-        evs = dict(zip(fresh, obj.evaluate_batch(stack[fresh]) if fresh else ()))
+        evs = {}
+        if fresh:
+            evs = dict(zip(fresh, obj.evaluate_batch(stack[fresh])))
         for k, ev_k in evs.items():
             tried[keys[k]] = None if ev_k is None else ev_k.value
         for k, tk in enumerate(ladder):
