@@ -26,7 +26,6 @@ from .loops import (
     EIGHT3D,
     FourierLoop,
     LoopDiagnostics,
-    SampledLoop,
     SymmetryGroup,
     SystemParams,
     body_trajectories,
@@ -97,7 +96,6 @@ __all__ = [
     "MountainPassConfig",
     "RegimeReport",
     "SaddleResult",
-    "SampledLoop",
     "SymmetryGroup",
     "SystemParams",
     "admissible_lambdas",

@@ -73,7 +73,7 @@ from .loops import (
     FourierLoop,
     SymmetryGroup,
     SystemParams,
-    lag_differences,
+    lag_distances,
     pack_coefficients,
     resolve_grid_size,
     sample_basis,
@@ -245,8 +245,7 @@ def pair_potential(X: np.ndarray, n: int, alpha: float):
     differences D (..., n-1, M, d) and their squared norms r2 (..., n-1, M).
     A row closer than ``GUARD`` has a meaningless value.
     """
-    D = lag_differences(X, n)
-    r2 = np.einsum("...hmd,...hmd->...hm", D, D)
+    D, r2 = lag_distances(X, n)
     sums, sep = _power_sums(r2, alpha)
     return (math.pi / X.shape[-2]) * sums, sep, D, r2
 
@@ -319,8 +318,9 @@ class Evaluation:
 
     Construction is the value stage: ``kinetic``, ``potential``, their sum
     ``value``, the grid minimum ``separation`` (of two bodies, or of the
-    Kepler body and the center) and the grid ``samples``, read from the
-    call's arrays on demand.  :meth:`force` runs the force stage on the same
+    Kepler body and the center), the grid ``samples`` and the squared lag
+    distances ``r2`` (n-1, M), the last two read from the call's arrays on
+    demand.  :meth:`force` runs the force stage on the same
     lag differences, once; :meth:`gradient` completes it with its pullback
     and the kinetic gradient L^T (w * Lx), projected by the objective's
     mask.  Both are computed on the first call and returned as is
@@ -343,6 +343,10 @@ class Evaluation:
     @property
     def samples(self) -> np.ndarray:
         return self._arrays[0][self._row]
+
+    @property
+    def r2(self) -> np.ndarray:
+        return self._arrays[3][self._row]
 
     def force(self) -> np.ndarray:
         """dU/dX on the grid: -(2 pi alpha / M) sum_h r2^(-(alpha+2)/2) D,

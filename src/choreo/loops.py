@@ -246,6 +246,14 @@ def lag_differences(X: np.ndarray, n: int) -> np.ndarray:
     return (blocks[..., None, :, :, :] - shifted).reshape(lead + (n - 1, M, d))
 
 
+def lag_distances(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, r2): the lag differences of grid samples X, shape (..., M, d),
+    and their squared norms, shape (..., n-1, M).  The one formula for r2,
+    shared by the action kernel and :func:`min_separation`."""
+    D = lag_differences(X, n)
+    return D, np.einsum("...hmd,...hmd->...hm", D, D)
+
+
 def default_grid_size(cutoff: int, n: int) -> int:
     """Smallest multiple of n that is >= max(4K, 16n)."""
     target = max(4 * cutoff, 16 * n)
@@ -278,39 +286,6 @@ def resolve_grid_size(cutoff: int, n: int, grid_size: int | None) -> int:
             f"grid size {M} for cutoff {cutoff} and n={n} exceeds {MAX_GRID_SIZE}"
         )
     return M
-
-
-@dataclass(frozen=True)
-class SampledLoop:
-    """Uniform samples of a loop, with the generating data kept alongside."""
-
-    grid_size: int
-    samples: np.ndarray  # (M, d)
-    cutoff: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.grid_size <= 0 or self.grid_size % self.n:
-            raise ValueError(
-                f"grid size {self.grid_size} is not a positive multiple of n={self.n}"
-            )
-        if self.grid_size < 4 * self.cutoff:
-            raise ValueError(
-                f"grid size {self.grid_size} is below the anti-aliasing margin "
-                f"4K={4 * self.cutoff}"
-            )
-        object.__setattr__(self, "samples", _freeze(np.asarray(self.samples, float)))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.grid_size) * (TWO_PI / self.grid_size)
-
-
-def sample_loop(
-    loop: FourierLoop, params: SystemParams, grid_size: int | None = None
-) -> SampledLoop:
-    M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    return SampledLoop(M, loop.sample(M), loop.cutoff, params.n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +350,6 @@ def unpack_coefficients(vec: np.ndarray, dim: int, cutoff: int) -> FourierLoop:
     cos = vec[d : d + K * d].reshape(K, d)
     sin = vec[d + K * d :].reshape(K, d)
     return FourierLoop(mean, cos, sin)
-
-
-def coefficient_norm(loop: FourierLoop) -> float:
-    """Plain 2-norm of the packed coefficient vector."""
-    return float(np.linalg.norm(pack_coefficients(loop)))
-
-
-def self_inner(loop: FourierLoop) -> float:
-    """int_0^{2pi} |x(t)|^2 dt, exact (Parseval)."""
-    return TWO_PI * float(loop.mean @ loop.mean) + math.pi * float(
-        np.sum(loop.cos_coeffs**2) + np.sum(loop.sin_coeffs**2)
-    )
 
 
 def pair_square_integrals(loop: FourierLoop, n: int) -> np.ndarray:
@@ -516,10 +479,11 @@ class LoopDiagnostics:
 def min_separation(
     loop: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> float:
-    """min over t and h of |x(t) - x(t + h tau)| on the sampling grid."""
+    """min over t and h of |x(t) - x(t + h tau)| on the sampling grid; the
+    ``separation`` of the action kernel on the same grid, bit for bit."""
     M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    diff = lag_differences(loop.sample(M), params.n)
-    return math.sqrt(float(np.min(np.sum(diff**2, axis=2))))
+    _, r2 = lag_distances(loop.sample(M), params.n)
+    return math.sqrt(float(r2.min()))
 
 
 def _fit_circle_2d(p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -533,9 +497,12 @@ def _fit_circle_2d(p: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def diagnostics(
-    loop: FourierLoop, params: SystemParams, grid_size: int | None = None
+    samples: np.ndarray, centroid: np.ndarray, separation: float
 ) -> LoopDiagnostics:
-    """Winding, planarity, minimal separation and circle fit for a loop.
+    """Winding, planarity and circle fit of a loop from its grid samples
+    (M, d) and its centroid (the mean coefficient), reported beside its grid
+    ``separation``: a search passes its final evaluation's samples and
+    separation, so the loop is not sampled again.
 
     The winding number is the total signed angle of x - centroid projected on
     the dominant plane (top two principal axes of the gyration tensor; for
@@ -551,10 +518,8 @@ def diagnostics(
     fit reports the least-squares radius in the dominant plane and an rms
     residual that includes the out-of-plane content.
     """
-    M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    X = loop.sample(M)
-    centroid = loop.mean
-    Y = X - centroid
+    M, d = samples.shape
+    Y = samples - centroid
     scale = float(np.max(np.linalg.norm(Y, axis=1), initial=0.0))
     if scale < 1e-12:
         return LoopDiagnostics(
@@ -568,7 +533,6 @@ def diagnostics(
             degenerate=True,
         )
 
-    d = loop.dim
     gyration = (Y.T @ Y) / M
     evals, evecs = np.linalg.eigh(gyration)
     if d == 2:
@@ -599,7 +563,7 @@ def diagnostics(
         winding=winding,
         winding_residual=residual,
         planarity=planarity,
-        min_separation=min_separation(loop, params, M),
+        min_separation=separation,
         radius=radius,
         radius_rms=rms,
         center=tuple(center),

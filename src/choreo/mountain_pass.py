@@ -75,6 +75,7 @@ from .loops import (
     SystemParams,
     check_discretisation,
     pack_coefficients,
+    unpack_coefficients,
 )
 from .optimize import DescentConfig, SearchResult, descend
 
@@ -136,8 +137,6 @@ class LoopPath:
         return 1 + int(np.argmax(self.actions[1:-1]))
 
     def to_loops(self) -> list[FourierLoop]:
-        from .loops import unpack_coefficients
-
         return [unpack_coefficients(v, self.dim, self.cutoff) for v in self.nodes]
 
 
@@ -648,20 +647,3 @@ def mountain_pass(
         midpoint_max=midpoint_max,
     )
 
-
-# Step of the second-difference probe.
-_SECOND_DIFFERENCE_STEP = 1e-4
-
-
-def second_difference(obj: Objective, vec: np.ndarray, direction: np.ndarray) -> float:
-    """(A(x+eps v) - 2 A(x) + A(x-eps v)) / eps^2 along a unit direction."""
-    d = np.where(obj.mask, direction, 0.0)
-    nrm = float(np.linalg.norm(d))
-    if nrm == 0.0:
-        raise ValueError("probe direction vanishes under the mask")
-    d = d / nrm
-    eps = _SECOND_DIFFERENCE_STEP
-    f0 = obj.value(vec)
-    fp = obj.value(vec + eps * d)
-    fm = obj.value(vec - eps * d)
-    return (fp - 2.0 * f0 + fm) / (eps * eps)

@@ -54,7 +54,7 @@ against the arithmetic rule bodies i = m (mod j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,9 +67,7 @@ from .loops import (
     SystemParams,
     check_discretisation,
     diagnostics as loop_diagnostics,
-    lag_differences,
     project_symmetry,
-    resolve_grid_size,
 )
 from .spectral import circle_radius_for_winding
 
@@ -144,19 +142,16 @@ class SearchResult:
     def at(cls, obj: Objective, vec: np.ndarray, ev: Evaluation, **fields):
         """The record of a search on ``obj`` that ends at ``vec``, whose
         evaluation is ``ev``; ``fields`` are ``converged`` and the
-        subclass's own.  A Kepler record's minimal separation is the
-        evaluation's, the distance of the body to the center."""
+        subclass's own.  The diagnostics read ``ev``'s samples and
+        separation (a Kepler record's is the distance of the body to the
+        center)."""
         loop = obj.unpack(vec)
-        system = obj.params or SystemParams(n=2, d=obj.dim, alpha=obj.alpha)
-        diag = loop_diagnostics(loop, system, obj.grid_size)
-        if obj.params is None:
-            diag = replace(diag, min_separation=ev.separation)
         return cls(
             loop=loop,
             action=ActionValue(ev.kinetic, ev.potential, obj.grid_size),
             grad_norm=_norm(ev.gradient()),
             newton_residual=obj.residual(vec, ev),
-            diagnostics=diag,
+            diagnostics=loop_diagnostics(ev.samples, loop.mean, ev.separation),
             value_evals=obj.counts.value_evals,
             grad_evals=obj.counts.grad_evals,
             **fields,
@@ -168,7 +163,6 @@ class SearchResult:
             "grad_norm": self.grad_norm,
             "newton_residual": self.newton_residual,
             "converged": self.converged,
-            "diagnostics": self.diagnostics.as_dict(),
             "value_evals": self.value_evals,
             "grad_evals": self.grad_evals,
         }
@@ -350,7 +344,7 @@ def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> MinimizeRes
     out = descend(obj, x0, cfg)
     clusters = None
     if obj.params is not None:
-        clusters = detect_clusters(obj.unpack(out.vec), obj.params, obj.grid_size)
+        clusters = detect_clusters(out.ev.samples, out.vec[: obj.dim], out.ev.r2)
     return MinimizeResult.at(
         obj,
         out.vec,
@@ -409,19 +403,20 @@ _GAP_THRESHOLD = 2.0
 
 
 def detect_clusters(
-    loop: FourierLoop, params: SystemParams, grid_size: int | None = None
+    samples: np.ndarray, centroid: np.ndarray, r2: np.ndarray
 ) -> ClusterReport:
-    """Group bodies by time-averaged pairwise distance.
+    """Group bodies by time-averaged pairwise distance, from a loop's grid
+    samples (M, d), its centroid (the mean coefficient) and the squared
+    distances r2 (n-1, M) of its lag differences: a search passes its final
+    evaluation's arrays.
 
     Sorts the n-1 lag-averaged distances and splits at the largest
     consecutive ratio when it exceeds the circle-safe threshold 2.  The
     intra-cluster lags must then be exactly the multiples of some divisor j
     of n; otherwise the split is rejected and a single cluster reported.
     """
-    n = params.n
-    M = resolve_grid_size(loop.cutoff, n, grid_size)
-    diff = lag_differences(loop.sample(M), n)
-    profile = np.mean(np.sqrt(np.sum(diff**2, axis=2)), axis=1)
+    n, M = r2.shape[0] + 1, samples.shape[0]
+    profile = np.mean(np.sqrt(r2), axis=1)
 
     order = np.argsort(profile)
     vals = profile[order]
@@ -440,7 +435,7 @@ def detect_clusters(
             size=n,
             assignment=tuple([0] * n),
             intra_lags=(),
-            drift=(float(np.linalg.norm(loop.mean)),),
+            drift=(float(np.linalg.norm(centroid)),),
             lag_profile=tuple(profile.tolist()),
             matches_arithmetic_rule=True,
         )
@@ -456,12 +451,13 @@ def detect_clusters(
 
     k_tilde = n // j
     assignment = tuple(i % j for i in range(n))
-    bodies = [loop.shift(i * params.tau).sample(M) for i in range(n)]
+    # body i samples x(t_j + i tau), the samples rolled by i M/n rows
+    bodies = [np.roll(samples, -i * (M // n), axis=0) for i in range(n)]
     drift = []
     for c in range(j):
         members = [bodies[i] for i in range(n) if i % j == c]
-        centroid = np.mean(members, axis=0) - loop.mean
-        drift.append(math.sqrt(float(np.mean(np.sum(centroid**2, axis=1)))))
+        path = np.mean(members, axis=0) - centroid
+        drift.append(math.sqrt(float(np.mean(np.sum(path**2, axis=1)))))
     return ClusterReport(
         count=j,
         size=k_tilde,

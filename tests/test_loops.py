@@ -9,8 +9,8 @@ from choreo.loops import (
     FourierLoop,
     SystemParams,
     body_trajectories,
-    coefficient_norm,
     diagnostics,
+    lag_differences,
     loop_from_json,
     min_separation,
     pack_coefficients,
@@ -18,9 +18,7 @@ from choreo.loops import (
     project_symmetry,
     resolve_grid_size,
     rotate_winding,
-    sample_loop,
     samples_csv,
-    self_inner,
     to_json_dict,
     unpack_coefficients,
 )
@@ -181,7 +179,7 @@ def test_unit_circle_unit_speed():
 
 def test_constant_loop_derivative_zero():
     loop = FourierLoop(np.array([1.0, -2.0]), np.zeros((1, 2)), np.zeros((1, 2)))
-    assert coefficient_norm(loop.derivative()) == 0.0
+    assert np.linalg.norm(pack_coefficients(loop.derivative())) == 0.0
 
 
 def test_third_harmonic_parseval_by_quadrature():
@@ -200,7 +198,11 @@ def test_parseval_quadrature_matches_closed_form(rng):
     loop = random_loop(rng, K=10)
     M = resolve_grid_size(loop.cutoff, 2, None)
     quad = float(np.sum(loop.sample(M) ** 2)) * TWO_PI / M
-    assert abs(quad - self_inner(loop)) <= 1e-10 * max(1.0, quad)
+    # int |x|^2 = 2 pi |mean|^2 + pi sum_k (|a_k|^2 + |b_k|^2)
+    exact = TWO_PI * float(loop.mean @ loop.mean) + math.pi * float(
+        np.sum(loop.cos_coeffs**2) + np.sum(loop.sin_coeffs**2)
+    )
+    assert abs(quad - exact) <= 1e-10 * max(1.0, quad)
 
 
 def test_pair_square_integrals_match_quadrature(rng):
@@ -246,7 +248,8 @@ def test_projection_idempotent_and_nonexpanding(seed):
     once = project_symmetry(loop, EIGHT3D)
     twice = project_symmetry(once, EIGHT3D)
     assert np.allclose(pack_coefficients(twice), pack_coefficients(once), atol=1e-14)
-    assert coefficient_norm(once) <= coefficient_norm(loop) + 1e-14
+    norm = np.linalg.norm
+    assert norm(pack_coefficients(once)) <= norm(pack_coefficients(loop)) + 1e-14
 
 
 def test_projected_loop_satisfies_constraints(rng):
@@ -270,9 +273,15 @@ def test_projection_dimension_mismatch():
 # diagnostics
 
 
+def loop_diagnostics(loop, p):
+    """The diagnostics of ``loop`` from its samples on the default grid."""
+    M = resolve_grid_size(loop.cutoff, p.n, None)
+    return diagnostics(loop.sample(M), loop.mean, min_separation(loop, p, M))
+
+
 def test_unit_circle_diagnostics():
     p = SystemParams(n=3)
-    d = diagnostics(FourierLoop.circle(1.0, 1, cutoff=4), p)
+    d = loop_diagnostics(FourierLoop.circle(1.0, 1, cutoff=4), p)
     assert d.winding == 1
     assert d.planarity == 0.0
     # chord oracle: 2 sin(pi/3) = sqrt(3)
@@ -283,13 +292,13 @@ def test_unit_circle_diagnostics():
 
 def test_doubled_circle_winding():
     p = SystemParams(n=3)
-    d = diagnostics(FourierLoop.circle(1.0, 2, cutoff=4), p)
+    d = loop_diagnostics(FourierLoop.circle(1.0, 2, cutoff=4), p)
     assert d.winding == 2
 
 
 def test_winding_sign_for_clockwise():
     p = SystemParams(n=3)
-    d = diagnostics(FourierLoop.circle(1.0, -1, cutoff=4), p)
+    d = loop_diagnostics(FourierLoop.circle(1.0, -1, cutoff=4), p)
     assert d.winding == -1
 
 
@@ -299,7 +308,7 @@ def test_tilted_circle_in_3d():
     sin[0, 1] = 0.9
     cos[0, 2] = 0.9
     p = SystemParams(n=3, d=3)
-    d = diagnostics(FourierLoop(np.zeros(3), cos, sin), p)
+    d = loop_diagnostics(FourierLoop(np.zeros(3), cos, sin), p)
     assert abs(d.winding) == 1
     assert d.planarity < 1e-12
     assert abs(d.radius - 0.9) < 1e-12
@@ -308,7 +317,7 @@ def test_tilted_circle_in_3d():
 def test_degenerate_loop_flagged():
     p = SystemParams(n=2)
     tiny = FourierLoop(np.array([1.0, 1.0]), np.zeros((1, 2)), np.zeros((1, 2)))
-    d = diagnostics(tiny, p)
+    d = loop_diagnostics(tiny, p)
     assert d.degenerate
     assert d.winding is None
 
@@ -320,7 +329,7 @@ def test_figure_eight_winding_zero():
     sin[1, 0] = 0.6  # x1 = 0.6 sin 2t
     sin[0, 1] = 1.0  # x2 = sin t
     p = SystemParams(n=3)
-    d = diagnostics(FourierLoop(np.zeros(2), cos, sin), p)
+    d = loop_diagnostics(FourierLoop(np.zeros(2), cos, sin), p)
     assert d.winding in (-1, 0, 1)  # angle sum is ambiguous only by one
     assert d.radius_rms > 1e-2  # decisively non-circular
 
@@ -336,18 +345,28 @@ def test_default_grid_rules():
     assert resolve_grid_size(4, 5, 7) >= 16
 
 
-def test_sampled_loop_invariants(rng):
-    p = SystemParams(n=3)
+def test_grid_rules_on_requested_sizes(rng):
+    # a requested grid is rounded up to a multiple of n above the 4K margin
+    assert resolve_grid_size(4, 3, 17) == 18  # not a multiple of n
+    assert resolve_grid_size(4, 3, 6) == 18  # below the 4K margin
     loop = random_loop(rng, K=4)
-    sampled = sample_loop(loop, p)
-    assert sampled.grid_size % 3 == 0
-    assert sampled.grid_size >= 16
-    from choreo.loops import SampledLoop
+    with pytest.raises(ValueError):
+        lag_differences(loop.sample(17), 3)  # not a multiple of n
 
-    with pytest.raises(ValueError):
-        SampledLoop(17, loop.sample(17), loop.cutoff, p.n)  # not a multiple of n
-    with pytest.raises(ValueError):
-        SampledLoop(6, loop.sample(6), loop.cutoff, p.n)  # below 4K margin
+
+def test_lag_differences_are_exact_rolls(rng):
+    # on a grid of a multiple of n samples, the lag-h loop is the sample
+    # array rolled by h M/n rows, and its samples are those of the shifted
+    # loop to rounding
+    n, loop = 3, random_loop(rng, K=4)
+    M = resolve_grid_size(loop.cutoff, n, None)
+    X = loop.sample(M)
+    D = lag_differences(X, n)
+    assert D.shape == (n - 1, M, 2)
+    for h in range(1, n):
+        assert np.array_equal(D[h - 1], X - np.roll(X, -h * M // n, axis=0))
+        shifted = loop.shift(h * TWO_PI / n).sample(M)
+        assert np.allclose(D[h - 1], X - shifted, atol=1e-13)
 
 
 def test_rotate_winding_matches_pointwise(rng):
@@ -365,7 +384,7 @@ def test_rotate_winding_matches_pointwise(rng):
 def test_json_roundtrip(rng):
     p = SystemParams(n=4, d=3, alpha=1.5, omega=0.25)
     loop = random_loop(rng, d=3, K=5)
-    doc = to_json_dict(loop, p, diagnostics(loop, p))
+    doc = to_json_dict(loop, p, loop_diagnostics(loop, p))
     back, params = loop_from_json(doc)
     assert params == p
     assert np.allclose(back.cos_coeffs, loop.cos_coeffs)
@@ -389,6 +408,22 @@ def test_pack_unpack_roundtrip(rng):
     assert np.allclose(back.mean, loop.mean)
     assert np.allclose(back.cos_coeffs, loop.cos_coeffs)
     assert np.allclose(back.sin_coeffs, loop.sin_coeffs)
+
+
+def test_min_separation_is_the_kernel_separation():
+    # one formula for the squared lag distances: the reported separation is
+    # the one the collision guard tests, bit for bit
+    from choreo.action import Objective
+
+    rng = np.random.default_rng(2024)
+    for n in range(2, 9):
+        for d in (2, 3):
+            p = SystemParams(n=n, d=d)
+            for _ in range(60):
+                loop = random_loop(rng, d=d, K=6)
+                obj = Objective(p, loop.cutoff)
+                ev = obj.evaluate(obj.pack(loop))
+                assert min_separation(loop, p, obj.grid_size) == ev.separation
 
 
 def test_min_separation_on_circle():

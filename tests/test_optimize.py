@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from choreo import loops
 from choreo.action import CollisionError, Evaluation, kinetic_gradient
-from choreo.loops import EIGHT3D, FourierLoop, SystemParams, pack_coefficients
+from choreo.loops import (
+    EIGHT3D,
+    FourierLoop,
+    SystemParams,
+    lag_distances,
+    pack_coefficients,
+    resolve_grid_size,
+)
 from choreo.optimize import (
     DescentConfig,
     Objective,
@@ -16,6 +24,7 @@ from choreo.optimize import (
     minimize,
     multistart,
 )
+from choreo.mountain_pass import MountainPassConfig, mountain_pass
 from choreo.spectral import (
     circle_radius_for_winding,
     predicted_circle,
@@ -140,6 +149,59 @@ def test_kepler_result_reports_distance_to_center():
     assert abs(res.diagnostics.min_separation - 1.0) < 1e-12
     samples = res.loop.sample(res.action.grid_size)
     assert res.diagnostics.min_separation == math.sqrt(np.min(np.sum(samples**2, axis=1)))
+
+
+def _one_sampling_case(case):
+    """(result, objective of its final evaluation's grid) of a search."""
+    if case == "kepler":
+        q0 = FourierLoop.circle(1.2, 1, cutoff=4)
+        res = kepler_minimize(1.0, q0, DescentConfig(cutoff=4))
+        return res, Objective(None, res.loop.cutoff, alpha=1.0, dim=2)
+    if case == "mountain_pass":
+        p = SystemParams(n=3, alpha=1.0, omega=1.5)
+        R = circle_radius_for_winding(3, 1.0, 1.5, -1)
+        end = FourierLoop.circle(R, -1, cutoff=8)
+        res = mountain_pass(end, end, p, MountainPassConfig(cutoff=8))
+        return res, Objective(p, res.loop.cutoff)
+    if case == "clustered":
+        p = SystemParams(n=6, alpha=1.0, omega=1.8)
+        init = init_circle(p, -2, 1.0, noise=0.08, seed=5, cutoff=12)
+        res = minimize(p, init, DescentConfig(cutoff=12, grad_tol=1e-6))
+        assert res.clusters.count == 3
+    else:
+        p = SystemParams(n=3, alpha=1.0)
+        res = minimize(p, noisy_circle(p, 1, seed=3), DescentConfig(cutoff=6))
+        assert res.clusters.count == 1
+    return res, Objective(p, res.loop.cutoff)
+
+
+@pytest.mark.parametrize("case", ["clustered", "unclustered", "kepler", "mountain_pass"])
+def test_result_is_finished_from_its_final_evaluation(monkeypatch, case):
+    # the diagnostics and the cluster report read the final evaluation's
+    # samples, separation and squared distances: no loop is sampled again
+    # and no lag differences are formed beyond the kernel's one per call
+    calls = {"sample": 0, "lag_differences": 0}
+    sample, lag_differences = FourierLoop.sample, loops.lag_differences
+
+    def counted_sample(self, grid_size):
+        calls["sample"] += 1
+        return sample(self, grid_size)
+
+    def counted_lag_differences(X, n):
+        calls["lag_differences"] += 1
+        return lag_differences(X, n)
+
+    monkeypatch.setattr(FourierLoop, "sample", counted_sample)
+    monkeypatch.setattr(loops, "lag_differences", counted_lag_differences)
+    res, obj = _one_sampling_case(case)
+    assert res.converged
+    kernel_calls = getattr(res, "kernel_calls", res.value_evals)  # descent: one row a call
+    assert calls == {
+        "sample": 0,
+        "lag_differences": 0 if case == "kepler" else kernel_calls,
+    }
+    final = obj.evaluate(obj.pack(res.loop))
+    assert res.diagnostics.min_separation == final.separation
 
 
 def _count_forces(monkeypatch) -> dict:
@@ -380,9 +442,18 @@ def test_escape_and_converged_mutually_exclusive():
 # clusters
 
 
+def loop_clusters(loop, p):
+    """The cluster report of ``loop`` from its samples on the default grid
+    and their squared lag distances, the kernel's arrays (bodies may
+    collide here, which the kernel's guard would refuse)."""
+    M = resolve_grid_size(loop.cutoff, p.n, None)
+    X = loop.sample(M)
+    return detect_clusters(X, loop.mean, lag_distances(X, p.n)[1])
+
+
 def test_clusters_single_for_circle():
     p = SystemParams(n=6, alpha=1.0)
-    rep = detect_clusters(FourierLoop.circle(1.0, 1, cutoff=4), p)
+    rep = loop_clusters(FourierLoop.circle(1.0, 1, cutoff=4), p)
     assert rep.count == 1
     assert rep.size == 6
     assert rep.matches_arithmetic_rule
@@ -399,7 +470,7 @@ def test_clusters_synthetic_pairs():
     cos[1, 0] += 5.0
     sin[1, 1] -= 5.0
     loop = FourierLoop(base.mean, cos, sin)
-    rep = detect_clusters(loop, p)
+    rep = loop_clusters(loop, p)
     assert (rep.count, rep.size) == (3, 2)
     assert rep.assignment == (0, 1, 2, 0, 1, 2)
     assert rep.intra_lags == (3,)
