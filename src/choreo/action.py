@@ -43,6 +43,9 @@ Its force, -(2 pi alpha / M) sum_h r2^(-(alpha+2)/2) D, is formed only for
 a gradient or a residual, so a descent step pays for one value stage per
 trial and one force stage per accepted point.  The Newton residual applies
 the velocity map twice, (d/dt + w J P)^2 x, and reuses the force array.
+The exact Hessian (:meth:`Evaluation.hessian`) is also formed from D and r2
+alone: the kinetic L^T diag(w) L plus the pullback of the block-sparse
+sample-space Hessian of the potential.
 
 Batches: the value stage takes coefficient vectors and samples with leading
 batch axes, (..., N) and (..., M, d), and returns per row a value and a
@@ -73,6 +76,7 @@ from .loops import (
     FourierLoop,
     SymmetryGroup,
     SystemParams,
+    lag_differences,
     lag_distances,
     pack_coefficients,
     resolve_grid_size,
@@ -329,7 +333,7 @@ class Evaluation:
 
     __slots__ = (
         "kinetic", "potential", "value", "separation",
-        "_obj", "_arrays", "_row", "_force", "_grad",
+        "_obj", "_arrays", "_row", "_force", "_grad", "_hessian", "_spectrum",
     )
 
     def __init__(self, obj, arrays: tuple, row: tuple, kinetic, potential, separation):
@@ -338,7 +342,7 @@ class Evaluation:
         self.value = kinetic + potential
         self.separation = separation
         self._obj, self._arrays, self._row = obj, arrays, row
-        self._force = self._grad = None
+        self._force = self._grad = self._hessian = self._spectrum = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -370,6 +374,53 @@ class Evaluation:
             grad.flags.writeable = False
             self._grad = grad
         return self._grad
+
+    def hessian(self) -> np.ndarray:
+        """The exact Hessian of the discretised action on the objective's
+        free coordinates, (nfree, nfree) in the order of ``Objective.free``:
+        the masked coordinates, where the gradient is zero, are left out.
+        Formed from the value stage's D and r2, with nothing sampled again,
+        as L^T diag(w) L + B^T W B.
+
+        B is the sample basis, taken per coordinate.  W is the block-sparse
+        sample-space Hessian of the potential: each lag difference D gives
+        the d x d block J = c r^(-alpha-2) (I - (alpha+2) D D^T / r^2),
+        c = -2 pi alpha / M, with a plus sign on the (m, m) diagonal and a
+        minus sign at (m, m + h M/n); the Kepler term is the one-lag case,
+        diagonal only.  Since D is linear in the coefficients, B^T W B is
+        1/2 sum_{h,m} dB^T J dB over the rows dB of the lag-differenced
+        basis (sum_m B^T J B for Kepler).  Lags h and n - h meet the same
+        pairs, so only the lags h <= n/2 are summed, weighted 1 (h = n/2,
+        which meets each pair twice, 1/2); the sum is formed one coordinate
+        pair at a time.  Computed on the first call; read-only.
+        """
+        if self._hessian is None:
+            obj = self._obj
+            Q, dB, weights = obj._second_order()
+            _, _, D, r2 = self._arrays
+            lags = slice(0, dB.shape[0])
+            D, r2 = D[self._row][lags], r2[self._row][lags]
+            alpha, (nb, d) = obj.alpha, (dB.shape[-1], obj.dim)
+            c = (-TWO_PI * alpha / r2.shape[-1]) * weights * r2 ** (-(alpha + 2.0) / 2.0)
+            q = (alpha + 2.0) / r2
+            rows = dB.reshape(-1, nb)
+            pot = np.empty((nb, d, nb, d))
+            for i in range(d):
+                for j in range(i, d):
+                    J = c * (float(i == j) - q * D[..., i] * D[..., j])
+                    pot[:, i, :, j] = pot[:, j, :, i] = rows.T @ (J.reshape(-1, 1) * rows)
+            H = Q + pot.reshape(Q.shape)
+            H = 0.5 * (H + H.T)[np.ix_(obj.free, obj.free)]
+            H.flags.writeable = False
+            self._hessian = H
+        return self._hessian
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues in ascending order, eigenvectors as columns) of
+        :meth:`hessian`; computed on the first call."""
+        if self._spectrum is None:
+            self._spectrum = np.linalg.eigh(self.hessian())
+        return self._spectrum
 
 
 class Objective:
@@ -420,7 +471,9 @@ class Objective:
         self.mask, self._rms_weights = _coordinates(
             self.dim, self.cutoff, symmetry, pin_mean
         )
+        self.free = np.flatnonzero(self.mask)  # indices of the free coordinates
         self._metric = None  # factored on the first metric_direction call
+        self._second = None  # built on the first Hessian
 
     # -- packing ------------------------------------------------------------
 
@@ -507,6 +560,25 @@ class Objective:
         res = self._basis @ acc - (M / TWO_PI) * ev.force()
         return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
 
+    def _second_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, dB, weights) for :meth:`Evaluation.hessian`, built on the
+        first call: the kinetic Hessian Q = L^T diag(w) L, the lag
+        differences of the sample basis for the lags h <= n/2, dB
+        (n // 2, M, 2K + 1) (the basis itself as the one lag of the Kepler
+        term), and the weight of each lag, shape (n // 2, 1)."""
+        if self._second is None:
+            Q = self._L.T @ (self._w[:, None] * self._L)
+            if self.params is None:
+                dB, weights = self._basis[None], np.ones((1, 1))
+            else:
+                half = self.n // 2
+                dB = lag_differences(self._basis, self.n)[:half]
+                weights = np.ones((half, 1))
+                if self.n % 2 == 0:
+                    weights[-1] = 0.5
+            self._second = Q, dB, weights
+        return self._second
+
     # -- the H^1 metric -----------------------------------------------------
 
     def metric_direction(self, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -518,12 +590,12 @@ class Objective:
         the direction is zero wherever the mask is, and factored (Cholesky,
         P = C C^T) once, on the first call.
         """
+        idx = self.free
         if self._metric is None:
-            idx = np.flatnonzero(self.mask)
             Lm = self._L[:, idx]
             P = Lm.T @ (self._w[:, None] * Lm) + np.eye(idx.size)
-            self._metric = idx, np.linalg.inv(np.linalg.cholesky(P))
-        idx, C_inv = self._metric
+            self._metric = np.linalg.inv(np.linalg.cholesky(P))
+        C_inv = self._metric
         z = C_inv @ g[idx]
         direction = np.zeros(g.shape)
         direction[idx] = C_inv.T @ z

@@ -297,6 +297,15 @@ def body_trajectories(loop: FourierLoop, params: SystemParams) -> list[FourierLo
     return [loop.shift(i * params.tau) for i in range(params.n)]
 
 
+def body_samples(samples: np.ndarray, n: int) -> np.ndarray:
+    """The n bodies' samples (n, M, d) from one loop's grid samples (M, d),
+    M a multiple of n: body i samples x(t_j + i tau) = x(t_{j + i M/n}),
+    the sample array rolled by i M/n rows."""
+    M = samples.shape[0]
+    rows = (np.arange(M) + (M // n) * np.arange(n)[:, None]) % M
+    return samples[rows]
+
+
 def rotate_winding(loop: FourierLoop, m: int) -> "FourierLoop":
     """Multiply the (0,1)-plane components by e^{J m t}, J counterclockwise.
 
@@ -622,7 +631,7 @@ def samples_csv(
     """CSV of body samples: columns t, then x_1..x_d for every body."""
     M = resolve_grid_size(loop.cutoff, params.n, grid_size)
     t = np.arange(M) * (TWO_PI / M)
-    bodies = [b.sample(M) for b in body_trajectories(loop, params)]
+    bodies = body_samples(loop.sample(M), params.n)
     header = ["t"] + [
         f"b{i}_x{c + 1}" for i in range(params.n) for c in range(params.d)
     ]

@@ -39,12 +39,14 @@ pair of consecutive nodes whose basin probes relax into different endpoint
 basins brackets the basin boundary, and bisection of that segment pins a
 point on the boundary to relative accuracy (its first probe starts from
 the midpoint evaluation above).  A probe is
-:func:`optimize.descend` in the H^1 metric, run down to gradient norm 1e-4
-(at most 800 iterations), and is classified by the nearer endpoint.
+:func:`optimize.descend` in the H^1 metric, with its guarded Newton finish,
+run down to gradient norm 1e-4 (at most 800 iterations), and is classified
+by the nearer endpoint.
 
 Refinement phase.  Eigenvector-following Newton from the boundary point: the
-finite-difference Hessian is diagonalised, the lowest eigenvalue is kept (or
-forced) negative and all remaining eigenvalues are replaced by their floored
+exact Hessian (:meth:`action.Evaluation.hessian`, from the point's own
+evaluation) is diagonalised, the lowest eigenvalue is kept (or forced)
+negative and all remaining eigenvalues are replaced by their floored
 absolute values, so the step moves toward an index-1 stationary point while
 symmetry zero modes stay inert; a trust region adapted on gradient-norm
 decrease stabilises the far field.  Near the saddle exactly one eigenvalue
@@ -53,8 +55,8 @@ Newton with quadratic convergence.  Starting on the basin boundary matters:
 started inside a basin, the same iteration can drain to a minimum, so a
 refinement that drains or stalls is retried once from the maximal node, and
 the retry is kept when it ends above the endpoints and the first did not,
-or reaches a smaller gradient above them.  The Hessian's 2 nfree gradient
-columns at x +- h e_i are one stacked evaluation.
+or reaches a smaller gradient above them.  The result reports the Morse
+index of the refined point, which is 1 at both criterion-7 saddles.
 
 Interpolated nodes that would collide are repaired by escalating transverse
 offsets; if the repair budget is exhausted the offending segment is
@@ -121,7 +123,6 @@ _ENDPOINT_TOL = 1e-5  # endpoints must be critical to this gradient norm
 _PROBE = DescentConfig(grad_tol=1e-4, max_iters=800)
 _BISECT_TOL = 1e-6  # relative length of the bracketing segment
 _MAX_REFINE_ITERS = 120
-_FD_STEP = 1e-6  # relative central-difference step of the refine Hessian
 
 
 @dataclass
@@ -393,27 +394,6 @@ def _bisect_to_boundary(
 # eigenvector-following refinement
 
 
-def _fd_hessian(obj: Objective, vec: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of the gradient, all 2 nfree columns
-    vec + h e_0, vec - h e_0, vec + h e_1, ... in one stacked evaluation.
-
-    A colliding column raises the :class:`CollisionError` of the first
-    colliding column in that order.
-    """
-    idx = np.flatnonzero(obj.mask)
-    E = np.zeros((idx.size, vec.size))
-    E[np.arange(idx.size), idx] = h
-    cols = np.stack([vec + E, vec - E], axis=1).reshape(-1, vec.size)
-    evs = obj.evaluate_batch(cols)
-    if None in evs:
-        obj.evaluate(cols[evs.index(None)])  # raises that column's error
-    H = np.empty((idx.size, idx.size))
-    for col in range(idx.size):
-        gp, gm = evs[2 * col].gradient(), evs[2 * col + 1].gradient()
-        H[:, col] = (gp - gm)[idx] / (2.0 * h)
-    return 0.5 * (H + H.T)
-
-
 def _refine(
     obj: Objective, vec: np.ndarray, cfg: MountainPassConfig, ev: Evaluation | None
 ) -> tuple[np.ndarray, Evaluation, float, int]:
@@ -424,36 +404,30 @@ def _refine(
     its Hessian, unchanged.
     """
     x = vec.copy()
-    idx = np.flatnonzero(obj.mask)
     if ev is None:
         ev = obj.evaluate(x)
     g = ev.gradient()
     gnorm = float(np.linalg.norm(g))
     radius = _STEP
-    moved = True
     for it in range(1, _MAX_REFINE_ITERS + 1):
         if gnorm < cfg.saddle_tol:
             return x, ev, gnorm, it - 1
-        if moved:
-            scale = max(1.0, float(np.linalg.norm(x)))
-            H = _fd_hessian(obj, x, _FD_STEP * scale)
-            evals, evecs = np.linalg.eigh(H)
-            floor = max(1e-4 * float(np.max(np.abs(evals))), 1e-10)
-            lam = evals.copy()
-            lam[0] = min(lam[0], -floor)  # kept negative: move toward the saddle
-            lam[1:] = np.maximum(np.abs(lam[1:]), floor)  # all others: descend
-        coeff = evecs.T @ g[idx]
+        evals, evecs = ev.spectrum()
+        floor = max(1e-4 * float(np.max(np.abs(evals))), 1e-10)
+        lam = evals.copy()
+        lam[0] = min(lam[0], -floor)  # kept negative: move toward the saddle
+        lam[1:] = np.maximum(np.abs(lam[1:]), floor)  # all others: descend
+        coeff = evecs.T @ g[obj.free]
         step_r = -(evecs @ (coeff / lam))
         norm = float(np.linalg.norm(step_r))
         if norm > radius:
             step_r *= radius / norm
         step = np.zeros_like(x)
-        step[idx] = step_r
+        step[obj.free] = step_r
         cand = x + step
         ev_c = _node_eval(obj, cand)
         gcn = math.inf if ev_c is None else float(np.linalg.norm(ev_c.gradient()))
-        moved = gcn < gnorm
-        if moved:
+        if gcn < gnorm:
             x, ev, g, gnorm = cand, ev_c, ev_c.gradient(), gcn
             radius = min(radius * 2.0, 10.0 * _STEP)
         else:

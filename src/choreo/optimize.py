@@ -27,16 +27,35 @@ t = 1 is the exact step there, and t >= 2 no longer contracts them.  Without
 the bound the doubling settles on t = 2, and the winding-2 circle at
 (5, 1, 2.1) needs about 1 500 iterations instead of about 130.
 
-No momentum and no quasi-Newton acceleration: the selected minimizer should
-be the one reached by the H^1 descent flow from the given start.  That flow
-is not the Euclidean one, and from some starts of the non-rigid (6, 1, 1.8)
-case it reaches another non-rigid state.  A metric step can be long, so its
-displacement is capped at 5% of max(1, rms) of the loop; without the cap,
-starts of that case jump into other basins than the flow reaches.  The cap
-scales with the loop, so a minimizing sequence that escapes to infinity
-grows geometrically and reaches the escape threshold in a bounded number of
-iterations.  Convergence is still judged on the Euclidean norm of the
-coefficient gradient.
+No momentum: the selected minimizer should be the one reached by the H^1
+descent flow from the given start.  That flow is not the Euclidean one, and
+from some starts of the non-rigid (6, 1, 1.8) case it reaches another
+non-rigid state.  A metric step can be long, so its displacement is capped
+at 5% of max(1, rms) of the loop; without the cap, starts of that case jump
+into other basins than the flow reaches.  The cap scales with the loop, so
+a minimizing sequence that escapes to infinity grows geometrically and
+reaches the escape threshold in a bounded number of iterations.
+Convergence is still judged on the Euclidean norm of the coefficient
+gradient.
+
+The metric step converges linearly, so the descent finishes with a guarded
+Newton step on the exact Hessian (:meth:`action.Evaluation.hessian`; Simó's
+Newton iteration on Fourier coefficients, safeguarded as in Nocedal &
+Wright, ch. 4).  It is tried at iterations 8, 16, 32, ... and after every
+accepted Newton step.  The step inverts the Hessian on its eigenvectors with
+eigenvalues above tau = max(1e-6 max|lam|, |g|), so zero modes and
+directions flatter than the gradient are left alone, and it is taken only
+where no eigenvalue lies below -tau, its displacement is within the metric
+step's cap, it passes the Armijo test and it at least halves the gradient
+norm.  The last test keeps an escaping run escaping: without it both
+escape runs of the benchmark settle and never leave.  Otherwise the
+iteration takes the metric step.  The guards keep the Newton step inside
+the basin in all but a few starts: of the 30 (6, 1, 1.8) K=12 starts of
+seeds 0-29, seed 13 ends at the 10.746 state instead of the 6.793 one.
+
+Every result reports the Morse index of its final point and the number of
+zero modes, from the eigenvalues of the exact Hessian on the free
+coordinates (:meth:`SearchResult.at`).
 
 Escape detection: non-attained infima are approached by loops whose spatial
 extent diverges while the action still decreases.  A run is flagged
@@ -65,6 +84,7 @@ from .loops import (
     LoopDiagnostics,
     SymmetryGroup,
     SystemParams,
+    body_samples,
     check_discretisation,
     diagnostics as loop_diagnostics,
     project_symmetry,
@@ -127,6 +147,11 @@ class SearchResult:
 
     ``value_evals`` and ``grad_evals`` are the objective's value stages
     (collisions included) and completed gradients over the whole search.
+    ``morse_index`` and ``zero_modes`` count the eigenvalues of the exact
+    Hessian (on the free coordinates) below -``zero_threshold`` and within
+    it; the threshold is 1e-6 of the largest |eigenvalue|.  Time shifts
+    are symmetries of the grid action only in steps of 2 pi / M, so the
+    zero modes are counted by the threshold, not assumed.
     """
 
     loop: FourierLoop
@@ -137,6 +162,9 @@ class SearchResult:
     diagnostics: LoopDiagnostics
     value_evals: int
     grad_evals: int
+    morse_index: int
+    zero_modes: int
+    zero_threshold: float
 
     @classmethod
     def at(cls, obj: Objective, vec: np.ndarray, ev: Evaluation, **fields):
@@ -144,8 +172,10 @@ class SearchResult:
         evaluation is ``ev``; ``fields`` are ``converged`` and the
         subclass's own.  The diagnostics read ``ev``'s samples and
         separation (a Kepler record's is the distance of the body to the
-        center)."""
+        center); the index and zero modes read its Hessian."""
         loop = obj.unpack(vec)
+        evals = np.linalg.eigvalsh(ev.hessian())
+        zero = _ZERO_MODE * float(np.max(np.abs(evals)))
         return cls(
             loop=loop,
             action=ActionValue(ev.kinetic, ev.potential, obj.grid_size),
@@ -154,6 +184,9 @@ class SearchResult:
             diagnostics=loop_diagnostics(ev.samples, loop.mean, ev.separation),
             value_evals=obj.counts.value_evals,
             grad_evals=obj.counts.grad_evals,
+            morse_index=int(np.count_nonzero(evals < -zero)),
+            zero_modes=int(np.count_nonzero(np.abs(evals) <= zero)),
+            zero_threshold=zero,
             **fields,
         )
 
@@ -165,12 +198,16 @@ class SearchResult:
             "converged": self.converged,
             "value_evals": self.value_evals,
             "grad_evals": self.grad_evals,
+            "morse_index": self.morse_index,
+            "zero_modes": self.zero_modes,
+            "zero_threshold": self.zero_threshold,
         }
 
 
 @dataclass(frozen=True)
 class MinimizeResult(SearchResult):
     iters: int
+    newton_steps: int  # iterations that took the guarded Newton step
     collision_rejects: int  # trials rejected by the collision guard
     clusters: ClusterReport | None
     escaped_to_infinity: bool
@@ -181,6 +218,7 @@ class MinimizeResult(SearchResult):
         return {
             **super().as_dict(),
             "iters": self.iters,
+            "newton_steps": self.newton_steps,
             "collision_rejects": self.collision_rejects,
             "clusters": self.clusters.as_dict() if self.clusters else None,
             "escaped_to_infinity": self.escaped_to_infinity,
@@ -202,6 +240,12 @@ _MIN_STEP = 1e-16
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _ESCAPE_WINDOW = 200  # iterations of monotone rms growth before an escape
+# a Newton step is tried at iterations 8, 16, 32, ... and after every
+# accepted one; it must at least halve the gradient norm
+_NEWTON_FIRST = 8
+_NEWTON_CONTRACTION = 0.5
+# an eigenvalue of the Hessian is zero within this fraction of the largest
+_ZERO_MODE = 1e-6
 
 
 @dataclass
@@ -209,23 +253,70 @@ class _DescentOutcome:
     vec: np.ndarray
     ev: Evaluation  # of ``vec``
     iters: int
+    newton_steps: int
     converged: bool
     escaped: bool
     abort_reason: str | None
     history: list
 
 
+def _newton(
+    obj: Objective, x: np.ndarray, ev: Evaluation, gnorm: float, cap: float, noise: float
+) -> tuple[np.ndarray, Evaluation] | None:
+    """The guarded Newton iterate from ``x`` (evaluation ``ev``, gradient
+    norm ``gnorm``) with its evaluation, or None where a guard refuses it.
+
+    The step is -sum (v^T g / lam) v over the eigenpairs of the Hessian on
+    the free coordinates with lam > tau = max(1e-6 max|lam|, |g|): zero
+    modes and directions flatter than the gradient are left to the metric
+    step.  It is refused when an eigenvalue lies below -tau (not a basin),
+    when its rms exceeds ``cap``, when the iterate collides or fails the
+    Armijo test (with the descent's ``noise`` slack), or when it does not
+    halve the gradient norm.
+    """
+    g = ev.gradient()
+    evals, evecs = ev.spectrum()
+    tau = max(_ZERO_MODE * float(np.max(np.abs(evals))), gnorm)
+    if evals[0] < -tau:
+        return None
+    keep = evals > tau
+    v = evecs[:, keep]
+    step = np.zeros(x.shape)
+    step[obj.free] = -(v @ ((v.T @ g[obj.free]) / evals[keep]))
+    if obj.rms(step) > cap:
+        return None
+    trial = x + step
+    try:
+        trial_ev = obj.evaluate(trial)
+    except CollisionError:
+        return None
+    if (
+        trial_ev.value > ev.value + _ARMIJO * float(g @ step) + noise
+        or _norm(trial_ev.gradient()) > _NEWTON_CONTRACTION * gnorm
+    ):
+        return None
+    return trial, trial_ev
+
+
 def descend(
     obj: Objective, x0: np.ndarray, cfg: DescentConfig, ev: Evaluation | None = None
 ) -> _DescentOutcome:
-    """Armijo-backtracked descent along -P^-1 g in the kinetic metric.
+    """Armijo-backtracked descent along -P^-1 g in the kinetic metric, with
+    a guarded Newton finish.
 
     The step length t multiplies P^-1 g.  Each iteration first caps it so
     that the displacement's rms is at most 5% of max(1, rms) of the loop,
     and logs it (the ``step`` column of ``iterations.csv`` is this first
-    trial step, not a step along -g); it doubles, up to 1, after a step
-    whose actual decrease f - f_trial exceeds the float resolution of f.
-    Convergence is the Euclidean gradient norm below ``grad_tol``.
+    trial step, not a step along -g, also on a Newton iteration); it
+    doubles, up to 1, after a metric step whose actual decrease
+    f - f_trial exceeds the float resolution of f.  Convergence is the
+    Euclidean gradient norm below ``grad_tol``.
+
+    At iterations 8, 16, 32, ... and after every accepted Newton step the
+    iteration first tries the guarded Newton step of :func:`_newton`, under
+    the same displacement cap; a refused one leaves the iteration to the
+    metric step.  A Newton step is one iteration, with the same rms and
+    escape bookkeeping.
 
     Escape is declared when the loop's rms norm exceeds ``escape_factor``
     times max(1, initial rms) after growing monotonically (to rounding) over
@@ -233,8 +324,8 @@ def descend(
     by construction, which completes the non-attainment signature.
 
     Each trial is one value stage; the value and gradient at an accepted
-    point are taken from its trial's evaluation, so a step completes one
-    gradient and evaluates nothing twice.  ``ev`` is the evaluation of
+    point are taken from its trial's evaluation, so a metric step completes
+    one gradient and evaluates nothing twice.  ``ev`` is the evaluation of
     ``x0`` when the caller has it (a masked ``x0``); the start is then not
     evaluated again.  The work is counted in ``obj.counts`` alone.
     """
@@ -248,14 +339,16 @@ def descend(
     growth_streak = 0
     history: list = []
     abort = None
-    converged = escaped = False
+    converged = escaped = newton = False
+    newton_steps = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
         gnorm = _norm(g)
         converged = gnorm < cfg.grad_tol
         if not converged:  # g != 0, so the direction is too
             direction, slope = obj.metric_direction(g)
-            t = min(t, _STEP_CAP * max(1.0, rms) / obj.rms(direction))
+            cap = _STEP_CAP * max(1.0, rms)
+            t = min(t, cap / obj.rms(direction))
         if cfg.log_every and (it % cfg.log_every == 0 or it == 1):
             history.append((it, f, gnorm, t))
         if converged:
@@ -267,38 +360,47 @@ def descend(
         # resolution of f; allow that much slack (stays within the 1e-12
         # per-step monotonicity contract)
         noise = 1e-13 * max(1.0, abs(f))
-        accepted = False
-        while t >= _MIN_STEP:
-            trial = x - t * direction
-            try:
-                trial_ev = obj.evaluate(trial)
-            except CollisionError:
-                trial_ev = None
-            if trial_ev is not None and trial_ev.value <= f - _ARMIJO * t * slope + noise:
-                accepted = True
+        if newton or (it >= _NEWTON_FIRST and it & (it - 1) == 0):
+            iterate = _newton(obj, x, ev, gnorm, cap, noise)
+            newton = iterate is not None
+        if newton:
+            newton_steps += 1
+            x, ev = iterate
+            f, g = ev.value, ev.gradient()
+        else:
+            accepted = False
+            while t >= _MIN_STEP:
+                trial = x - t * direction
+                try:
+                    trial_ev = obj.evaluate(trial)
+                except CollisionError:
+                    trial_ev = None
+                if trial_ev is not None and trial_ev.value <= f - _ARMIJO * t * slope + noise:
+                    accepted = True
+                    break
+                t *= _BACKTRACK
+            if not accepted:
+                abort = "no feasible descent step above the minimum step size"
                 break
-            t *= _BACKTRACK
-        if not accepted:
-            abort = "no feasible descent step above the minimum step size"
-            break
-        # the step grows only on a decrease that f resolves: the Armijo term
-        # itself can sit below the noise while the actual decrease does not
-        measurable = f - trial_ev.value > noise
-        x, ev = trial, trial_ev
-        f, g = ev.value, ev.gradient()
+            # the step grows only on a decrease that f resolves: the Armijo
+            # term itself can sit below the noise while the actual decrease
+            # does not
+            measurable = f - trial_ev.value > noise
+            x, ev = trial, trial_ev
+            f, g = ev.value, ev.gradient()
+            if measurable:
+                t = min(t * 2.0, _MAX_STEP)
+            elif _norm(g) > gnorm:
+                # noise-floor regime: an overshooting step is invisible to
+                # the Armijo test, so stabilise on the gradient norm instead
+                t *= _BACKTRACK
         new_rms = obj.rms(x)
         growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
         rms = new_rms
-        if measurable:
-            t = min(t * 2.0, _MAX_STEP)
-        elif _norm(g) > gnorm:
-            # noise-floor regime: an overshooting step is invisible to the
-            # Armijo test, so stabilise on the gradient norm instead
-            t *= _BACKTRACK
     else:
         abort = "iteration budget exhausted"
         it = cfg.max_iters
-    return _DescentOutcome(x, ev, it, converged, escaped, abort, history)
+    return _DescentOutcome(x, ev, it, newton_steps, converged, escaped, abort, history)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +453,7 @@ def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> MinimizeRes
         out.ev,
         converged=out.converged,
         iters=out.iters,
+        newton_steps=out.newton_steps,
         collision_rejects=obj.counts.collisions,
         clusters=clusters,
         escaped_to_infinity=out.escaped,
@@ -415,7 +518,7 @@ def detect_clusters(
     intra-cluster lags must then be exactly the multiples of some divisor j
     of n; otherwise the split is rejected and a single cluster reported.
     """
-    n, M = r2.shape[0] + 1, samples.shape[0]
+    n = r2.shape[0] + 1
     profile = np.mean(np.sqrt(r2), axis=1)
 
     order = np.argsort(profile)
@@ -451,8 +554,7 @@ def detect_clusters(
 
     k_tilde = n // j
     assignment = tuple(i % j for i in range(n))
-    # body i samples x(t_j + i tau), the samples rolled by i M/n rows
-    bodies = [np.roll(samples, -i * (M // n), axis=0) for i in range(n)]
+    bodies = body_samples(samples, n)
     drift = []
     for c in range(j):
         members = [bodies[i] for i in range(n) if i % j == c]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loops import FourierLoop, SystemParams, body_trajectories, resolve_grid_size
+from .loops import FourierLoop, SystemParams, body_samples, resolve_grid_size
 
 # Canvas edge in pixels, the margin around the curves as a fraction of
 # their extent, the background colour, and the coordinate plane drawn.
@@ -75,15 +75,20 @@ def curves_svg(curves) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _body_curves(loop: FourierLoop, n: int, width: float, opacity: float) -> list:
+    """The n body curves of ``loop`` on its default grid, projected on the
+    rotation plane, one stroke color per body; the loop is sampled once."""
+    M = resolve_grid_size(loop.cutoff, n, None)
+    bodies = body_samples(loop.sample(M)[:, _PLANE], n)
+    return [
+        (pts, PALETTE[i % len(PALETTE)], width, opacity) for i, pts in enumerate(bodies)
+    ]
+
+
 def orbit_svg(loop: FourierLoop, params: SystemParams) -> str:
     """All n body curves projected on the rotation plane, one stroke color
     per body."""
-    M = resolve_grid_size(loop.cutoff, params.n, None)
-    curves = []
-    for i, body in enumerate(body_trajectories(loop, params)):
-        pts = body.sample(M)[:, _PLANE]
-        curves.append((pts, PALETTE[i % len(PALETTE)], 2.0, 0.95))
-    return curves_svg(curves)
+    return curves_svg(_body_curves(loop, params.n, 2.0, 0.95))
 
 
 def saddle_svg(
@@ -94,12 +99,5 @@ def saddle_svg(
     """Endpoint orbits (faint) with the saddle candidate overlaid."""
     curves = []
     for end in endpoints:
-        M = resolve_grid_size(end.cutoff, params.n, None)
-        for i, body in enumerate(body_trajectories(end, params)):
-            pts = body.sample(M)[:, _PLANE]
-            curves.append((pts, PALETTE[i % len(PALETTE)], 1.0, 0.30))
-    M = resolve_grid_size(saddle.cutoff, params.n, None)
-    for i, body in enumerate(body_trajectories(saddle, params)):
-        pts = body.sample(M)[:, _PLANE]
-        curves.append((pts, PALETTE[i % len(PALETTE)], 2.5, 1.0))
-    return curves_svg(curves)
+        curves += _body_curves(end, params.n, 1.0, 0.30)
+    return curves_svg(curves + _body_curves(saddle, params.n, 2.5, 1.0))

@@ -14,6 +14,7 @@ stated and is expected to fail; the printed table shows the computed widths.
 import json
 import math
 import time
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -53,6 +54,15 @@ TWO_PI = 2.0 * math.pi
 
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
+
+
+def signatures(results) -> str:
+    """How many results have each Morse index and zero-mode count, as
+    "index/zero modes x count"."""
+    tally = Counter((r.morse_index, r.zero_modes) for r in results)
+    return "index/zero modes " + ", ".join(
+        f"{i}/{z} x{c}" for (i, z), c in sorted(tally.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +216,10 @@ def test_criterion_4_rotating_regimes():
 
     # (3, 1, 0.5): circle of period 2 pi
     r = classify(3, 1.0, 0.5)
-    good = sum(_circle_case(3, 1.0, 0.5, -1, s)[0] for s in seeds)
+    runs = [_circle_case(3, 1.0, 0.5, -1, s) for s in seeds]
+    good = sum(ok for ok, _ in runs)
     case_ok = r.regime == ROTATING_CIRCLE and r.predicted_winding == 1 and good >= 19
-    summary.append(f"(3,1,0.5) circle 2pi: {good}/20")
+    summary.append(f"(3,1,0.5) circle 2pi: {good}/20, {signatures(r for _, r in runs)}")
     all_ok &= case_ok
 
     # (3, 1, 1.5): tied families, periods 2 pi and pi
@@ -216,26 +227,32 @@ def test_criterion_4_rotating_regimes():
     tie_ok = r.regime == ROTATING_CIRCLE and r.tied_windings is not None
     pred = predicted_circle(3, 1.0, 1.5)
     good = 0
+    results = []
     for s in seeds:
         ok1, res1 = _circle_case(3, 1.0, 1.5, -1, s)
         ok2, res2 = _circle_case(3, 1.0, 1.5, -2, 1000 + s)
         equal = abs(res1.action.total - res2.action.total) < 1e-6 * pred.action
         match = abs(res1.action.total - pred.action) < 1e-6 * pred.action
         good += ok1 and ok2 and equal and match
+        results += [res1, res2]
     case_ok = tie_ok and good >= 19
-    summary.append(f"(3,1,1.5) tied circles: {good}/20")
+    summary.append(f"(3,1,1.5) tied circles: {good}/20, {signatures(results)}")
     all_ok &= case_ok
 
     # (5, 1, 2.1): winding-2 circle
     r = classify(5, 1.0, 2.1)
-    good = sum(_circle_case(5, 1.0, 2.1, -2, s)[0] for s in seeds)
+    runs = [_circle_case(5, 1.0, 2.1, -2, s) for s in seeds]
+    good = sum(ok for ok, _ in runs)
     case_ok = r.regime == ROTATING_CIRCLE and r.predicted_winding == 2 and good >= 19
-    summary.append(f"(5,1,2.1) winding-2 circle: {good}/20")
+    summary.append(
+        f"(5,1,2.1) winding-2 circle: {good}/20, {signatures(r for _, r in runs)}"
+    )
     all_ok &= case_ok
 
     # (5, 1, 3.0): non-attainment, escape
     r = classify(5, 1.0, 3.0)
     good = 0
+    results = []
     for s in seeds:
         p = SystemParams(n=5, alpha=1.0, omega=3.0)
         init = init_circle(p, -3, 1.2, noise=0.05, seed=s, cutoff=4)
@@ -243,13 +260,15 @@ def test_criterion_4_rotating_regimes():
             p, init, DescentConfig(cutoff=4, grid_size=40, escape_factor=10.0)
         )
         good += res.escaped_to_infinity and not res.converged
+        results.append(res)
     case_ok = r.regime == NO_MINIMUM_COPRIME_INT and good >= 19
-    summary.append(f"(5,1,3.0) escape: {good}/20")
+    summary.append(f"(5,1,3.0) escape: {good}/20, {signatures(results)}")
     all_ok &= case_ok
 
     # (6, 1, 2.0): non-attainment with clusters
     r = classify(6, 1.0, 2.0)
     good = 0
+    results = []
     for s in seeds:
         p = SystemParams(n=6, alpha=1.0, omega=2.0)
         init = init_circle(p, -2, 1.0, noise=0.08, seed=s, cutoff=5)
@@ -257,12 +276,13 @@ def test_criterion_4_rotating_regimes():
             p, init, DescentConfig(cutoff=5, grid_size=48, escape_factor=10.0)
         )
         good += res.escaped_to_infinity and not res.converged
+        results.append(res)
     case_ok = (
         r.regime == INF_NOT_ATTAINED_CLUSTER
         and r.cluster_shape == (3, 2)
         and good >= 19
     )
-    summary.append(f"(6,1,2.0) escape: {good}/20")
+    summary.append(f"(6,1,2.0) escape: {good}/20, {signatures(results)}")
     all_ok &= case_ok
 
     # escape runs surface as exit code 2 through the CLI
@@ -280,10 +300,12 @@ def test_criterion_4_rotating_regimes():
     # the qualitative 1e-4 -- every structural diagnostic is settled there.
     r = classify(6, 1.0, 1.8)
     good = 0
+    results = []
     for s in seeds:
         p = SystemParams(n=6, alpha=1.0, omega=1.8)
         init = init_circle(p, -2, 1.0, noise=0.08, seed=s, cutoff=12)
         res = minimize(p, init, DescentConfig(cutoff=12, grad_tol=1e-4))
+        results.append(res)
         d = res.diagnostics
         cl = res.clusters
         good += (
@@ -300,7 +322,7 @@ def test_criterion_4_rotating_regimes():
         and r.cluster_shape == (3, 2)
         and good >= 19
     )
-    summary.append(f"(6,1,1.8) non-rigid clusters: {good}/20")
+    summary.append(f"(6,1,1.8) non-rigid clusters: {good}/20, {signatures(results)}")
     all_ok &= case_ok
 
     elapsed = time.time() - t0
@@ -466,6 +488,7 @@ def test_criterion_7_mountain_pass():
     )
     # regression constant recorded at first build (cutoff 16, default grid)
     case1_ok &= abs(res.action.total - 6.2784495435) < 1e-5
+    case1_ok &= res.morse_index == 1
 
     # the planar eight as a saddle of the symmetric three-dimensional search
     K = 20
@@ -502,6 +525,7 @@ def test_criterion_7_mountain_pass():
     )
     # regression constant recorded at first build (cutoff 20, default grid)
     eight_ok &= abs(res8.action.total - 8.1239754945) < 1e-5
+    eight_ok &= res8.morse_index == 1
 
     elapsed = time.time() - t0
     ok = case1_ok and eight_ok and elapsed < 600.0
@@ -510,9 +534,10 @@ def test_criterion_7_mountain_pass():
         ok,
         f"(3,1,1.5) saddle: grad {res.grad_norm:.1e}, action {res.action.total:.6f} "
         f"(endpoints {res.endpoint_actions[0]:.6f}), min sep "
-        f"{d.min_separation:.3f}; eight: grad {res8.grad_norm:.1e}, action "
-        f"{res8.action.total:.6f}, sup|x3| {float(np.max(np.abs(X[:, 2]))):.1e}, "
-        f"lobe sign changes {lobe_changes}; elapsed {elapsed:.0f}s",
+        f"{d.min_separation:.3f}, {signatures([res])}; eight: grad "
+        f"{res8.grad_norm:.1e}, action {res8.action.total:.6f}, sup|x3| "
+        f"{float(np.max(np.abs(X[:, 2]))):.1e}, lobe sign changes {lobe_changes}, "
+        f"{signatures([res8])}; elapsed {elapsed:.0f}s",
     )
     assert case1_ok
     assert eight_ok
@@ -547,6 +572,6 @@ def test_criterion_8_nonplanar_smoke():
         f"best of 10 starts: action {best.action.total:.6f}, planarity "
         f"{planarity:.4f} (> 0.05 required; empirical, not certified); "
         f"{converged}/10 converged to 1e-6 in {min(iters)}..{max(iters)} "
-        f"iterations; elapsed {elapsed:.0f}s",
+        f"iterations, {signatures(results)}; elapsed {elapsed:.0f}s",
     )
     assert ok

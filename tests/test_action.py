@@ -19,7 +19,13 @@ from choreo.action import (
     rotating_action,
     velocity_map,
 )
-from choreo.loops import FourierLoop, SystemParams, pack_coefficients, rotate_winding
+from choreo.loops import (
+    EIGHT3D,
+    FourierLoop,
+    SystemParams,
+    pack_coefficients,
+    rotate_winding,
+)
 from choreo.optimize import Objective
 from choreo.verify import random_loop
 
@@ -400,6 +406,60 @@ def test_kepler_gradient_finite_difference(rng):
             arr[idx] += eps
             fd = (up - dn) / (2 * eps)
             assert abs(fd - grad[idx]) < 1e-6 * max(1.0, abs(fd))
+
+
+def fd_hessian_by_columns(obj, vec, h):
+    """Central differences one gradient at a time: +e_0, -e_0, +e_1, ...,
+    on the free coordinates."""
+    idx = np.flatnonzero(obj.mask)
+    H = np.zeros((idx.size, idx.size))
+    for col, i in enumerate(idx):
+        e = np.zeros_like(vec)
+        e[i] = h
+        _, gp = obj.value_and_grad(vec + e)
+        _, gm = obj.value_and_grad(vec - e)
+        H[:, col] = (gp - gm)[idx] / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+# (n, d, alpha, omega, cutoff, symmetry); n = None is the Kepler term
+HESSIAN_CASES = [
+    (3, 2, 1.0, 0.0, 6, None),
+    (5, 2, 1.0, 2.1, 6, None),
+    (4, 3, 2.0, 0.0, 5, None),  # n even: the lag n/2 meets each pair twice
+    (6, 3, 1.0, 1.8, 4, None),
+    (3, 2, 2.0, 1.5, 8, None),
+    (None, 2, 1.0, 0.0, 5, None),
+    (None, 3, 2.0, 0.0, 4, None),
+    (3, 3, 1.0, 0.0, 8, EIGHT3D),
+]
+
+
+def test_hessian_equals_central_differences(rng):
+    # the exact Hessian against central differences of the exact gradient,
+    # on the free coordinates; symmetric, read-only, and formed from the
+    # value stage's arrays without another kernel call
+    for n, d, alpha, omega, K, symmetry in HESSIAN_CASES:
+        if n is None:
+            obj = Objective(None, cutoff=K, alpha=alpha, dim=d)
+            loop = circle(1.0, dim=d, cutoff=K)
+        else:
+            p = SystemParams(n=n, d=d, alpha=alpha, omega=omega)
+            obj = Objective(p, cutoff=K, symmetry=symmetry)
+            loop = random_loop(rng, p, cutoff=K)
+        vec = obj.pack(loop)
+        vec += 0.02 * np.where(obj.mask, rng.standard_normal(vec.size), 0.0)
+        ev = obj.evaluate(vec)
+        calls = obj.counts.kernel_calls
+        H = ev.hessian()
+        assert obj.counts.kernel_calls == calls
+        assert ev.hessian() is H and not H.flags.writeable
+        assert H.shape == (obj.free.size,) * 2 and np.array_equal(H, H.T)
+        ref = fd_hessian_by_columns(obj, vec, 1e-5)
+        err = float(np.max(np.abs(H - ref)))
+        assert err <= 1e-7 * float(np.max(np.abs(ref))), (n, d, alpha, omega, err)
+        evals, evecs = ev.spectrum()
+        assert np.allclose(evecs @ np.diag(evals) @ evecs.T, H, atol=1e-10 * evals.max())
 
 
 # ---------------------------------------------------------------------------

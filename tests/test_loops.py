@@ -8,6 +8,7 @@ from choreo.loops import (
     EIGHT3D,
     FourierLoop,
     SystemParams,
+    body_samples,
     body_trajectories,
     diagnostics,
     lag_differences,
@@ -399,6 +400,37 @@ def test_samples_csv_shape():
     assert header[0] == "t"
     assert len(header) == 1 + p.n * p.d
     assert len(lines) == 1 + 16
+
+
+def test_artifacts_sample_each_loop_once(rng, monkeypatch):
+    # samples.csv and the svg plots sample each loop once and take body i
+    # as the samples rolled by i M/n rows: body 0 is the loop's samples bit
+    # for bit, every body the shifted loop's samples to rounding
+    from choreo import svgplot
+
+    calls = []
+    sample = FourierLoop.sample
+
+    def counted(self, M):
+        calls.append(M)
+        return sample(self, M)
+
+    p = SystemParams(n=3)
+    loop, other = random_loop(rng, K=4), random_loop(rng, K=4)
+    M = resolve_grid_size(loop.cutoff, p.n, None)
+    X = loop.sample(M)
+    bodies = body_samples(X, p.n)
+    assert bodies.shape == (p.n, M, 2) and np.array_equal(bodies[0], X)
+    for i, shifted in enumerate(body_trajectories(loop, p)):
+        assert np.allclose(bodies[i], shifted.sample(M), atol=1e-13)
+    rows = [line.split(",") for line in samples_csv(loop, p).splitlines()[1:]]
+    assert np.array_equal(np.array(rows, float)[:, 1:].reshape(M, p.n, 2), bodies.swapaxes(0, 1))
+    monkeypatch.setattr(FourierLoop, "sample", counted)
+    samples_csv(loop, p)
+    svgplot.orbit_svg(loop, p)
+    assert calls == [M, M]
+    svgplot.saddle_svg(loop, (other, other), p)
+    assert calls == [M] * 5
 
 
 def test_pack_unpack_roundtrip(rng):

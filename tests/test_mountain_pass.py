@@ -11,7 +11,6 @@ from choreo.mountain_pass import (
     MountainPassConfig,
     _basin,
     _descend_node,
-    _fd_hessian,
     _repair,
     _reparametrise,
     initial_path,
@@ -174,9 +173,9 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
     # every node keeps its evaluation: descending a node, re-scoring the
     # path after reparametrisation, the refine trigger, the basin probes of
     # nodes and the refinement never evaluate a vector a second time; the
-    # rows of stacked evaluations (resampled nodes, backtracking ladders,
-    # Hessian columns) count like single ones, and a ladder rung that is
-    # never accepted is still a distinct vector
+    # rows of stacked evaluations (resampled nodes, backtracking ladders)
+    # count like single ones, and a ladder rung that is never accepted is
+    # still a distinct vector
     seen, repeats, calls = set(), [], []
     evaluate, evaluate_batch = Objective.evaluate, Objective.evaluate_batch
 
@@ -308,19 +307,6 @@ def test_blocked_node_step_is_not_evaluated_again():
     assert (obj.counts.value_evals, obj.counts.kernel_calls) == (rows, calls)
 
 
-def fd_hessian_by_columns(obj, vec, h):
-    """Central differences one gradient at a time: +e_0, -e_0, +e_1, ..."""
-    idx = np.flatnonzero(obj.mask)
-    H = np.zeros((idx.size, idx.size))
-    for col, i in enumerate(idx):
-        e = np.zeros_like(vec)
-        e[i] = h
-        _, gp = obj.value_and_grad(vec + e)
-        _, gm = obj.value_and_grad(vec - e)
-        H[:, col] = (gp - gm)[idx] / (2.0 * h)
-    return 0.5 * (H + H.T)
-
-
 def second_difference(obj, vec, direction, eps=1e-4):
     """(A(x + eps v) - 2 A(x) + A(x - eps v)) / eps^2 along the unit vector
     v of ``direction`` under the mask: the curvature from values alone."""
@@ -328,37 +314,6 @@ def second_difference(obj, vec, direction, eps=1e-4):
     d = d / np.linalg.norm(d)
     fp, f0, fm = obj.value(vec + eps * d), obj.value(vec), obj.value(vec - eps * d)
     return (fp - 2.0 * f0 + fm) / (eps * eps)
-
-
-def test_fd_hessian_equals_column_by_column_reference():
-    p = SystemParams(n=3, alpha=1.0, omega=1.5)
-    obj = Objective(p, cutoff=8)
-    end_a, end_b = tied_endpoints(cutoff=8)
-    vec = initial_path(obj, obj.pack(end_a), obj.pack(end_b), tied_config(cutoff=8))[10]
-    h = 1e-6 * max(1.0, float(np.linalg.norm(vec)))
-    assert np.array_equal(_fd_hessian(obj, vec, h), fd_hessian_by_columns(obj, vec, h))
-    eight = Objective(SystemParams(n=3, d=3, alpha=1.0), cutoff=20, symmetry=EIGHT3D)
-    vec = eight.pack(eight_endpoints()[0])
-    H = _fd_hessian(eight, vec, 1e-6)
-    assert np.array_equal(H, fd_hessian_by_columns(eight, vec, 1e-6))
-
-
-def test_fd_hessian_raises_the_first_column_collision():
-    # the Kepler loop (cos t, b sin t + c cos 3t) passes at distance b from
-    # the centre at t = pi/2, a grid node; a step of h = b closes the gap in
-    # several columns, at different separations and nodes, and the first of
-    # them in the order +e_0, -e_0, +e_1, ... is the error raised
-    obj = Objective(None, cutoff=4, alpha=1.0, dim=2)
-    b = 0.5
-    cos, sin = np.zeros((4, 2)), np.zeros((4, 2))
-    cos[0, 0], sin[0, 1], cos[2, 1] = 1.0, b, 0.25
-    vec = obj.pack(FourierLoop(np.zeros(2), cos, sin))
-    with pytest.raises(CollisionError) as ref:
-        fd_hessian_by_columns(obj, vec, b)
-    with pytest.raises(CollisionError) as got:
-        _fd_hessian(obj, vec, b)
-    assert str(got.value) == str(ref.value)
-    assert (got.value.separation, got.value.t) == (ref.value.separation, ref.value.t)
 
 
 def reparametrise_by_targets(path, pin):
@@ -454,25 +409,27 @@ def test_saddle_max_history_monotone(tied_saddle):
         assert b <= a + 1e-10
 
 
-def test_saddle_signature(tied_saddle):
-    # one negative curvature direction, nonnegative elsewhere
-    res, p = tied_saddle
-    obj = Objective(p, cutoff=res.path.cutoff)
-    x = obj.pack(res.loop)
-    H = _fd_hessian(obj, x, 1e-6 * max(1.0, float(np.linalg.norm(x))))
-    evals, evecs = np.linalg.eigh(H)
-    assert evals[0] < -1e-3
-    assert evals[1] > -1e-6  # index exactly one
-    neg_dir = np.zeros_like(x)
-    neg_dir[np.flatnonzero(obj.mask)] = evecs[:, 0]
-    assert second_difference(obj, x, neg_dir) < -1e-3
-    rng = np.random.default_rng(0)
-    nd = neg_dir / np.linalg.norm(neg_dir)
-    for _ in range(20):
-        v = rng.standard_normal(x.size)
-        v = np.where(obj.mask, v, 0.0)
-        v -= (v @ nd) * nd
-        assert second_difference(obj, x, v) >= -1e-4
+def test_saddle_signature(tied_saddle, eight_saddle):
+    # both saddles report index one: one negative eigenvalue of the exact
+    # Hessian; the value-only second differences confirm it independently
+    for (res, p), symmetry in ((tied_saddle, None), (eight_saddle, EIGHT3D)):
+        assert res.morse_index == 1
+        assert res.zero_modes >= 1 and res.zero_threshold > 0.0
+        obj = Objective(p, cutoff=res.path.cutoff, symmetry=symmetry)
+        x = obj.pack(res.loop)
+        evals, evecs = obj.evaluate(x).spectrum()
+        assert evals[0] < -1e-3
+        assert evals[1] >= -res.zero_threshold  # index exactly one
+        neg_dir = np.zeros_like(x)
+        neg_dir[obj.free] = evecs[:, 0]
+        assert second_difference(obj, x, neg_dir) < -1e-3
+        rng = np.random.default_rng(0)
+        nd = neg_dir / np.linalg.norm(neg_dir)
+        for _ in range(20):
+            v = rng.standard_normal(x.size)
+            v = np.where(obj.mask, v, 0.0)
+            v -= (v @ nd) * nd
+            assert second_difference(obj, x, v) >= -1e-4
 
 
 def test_profile_reports_maximum(tied_saddle):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from choreo import loops
+from choreo import cli, loops
 from choreo.action import CollisionError, Evaluation, kinetic_gradient
 from choreo.loops import (
     EIGHT3D,
@@ -405,6 +406,23 @@ def test_winding_two_circle_step_stays_in_the_contracting_range():
     assert max(step for *_, step in res.history) == 1.0
 
 
+def test_newton_finish_converges_quadratically():
+    # without the Newton finish this run takes 133 iterations, most of them
+    # in the linear tail of the metric descent; the Newton step is tried
+    # from iteration 8 and must halve the gradient norm each time
+    p = SystemParams(n=5, alpha=1.0, omega=2.1)
+    init = noisy_circle(p, -2, seed=0, noise=0.05)
+    res = minimize(p, init, DescentConfig(cutoff=6, log_every=1))
+    assert res.converged and res.iters <= 12 and res.newton_steps == 2
+    tail = [gnorm for it, _, gnorm, _ in res.history if it >= 8]
+    assert tail[-1] < 1e-10 and all(b <= 0.5 * a for a, b in zip(tail, tail[1:]))
+    # a minimum, with the zero mode of the rotation / time shift
+    assert (res.morse_index, res.zero_modes) == (0, 1)
+    doc = res.as_dict()
+    assert (doc["newton_steps"], doc["morse_index"], doc["zero_modes"]) == (2, 0, 1)
+    assert doc["zero_threshold"] == res.zero_threshold > 0.0
+
+
 def test_nonplanar_twelve_body_descent_converges():
     # criterion 8, seed 4: plain descent ran out of its 40 000 iterations,
     # and so did the metric step when its step growth required a decrease
@@ -430,6 +448,30 @@ def test_minimize_escape_at_coprime_integer():
     res = minimize(p, init_circle(p, -3, 1.2, noise=0.05, seed=1, cutoff=4), cfg)
     assert res.escaped_to_infinity
     assert not res.converged
+
+
+# the two escape runs of the benchmark's descent workload:
+# (n, omega, winding, radius, noise, cutoff, grid)
+WORKLOAD_ESCAPES = [(5, 3.0, -3, 1.2, 0.05, 4, 40), (6, 2.0, -2, 1.0, 0.08, 5, 48)]
+
+
+def test_escapes_survive_the_newton_finish(tmp_path):
+    # a Newton step is taken only if it halves the gradient norm; without
+    # that test these runs settle on a bounded state and never escape
+    for n, omega, winding, radius, noise, K, M in WORKLOAD_ESCAPES:
+        p = SystemParams(n=n, alpha=1.0, omega=omega)
+        cfg = DescentConfig(cutoff=K, grid_size=M, escape_factor=10.0)
+        for seed in range(5):
+            init = init_circle(p, winding, radius, noise=noise, seed=seed, cutoff=K)
+            res = minimize(p, init, cfg)
+            assert res.escaped_to_infinity and not res.converged, (n, seed)
+    # the command line's non-attainment exit
+    argv = ["minimize", "--n", "5", "--alpha", "1", "--omega", "3", "--harmonics", "4",
+            "--grid", "40", "--seed", "0", "--out", str(tmp_path)]  # fmt: skip
+    assert cli.main(argv) == 2
+    res = json.loads((tmp_path / "orbit.json").read_text())["result"]
+    assert res["escaped_to_infinity"] and not res["converged"]
+    assert res["newton_steps"] >= 0
 
 
 def test_escape_and_converged_mutually_exclusive():
