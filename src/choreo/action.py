@@ -76,7 +76,6 @@ from .loops import (
     FourierLoop,
     SymmetryGroup,
     SystemParams,
-    lag_differences,
     lag_distances,
     pack_coefficients,
     resolve_grid_size,
@@ -269,6 +268,56 @@ def pullback_to_coefficients(force: np.ndarray, cutoff: int) -> np.ndarray:
     return (sample_basis(cutoff, force.shape[0]).T @ force).ravel()
 
 
+@lru_cache(maxsize=16)
+def pullback_gather(cutoff: int, n: int | None) -> np.ndarray:
+    """The gather that turns the lag-and-time DFT of a real
+    grid weight into its Hessian block in the packed basis.  Read-only.
+
+    For a weight J of shape (n-1, M), row h-1 the weight of lag h, the
+    block is sum_{h,m} dB_h[m]^T J[h, m] dB_h[m] over the rows
+    dB_h[m] = B[m] - B[m + h M/n] of the lag-differenced sample basis (in
+    the Kepler case, ``n`` None, J has one row and dB is the basis
+    itself).  In exponentials e^(ikt) the lag shift s_h = 2 pi h / n is
+    diagonal, e^(ik s_h), so entry (k, l) of the block is
+
+        G(k, l) = sum_h (1 - e^(-ik s_h)) (1 - e^(il s_h)) Jh_h(k - l)
+                = F[0, p] + F[p, p] - F[k, p] - F[-l, p],  p = k - l,
+
+    with Jh_h(p) the DFT of row h over the grid and F[q, p] the DFT of
+    Jh(p) over the lags h = 0..n-1 (lag 0 weighs nothing), rows mod n and
+    columns p + 2K for |p| <= 2K; only F[0, p] in the Kepler case.  For
+    k = 0..K (rows) and l = -K..K (columns l + K), G is the sum of
+    F.flat at the first two rows of the returned index less the sum at the
+    last two (F.flat at its one row for Kepler).  A real J gives
+    G(-k, -l) = conj G(k, l), so with S+- = G(k, l) +- G(k, -l),
+    k, l >= 0, the block's entries are, k = 0 standing for the mean,
+
+        (cos k, cos l) = Re S+ / 2,   (cos k, sin l) = Im S- / 2,
+        (sin k, cos l) = -Im S+ / 2,  (sin k, sin l) = Re S- / 2.
+
+    A block is thus a gather from a transform of the size of J, never a
+    sum over the grid.
+    """
+    K = cutoff
+    width = 4 * K + 1
+    kk, ll = np.arange(K + 1)[:, None], np.arange(-K, K + 1)[None, :]
+    col = kk - ll + 2 * K
+    if n is None:
+        index = col[None]
+    else:
+        rows = np.broadcast_arrays(0 * col, (kk - ll) % n, kk % n, -ll % n)
+        index = np.stack(rows) * width + col
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=16)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinate pairs (i, j), i <= j, and the positions of i == j."""
+    i, j = np.triu_indices(d)
+    return i, j, np.flatnonzero(i == j)
+
+
 # ---------------------------------------------------------------------------
 # the objective: the one door into the value stage
 
@@ -288,10 +337,11 @@ class KernelCounts:
 @lru_cache(maxsize=128)
 def _coordinates(
     d: int, K: int, symmetry: SymmetryGroup | None, pin_mean: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The free-coordinate mask of packed vectors and the weights that make
-    rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 one weighted dot product.
-    Built once per (d, K, symmetry, pin_mean); both arrays are read-only."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The free-coordinate mask of packed vectors, the weights that make
+    rms^2 = |mean|^2 + (|cos|^2 + |sin|^2) / 2 one weighted dot product, and
+    the indices of the free coordinates.  Built once per
+    (d, K, symmetry, pin_mean); all three arrays are read-only."""
     if symmetry is not None:
         if symmetry.dim != d:
             raise ValueError(f"symmetry group needs dimension {symmetry.dim}, run has {d}")
@@ -305,9 +355,10 @@ def _coordinates(
     mask = np.concatenate([mmask, cmask.ravel(), smask.ravel()])
     weights = np.full(mask.size, 0.5)
     weights[:d] = 1.0
-    mask.flags.writeable = False
-    weights.flags.writeable = False
-    return mask, weights
+    free = np.flatnonzero(mask)
+    for a in (mask, weights, free):
+        a.flags.writeable = False
+    return mask, weights, free
 
 
 @lru_cache(maxsize=64)
@@ -389,28 +440,62 @@ class Evaluation:
         minus sign at (m, m + h M/n); the Kepler term is the one-lag case,
         diagonal only.  Since D is linear in the coefficients, B^T W B is
         1/2 sum_{h,m} dB^T J dB over the rows dB of the lag-differenced
-        basis (sum_m B^T J B for Kepler).  Lags h and n - h meet the same
-        pairs, so only the lags h <= n/2 are summed, weighted 1 (h = n/2,
-        which meets each pair twice, 1/2); the sum is formed one coordinate
-        pair at a time.  Computed on the first call; read-only.
+        basis (sum_m B^T J B for Kepler): per coordinate pair, one FFT of
+        an (n, M) weight and a gather (:func:`pullback_gather`), so the
+        work is O(n M log M + K^2) a pair.  The weights of the d (d+1)/2
+        pairs and their DFTs over the grid take (d+1)/2 times the size of D
+        each and are released once transformed; beside them only the
+        pairs' transforms at |p| <= 2K, (d (d+1)/2, n, 4K + 1), and arrays
+        of the result's size are formed.  Computed on the first call;
+        read-only.
         """
         if self._hessian is None:
             obj = self._obj
-            Q, dB, weights = obj._second_order()
             _, _, D, r2 = self._arrays
-            lags = slice(0, dB.shape[0])
-            D, r2 = D[self._row][lags], r2[self._row][lags]
-            alpha, (nb, d) = obj.alpha, (dB.shape[-1], obj.dim)
-            c = (-TWO_PI * alpha / r2.shape[-1]) * weights * r2 ** (-(alpha + 2.0) / 2.0)
-            q = (alpha + 2.0) / r2
-            rows = dB.reshape(-1, nb)
-            pot = np.empty((nb, d, nb, d))
-            for i in range(d):
-                for j in range(i, d):
-                    J = c * (float(i == j) - q * D[..., i] * D[..., j])
-                    pot[:, i, :, j] = pot[:, j, :, i] = rows.T @ (J.reshape(-1, 1) * rows)
-            H = Q + pot.reshape(Q.shape)
-            H = 0.5 * (H + H.T)[np.ix_(obj.free, obj.free)]
+            D, r2 = D[self._row], r2[self._row]
+            alpha, K, d, (lags, M) = obj.alpha, obj.cutoff, obj.dim, r2.shape
+            kepler = obj.params is None
+            index = pullback_gather(K, None if kepler else obj.n)
+            pi, pj, same = _pairs(d)
+            c = ((2.0 if kepler else 1.0) * -math.pi * alpha / M) * r2 ** (-(alpha + 2.0) / 2.0)
+            Dt = np.moveaxis(D, -1, 0)
+            J = Dt[pi]  # (pairs, lags, M), a copy
+            J *= Dt[pj]
+            J *= c * ((-alpha - 2.0) / r2)
+            for s in same:
+                J[s] += c
+            # the DFT over the grid at |p| <= 2K of each pair's weight, row h
+            # the lag h (row 0, lag 0, zero) or the Kepler term
+            R = np.fft.rfft(J)[..., : 2 * K + 1]  # Jh(p), p = 0..2K
+            del J  # the large arrays go as soon as they are used
+            F = np.zeros((pi.size, lags if kepler else lags + 1, 4 * K + 1), complex)
+            F[:, -lags:, 2 * K :] = R
+            F[:, -lags:, : 2 * K] = np.conj(R[..., :0:-1])  # Jh(-p) = conj Jh(p)
+            del R
+            if not kepler:
+                F = np.fft.fft(F, axis=1)
+            g = np.take(F.reshape(pi.size, -1), index, axis=1)
+            del F
+            G = g[:, 0] if kepler else g[:, 0] + g[:, 1] - g[:, 2] - g[:, 3]
+            del g
+            plus = G[..., K:] + G[..., K::-1]  # S+, k and l = 0..K
+            minus = G[..., K:] - G[..., K::-1]
+            nb = 2 * K + 1
+            blocks = np.empty((pi.size, nb, nb))
+            blocks[:, : K + 1, : K + 1] = plus.real
+            blocks[:, : K + 1, K + 1 :] = minus.imag[..., 1:]
+            blocks[:, K + 1 :, : K + 1] = -plus.imag[:, 1:]
+            blocks[:, K + 1 :, K + 1 :] = minus.real[:, 1:, 1:]
+            H = np.empty((nb, d, nb, d))
+            H[:, pi, :, pj] = blocks
+            H[:, pj, :, pi] = np.swapaxes(blocks, 1, 2)
+            H = H.reshape(nb * d, nb * d)
+            if obj.free.size < H.shape[0]:
+                H = H.take(obj.free, axis=0).take(obj.free, axis=1)
+            H *= 0.5  # the blocks hold twice the entries
+            H += obj._kinetic_hessian()
+            H += H.T
+            H *= 0.5
             H.flags.writeable = False
             self._hessian = H
         return self._hessian
@@ -468,12 +553,11 @@ class Objective:
         self.grid_size = resolve_grid_size(self.cutoff, self.n, grid_size)
         self._basis = sample_basis(self.cutoff, self.grid_size)
         self._L, self._w = velocity_map(self.dim, self.cutoff, self.omega)
-        self.mask, self._rms_weights = _coordinates(
+        self.mask, self._rms_weights, self.free = _coordinates(
             self.dim, self.cutoff, symmetry, pin_mean
         )
-        self.free = np.flatnonzero(self.mask)  # indices of the free coordinates
         self._metric = None  # factored on the first metric_direction call
-        self._second = None  # built on the first Hessian
+        self._kinetic = None  # built for the metric or the first Hessian
 
     # -- packing ------------------------------------------------------------
 
@@ -560,24 +644,14 @@ class Objective:
         res = self._basis @ acc - (M / TWO_PI) * ev.force()
         return math.sqrt((TWO_PI / M) * float(np.sum(res**2)))
 
-    def _second_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, dB, weights) for :meth:`Evaluation.hessian`, built on the
-        first call: the kinetic Hessian Q = L^T diag(w) L, the lag
-        differences of the sample basis for the lags h <= n/2, dB
-        (n // 2, M, 2K + 1) (the basis itself as the one lag of the Kepler
-        term), and the weight of each lag, shape (n // 2, 1)."""
-        if self._second is None:
-            Q = self._L.T @ (self._w[:, None] * self._L)
-            if self.params is None:
-                dB, weights = self._basis[None], np.ones((1, 1))
-            else:
-                half = self.n // 2
-                dB = lag_differences(self._basis, self.n)[:half]
-                weights = np.ones((half, 1))
-                if self.n % 2 == 0:
-                    weights[-1] = 0.5
-            self._second = Q, dB, weights
-        return self._second
+    def _kinetic_hessian(self) -> np.ndarray:
+        """The kinetic Hessian Lm^T diag(w) Lm on the free coordinates, Lm
+        the free columns of L; the metric is this plus I.  Built once."""
+        if self._kinetic is None:
+            Lm = self._L[:, self.free]
+            self._kinetic = Lm.T @ (self._w[:, None] * Lm)
+            self._kinetic.flags.writeable = False
+        return self._kinetic
 
     # -- the H^1 metric -----------------------------------------------------
 
@@ -592,8 +666,7 @@ class Objective:
         """
         idx = self.free
         if self._metric is None:
-            Lm = self._L[:, idx]
-            P = Lm.T @ (self._w[:, None] * Lm) + np.eye(idx.size)
+            P = self._kinetic_hessian() + np.eye(idx.size)
             self._metric = np.linalg.inv(np.linalg.cholesky(P))
         C_inv = self._metric
         z = C_inv @ g[idx]

@@ -432,6 +432,9 @@ HESSIAN_CASES = [
     (None, 2, 1.0, 0.0, 5, None),
     (None, 3, 2.0, 0.0, 4, None),
     (3, 3, 1.0, 0.0, 8, EIGHT3D),
+    (32, 2, 1.0, 0.7, 6, None),  # more lags than harmonics
+    (17, 3, 1.0, 0.7, 5, None),
+    (4, 2, 1.0, 0.7, 40, None),  # far more harmonics than lags
 ]
 
 

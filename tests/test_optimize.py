@@ -474,6 +474,18 @@ def test_escapes_survive_the_newton_finish(tmp_path):
     assert res["newton_steps"] >= 0
 
 
+def test_newton_finish_keeps_the_flow_s_minimizer():
+    # seed 13 of the (6, 1, 1.8) K=12 starts: the metric flow reaches the
+    # 6.793 state; a Newton step taken at gradient 8.5, where tau = |g|
+    # leaves four soft modes out, lands in the basin of the 10.746 state.
+    # The gradient must be at most half the smallest inverted eigenvalue
+    p = SystemParams(n=6, alpha=1.0, omega=1.8)
+    init = init_circle(p, -2, 1.0, noise=0.08, seed=13, cutoff=12)
+    res = minimize(p, init, DescentConfig(cutoff=12, grad_tol=1e-4))
+    assert res.converged and abs(res.action.total - 6.792955) < 1e-5
+    assert (res.morse_index, res.zero_modes) == (0, 2)
+
+
 def test_escape_and_converged_mutually_exclusive():
     p = SystemParams(n=3, alpha=1.0)
     res = minimize(p, noisy_circle(p, -1, seed=5), DescentConfig(cutoff=6))
