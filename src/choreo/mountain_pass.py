@@ -23,15 +23,14 @@ nonincreasing across sweeps by construction.  Every node keeps its
 evaluated again: not after reparametrisation, not for the refine trigger,
 not for its basin probe.  The vectors a sweep knows it needs are evaluated
 as one stack (:meth:`action.Objective.evaluate_batch`, bit for bit the
-single evaluations): the ladder t, t/2, ... of a node step with the
-midpoints of each rung, in chunks of ten rungs, of which the first that
-passes is taken, and all nodes that reparametrisation moved.  The rows of a
-node's last blocked step are remembered by their actions, so a step tried
-again from the same rows evaluates none of them twice.  The path phase
-reports why it stopped (``path_stop``: the sweep budget, the refine trigger
-or stagnation), and the result reports ``midpoint_max``, the highest action
-at the final path's segment midpoints, from one more stacked call: node
-actions alone can miss the path's maximum.
+single evaluations): the ten rungs t, t/2, ..., t/2^9 of a node step with
+the midpoints of each rung, of which the first that passes is taken (a step
+that none passes is refused), and all nodes that reparametrisation moved.
+The path phase reports why it stopped (``path_stop``: the sweep budget,
+the refine trigger or stagnation), and the result reports
+``midpoint_max``, the highest action at the final path's segment
+midpoints, from one more stacked call: node actions alone can miss the
+path's maximum.
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
 crossing is located directly: walking out from the maximal node, the first
@@ -53,10 +52,11 @@ decrease stabilises the far field.  Near the saddle exactly one eigenvalue
 is negative, the modification is the identity and the iteration is plain
 Newton with quadratic convergence.  Starting on the basin boundary matters:
 started inside a basin, the same iteration can drain to a minimum, so a
-refinement that drains or stalls is retried once from the maximal node, and
-the retry is kept when it ends above the endpoints and the first did not,
-or reaches a smaller gradient above them.  The result reports the Morse
-index of the refined point, which is 1 at both criterion-7 saddles.
+refinement from the boundary point that drains or stalls is retried once
+from the maximal node, and the retry is kept when it ends above the
+endpoints and the first did not, or reaches a smaller gradient above them.
+The result reports the Morse index of the refined point, which is 1 at
+both criterion-7 saddles.
 
 Interpolated nodes that would collide are repaired by escalating transverse
 offsets; if the repair budget is exhausted the offending segment is
@@ -113,7 +113,7 @@ class MountainPassConfig:
 _STEP = 0.25
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
-_LADDER = 10  # backtracking rungs (with their midpoints) per stacked evaluation
+_LADDER = 10  # backtracking rungs (with their midpoints) of a node step
 _REFINE_TRIGGER = 5e-3
 _STAGNATION_WINDOW = 60
 _STAGNATION_TOL = 1e-8
@@ -278,23 +278,18 @@ def _descend_node(
     tangent: np.ndarray,
     guard: tuple[np.ndarray, ...],
     ceiling: float,
-    tried: dict,
 ) -> tuple[np.ndarray, Evaluation]:
     """One backtracked step along p = -P^-1 g, the gradient in the H^1
     metric, with p's component along the path tangent removed and the
-    displacement capped by the mesh: the rungs t, t/2, ... from
-    t = min(_STEP, mesh / |p|).
+    displacement capped by the mesh: the _LADDER rungs t, t/2, ... from
+    t = min(_STEP, mesh / |p|), each with its midpoint to every vector in
+    ``guard`` (the node's interior neighbours), in one stacked evaluation.
 
-    ``ev`` is the node's evaluation; the node returned comes with its own,
-    and a blocked step returns ``vec`` and ``ev`` themselves, as does a
-    node whose slope g^T p is not negative.  A rung is taken when it passes
-    the Armijo test on that slope and its midpoint to each vector in
-    ``guard`` (the node's interior neighbours) is collision-free and no
-    higher than ``ceiling``.  The rungs of a chunk and their midpoints are
-    one stacked evaluation, less the rows found in ``tried``: the rows of
-    the node's previous blocked step, by their bytes, with their actions
-    (None on a collision).  A blocked step leaves its own rows there in
-    their place.
+    ``ev`` is the node's evaluation.  The first rung that passes the Armijo
+    test on the slope g^T p and whose midpoints are collision-free and no
+    higher than ``ceiling`` is returned with its evaluation; a refused step
+    returns ``vec`` and ``ev`` themselves, as does a node whose slope is
+    not negative or whose first rung moves it by at most 1e-14.
     """
     f, g = ev.value, ev.gradient()
     p = -obj.metric_direction(g)[0]
@@ -307,35 +302,21 @@ def _descend_node(
         return vec, ev
     pnorm = float(np.linalg.norm(p))
     t = min(_STEP, mesh / pnorm)
+    if t * pnorm <= 1e-14:
+        return vec, ev
+    ladder = t * _BACKTRACK ** np.arange(_LADDER)
+    cands = vec + np.multiply.outer(ladder, p)
+    stack = np.stack([cands, *(0.5 * (cands + nb) for nb in guard)], axis=1)
+    evs = obj.evaluate_batch(stack.reshape(-1, vec.size))
     rows = 1 + len(guard)
-    used = set()
-    while t * pnorm > 1e-14:
-        ladder = []  # the next rungs t, t/2, ... in one stacked evaluation
-        while len(ladder) < _LADDER and t * pnorm > 1e-14:
-            ladder.append(t)
-            t *= _BACKTRACK
-        cands = vec + np.multiply.outer(ladder, p)
-        stack = np.stack([cands, *(0.5 * (cands + nb) for nb in guard)], axis=1)
-        stack = stack.reshape(-1, vec.size)
-        keys = [row.tobytes() for row in stack]
-        used.update(keys)
-        fresh = [k for k, key in enumerate(keys) if key not in tried]
-        evs = {}
-        if fresh:
-            evs = dict(zip(fresh, obj.evaluate_batch(stack[fresh])))
-        for k, ev_k in evs.items():
-            tried[keys[k]] = None if ev_k is None else ev_k.value
-        for k, tk in enumerate(ladder):
-            f_c, *mids = (tried[key] for key in keys[rows * k : rows * (k + 1)])
-            if (
-                f_c is not None
-                and f_c <= f + _ARMIJO * tk * slope
-                and all(m is not None and m <= ceiling for m in mids)
-            ):
-                # a rung known only by its action is evaluated again
-                return cands[k], evs.get(rows * k) or obj.evaluate(cands[k])
-    for key in tried.keys() - used:
-        del tried[key]
+    for k, tk in enumerate(ladder):
+        ev_c, *mids = evs[rows * k : rows * (k + 1)]
+        if (
+            ev_c is not None
+            and ev_c.value <= f + _ARMIJO * tk * slope
+            and all(m is not None and m.value <= ceiling for m in mids)
+        ):
+            return cands[k], ev_c
     return vec, ev
 
 
@@ -504,7 +485,6 @@ def mountain_pass(
             evs[i] = _repair(obj, nodes, i)
     acts = np.array([ev.value for ev in evs])
     history: list[float] = []
-    blocked: dict[int, dict] = {}  # node -> the rows its last blocked step tried
     sweeps_done = 0
     path_stop = "max_sweeps"
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -519,15 +499,11 @@ def mountain_pass(
             if idx not in interior:
                 continue
             guard = tuple(nodes[j] for j in (idx - 1, idx + 1) if j in interior)
-            tried = blocked.pop(idx, {})
             vec, ev = _descend_node(
                 obj, nodes[idx], evs[idx], mesh, nodes[idx + 1] - nodes[idx - 1],
-                guard, float(np.max(acts[1:-1])), tried,
+                guard, float(np.max(acts[1:-1])),
             )  # fmt: skip
-            if ev is evs[idx]:
-                blocked[idx] = tried
-            else:
-                nodes[idx], evs[idx], acts[idx] = vec, ev, ev.value
+            nodes[idx], evs[idx], acts[idx] = vec, ev, ev.value
         current_max = float(np.max(acts[1:-1]))
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
@@ -593,13 +569,14 @@ def mountain_pass(
                 vec_candidate, ev_candidate = boundary, None
     # the refinement needs no other evaluation of the path phase: free the
     # stacked calls' arrays they hold
-    del evs, mids, blocked
+    del evs, mids
 
     # --- refinement phase ---------------------------------------------------
     top = max(act_a, act_b) + 1e-9
     refined, ev, gnorm, refine_iters = _refine(obj, vec_candidate, cfg, ev_candidate)
-    if gnorm >= cfg.saddle_tol or ev.value <= top:
-        # drained to a minimum or stalled: retry once from the raw max node
+    if vec_candidate is not start and (gnorm >= cfg.saddle_tol or ev.value <= top):
+        # drained to a minimum or stalled from the boundary point: retry once
+        # from the raw max node (a start there would repeat itself bit for bit)
         alt, ev_alt, alt_gn, alt_it = _refine(obj, start, cfg, ev_start)
         refine_iters += alt_it
         if ev_alt.value > top and (ev.value <= top or alt_gn < gnorm):

@@ -304,6 +304,22 @@ def _two_body_mpa(tmp_path, **fields) -> Path:
     return path
 
 
+def test_mpa_deterministic_artifacts(tmp_path, capsys):
+    # the same config twice into the same directory (saddle.json embeds it)
+    # writes the same bytes; each run's files are removed once read
+    out = tmp_path / "mpa"
+    path = _two_body_mpa(tmp_path, out=str(out), svg=True)
+    files = [out / name for name in ("saddle.json", "path.json", "saddle.svg")]
+    runs = []
+    for _ in range(2):
+        code, _, _ = run(capsys, "mpa", "--config", str(path))
+        assert code == 0
+        runs.append([f.read_bytes() for f in files])
+        for f in files:
+            f.unlink()
+    assert runs[0] == runs[1]
+
+
 def test_mpa_unreachable_tolerance_exits_one(tmp_path, capsys):
     path = _two_body_mpa(tmp_path, saddle_tol=1e-300, out=str(tmp_path / "mpa"))
     code, _, err = run(capsys, "mpa", "--config", str(path))

@@ -8,9 +8,11 @@ import pytest
 from choreo.loops import EIGHT3D, FourierLoop, SystemParams
 from choreo.action import CollisionError
 from choreo.mountain_pass import (
+    _LADDER,
     MountainPassConfig,
     _basin,
     _descend_node,
+    _refine,
     _repair,
     _reparametrise,
     initial_path,
@@ -158,6 +160,27 @@ def test_refine_retry_keeps_a_saddle_above_the_endpoints(monkeypatch):
     assert np.array_equal(obj.pack(res.loop), starts[1])
 
 
+def test_refine_from_the_top_node_is_not_retried(monkeypatch):
+    # without a boundary point the first refinement already starts from the
+    # top node, where a retry would repeat it bit for bit: a stalled first
+    # refinement is the result, and refine_iters counts it once
+    module = importlib.import_module("choreo.mountain_pass")
+    runs = []
+
+    def refine(obj, vec, cfg, ev):
+        x, ev, _, iters = _refine(obj, vec, cfg, ev)
+        runs.append(iters)
+        return x, ev, math.inf, iters  # reported as stalled
+
+    monkeypatch.setattr(module, "_bisect_to_boundary", lambda *args: None)
+    monkeypatch.setattr(module, "_refine", refine)
+    end_a, end_b = two_body_circles()
+    p = SystemParams(n=2, alpha=1.0)
+    res = mountain_pass(end_a, end_b, p, MountainPassConfig(nodes=3, cutoff=4))
+    assert len(runs) == 1 and res.refine_iters == runs[0] > 0
+    assert not res.converged
+
+
 def test_initial_linear_path_max_above_endpoints():
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     end_a, end_b = tied_endpoints()
@@ -174,38 +197,50 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
     # path after reparametrisation, the refine trigger, the basin probes of
     # nodes and the refinement never evaluate a vector a second time; the
     # rows of stacked evaluations (resampled nodes, backtracking ladders)
-    # count like single ones, and a ladder rung that is never accepted is
-    # still a distinct vector
-    seen, repeats, calls = set(), [], []
+    # count like single ones.  A refused node step keeps nothing, so the
+    # same step tried again evaluates its ladder again: only the rows of
+    # refused ladders repeat (886 of the 3 633 rows here)
+    module = importlib.import_module("choreo.mountain_pass")
+    seen, repeats, ladder_repeats, calls = set(), [], [], []
+    pending = []  # the rows evaluated since a node step last began or ended
     evaluate, evaluate_batch = Objective.evaluate, Objective.evaluate_batch
-
-    def see(vec):
-        key = vec.tobytes()
-        if key in seen:
-            repeats.append(key)
-        seen.add(key)
+    descend_node = module._descend_node
 
     def counted(self, vec):
-        see(vec)
+        pending.append(vec.tobytes())
         calls.append(1)
         return evaluate(self, vec)
 
     def counted_batch(self, vecs):
-        for vec in vecs:
-            see(vec)
+        pending.extend(vec.tobytes() for vec in vecs)
         calls.append(len(vecs))
         return evaluate_batch(self, vecs)
 
+    def settle(refused_ladder):
+        for key in pending:
+            if key in seen:
+                (ladder_repeats if refused_ladder else repeats).append(key)
+            seen.add(key)
+        pending.clear()
+
+    def node_step(obj, vec, ev, *args):
+        settle(False)
+        got = descend_node(obj, vec, ev, *args)
+        settle(got[1] is ev)
+        return got
+
     monkeypatch.setattr(Objective, "evaluate", counted)
     monkeypatch.setattr(Objective, "evaluate_batch", counted_batch)
+    monkeypatch.setattr(module, "_descend_node", node_step)
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     end_a, end_b = tied_endpoints(cutoff=8)
     res = mountain_pass(end_a, end_b, p, tied_config(cutoff=8, nodes=9, max_sweeps=40))
+    settle(False)
     assert res.sweeps == 40 and res.refine_iters > 0 and res.converged
     assert len(seen) > 1000
     assert not repeats
     # the reported counts are the objective's: every row, every call
-    assert res.value_evals == sum(calls) == len(seen)
+    assert res.value_evals == sum(calls) == len(seen) + len(ladder_repeats)
     assert res.kernel_calls == len(calls) < res.value_evals
     assert 0 < res.grad_evals < res.value_evals
     assert res.path_stop == "max_sweeps"
@@ -216,9 +251,10 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
 
 
 def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent, guard, ceiling):
-    """The node step with one evaluation per vector: each halving of t
-    evaluates the rung, then its midpoint to each guard neighbour.  Returns
-    the node, its evaluation and the number of rungs tried."""
+    """The node step with one evaluation per vector: each of the _LADDER
+    halvings of t evaluates the rung, then its midpoint to each guard
+    neighbour.  Returns the node, its evaluation and the number of rungs
+    tried."""
     g = ev.gradient()
     p = -obj.metric_direction(g)[0]
     that = tangent / np.linalg.norm(tangent)
@@ -229,7 +265,7 @@ def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent, guard, ceiling):
     pnorm = float(np.linalg.norm(p))
     t = min(0.25, mesh / pnorm)
     rungs = 0
-    while t * pnorm > 1e-14:
+    while t * pnorm > 1e-14 and rungs < _LADDER:
         rungs += 1
         cand = vec + t * p
         ok = True
@@ -250,23 +286,23 @@ def descend_node_rung_by_rung(obj, vec, ev, mesh, tangent, guard, ceiling):
     return vec, ev, rungs
 
 
-def node_step(obj, nodes, i, ev, mesh, ceiling, tried):
+def node_step(obj, nodes, i, ev, mesh, ceiling):
     """_descend_node at node i of the path, guarded by its interior
     neighbours, with the tangent and guard it was given."""
     tangent = nodes[i + 1] - nodes[i - 1]
     guard = tuple(nodes[j] for j in (i - 1, i + 1) if 0 < j < len(nodes) - 1)
-    got = _descend_node(obj, nodes[i], ev, mesh, tangent, guard, ceiling, tried)
+    got = _descend_node(obj, nodes[i], ev, mesh, tangent, guard, ceiling)
     return got, tangent, guard
 
 
 @pytest.mark.parametrize("amplitude, mesh", [(0.35, 0.05), (0.35, 5.0), (0.01, 1e3)])
 def test_descend_node_takes_the_first_armijo_rung(amplitude, mesh):
-    # the metric step with its ladder t, t/2, ... and the midpoints of each
-    # rung evaluated in stacks accepts the same rung, vector and evaluation
-    # as trying the vectors one at a time; at the bulge 0.35 the guard
-    # blocks the top nodes, whose ladders run past their first stack, and
-    # the flat bulge puts the middle node next to a collision, where the
-    # step backtracks on the Armijo test
+    # the metric step with its ladder t, t/2, ..., t/2^9 and the midpoints
+    # of each rung evaluated in one stack accepts the same rung, vector and
+    # evaluation as trying the vectors one at a time; at the bulge 0.35 the
+    # guard refuses the top nodes' whole ladders, and the flat bulge puts
+    # the middle node next to a collision, where the step backtracks on
+    # the Armijo test
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     obj = Objective(p, cutoff=8)
     end_a, end_b = tied_endpoints(cutoff=8)
@@ -276,7 +312,7 @@ def test_descend_node_takes_the_first_armijo_rung(amplitude, mesh):
     ceiling = max(ev.value for ev in evs[1:-1])
     most_rungs = 0
     for i in range(1, 10):
-        step = node_step(obj, nodes, i, evs[i], mesh, ceiling, {})
+        step = node_step(obj, nodes, i, evs[i], mesh, ceiling)
         (got, got_ev), tangent, guard = step
         want, want_ev, rungs = descend_node_rung_by_rung(
             obj, nodes[i], evs[i], mesh, tangent, guard, ceiling
@@ -285,26 +321,29 @@ def test_descend_node_takes_the_first_armijo_rung(amplitude, mesh):
         assert np.array_equal(got, want)
         assert got_ev.value == want_ev.value
         assert np.array_equal(got_ev.gradient(), want_ev.gradient())
-    assert most_rungs > (10 if amplitude > 0.1 else 5)
+    if amplitude > 0.1:
+        assert most_rungs == _LADDER  # refused ladders reach exactly _LADDER
+    else:
+        assert most_rungs > 5
 
 
-def test_blocked_node_step_is_not_evaluated_again():
-    # below every midpoint's action no rung passes the guard; the same step
-    # again finds every row among the rows it tried and evaluates nothing
+@pytest.mark.parametrize("ceiling", [math.inf, -math.inf])
+def test_node_step_is_one_stacked_evaluation(ceiling):
+    # taken (no ceiling) or refused (below every midpoint's action), a node
+    # step evaluates its _LADDER rungs and their midpoints in one call
     p = SystemParams(n=3, alpha=1.0, omega=1.5)
     obj = Objective(p, cutoff=8)
     end_a, end_b = tied_endpoints(cutoff=8)
     cfg = tied_config(cutoff=8, nodes=11)
     nodes = initial_path(obj, obj.pack(end_a), obj.pack(end_b), cfg)
     ev = obj.evaluate(nodes[5])
-    tried = {}
-    (vec, ev_1), _, guard = node_step(obj, nodes, 5, ev, 0.05, -math.inf, tried)
-    assert ev_1 is ev and np.array_equal(vec, nodes[5]) and len(guard) == 2
     rows, calls = obj.counts.value_evals, obj.counts.kernel_calls
-    assert len(tried) > 3 * 10  # more than one stack of rungs and midpoints
-    (vec, ev_2), _, _ = node_step(obj, nodes, 5, ev, 0.05, -math.inf, tried)
-    assert ev_2 is ev
-    assert (obj.counts.value_evals, obj.counts.kernel_calls) == (rows, calls)
+    (vec, ev_1), _, guard = node_step(obj, nodes, 5, ev, 0.05, ceiling)
+    assert len(guard) == 2
+    refused = ceiling < 0
+    assert (ev_1 is ev) is refused and np.array_equal(vec, nodes[5]) is refused
+    assert obj.counts.kernel_calls == calls + 1
+    assert obj.counts.value_evals == rows + _LADDER * (1 + len(guard))
 
 
 def second_difference(obj, vec, direction, eps=1e-4):
