@@ -72,7 +72,6 @@ from .optimize import (
     multistart,
 )
 from .mountain_pass import (
-    LoopPath,
     MountainPassConfig,
     SaddleResult,
     mountain_pass,
@@ -91,7 +90,6 @@ __all__ = [
     "FourierLoop",
     "GradientVector",
     "LoopDiagnostics",
-    "LoopPath",
     "MinimizeResult",
     "MountainPassConfig",
     "RegimeReport",

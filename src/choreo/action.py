@@ -619,7 +619,9 @@ class Objective:
     def evaluate_batch(self, vecs: np.ndarray) -> list[Evaluation | None]:
         """Value stages of the rows of a (P, N) stack in one kernel call:
         each row's evaluation, equal to :meth:`evaluate` of that row bit for
-        bit, or None where the row trips the collision guard."""
+        bit, or None where the row trips the collision guard.  A single
+        vector of shape (N,) is a one-row stack: ``(ev,) =
+        obj.evaluate_batch(vec)`` evaluates it without raising."""
         entries = self._kernel(vecs)
         return [None if isinstance(ev, CollisionError) else ev for ev in entries]
 

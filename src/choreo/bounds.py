@@ -42,7 +42,7 @@ from .loops import (
     TWO_PI,
     FourierLoop,
     SystemParams,
-    lag_differences,
+    lag_distances,
     pair_square_integrals,
     resolve_grid_size,
 )
@@ -90,8 +90,7 @@ def jensen_gap(
     if not 1 <= h <= params.n - 1:
         raise ValueError(f"lag h must be in 1..n-1, got {h}")
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    diff = lag_differences(x.sample(M), params.n)[h - 1]
-    r2 = np.sum(diff**2, axis=1)
+    r2 = lag_distances(x.sample(M), params.n)[1][h - 1]
     sep = math.sqrt(float(np.min(r2)))
     if sep < GUARD:
         raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)
@@ -294,16 +293,15 @@ def bound_chain(
     A- : Rayleigh bound applied to the kinetic term as well.
     """
     inertial = SystemParams(n=params.n, d=params.d, alpha=params.alpha, omega=0.0)
-    a = rotating_action(x, inertial, grid_size=grid_size).total
+    action = rotating_action(x, inertial, grid_size=grid_size)
     spec = spectral.circulant_spectrum(params.n, params.alpha, cross_validate=False)
     xi = pair_square_integrals(x, params.n)
     y = float(spec.mu_bar @ xi)
-    kin = kinetic_integral(x)
-    a_tilde = kin + spec.c_tilde / y ** (params.alpha / 2.0)
+    a_tilde = action.kinetic + spec.c_tilde / y ** (params.alpha / 2.0)
     a_bar = math.pi * y + spec.c_tilde / y ** (params.alpha / 2.0)
     a_bar_legacy = TWO_PI * params.n * y + spec.c_tilde / y ** (params.alpha / 2.0)
     return BoundChainReport(
-        a=a, a_tilde=a_tilde, a_bar=a_bar, a_bar_legacy=a_bar_legacy, xi=xi, y_value=y
+        a=action.total, a_tilde=a_tilde, a_bar=a_bar, a_bar_legacy=a_bar_legacy, xi=xi, y_value=y
     )
 
 

@@ -31,6 +31,7 @@ from .loops import (
     loop_from_json,
     samples_csv,
     to_json_dict,
+    unpack_coefficients,
 )
 from .mountain_pass import MountainPassConfig, MountainPassError, mountain_pass
 from .optimize import DescentConfig, StartSpec, multistart
@@ -278,45 +279,48 @@ def _add_mpa(sub) -> None:
     p.add_argument("--config", type=Path, required=True)
 
 
-def _load_endpoint(entry: dict, params: SystemParams, cutoff: int) -> FourierLoop:
+def _load_endpoint(entry: dict, params: SystemParams, cutoff: int):
+    """(loop, entry with its defaults: a circle's computed radius and plane)."""
     unknown = set(entry) - _ENDPOINT_KEYS
     if unknown:
         raise ValueError(f"unknown endpoint fields: {sorted(unknown)}")
     if "orbit" in entry:
         loop, _ = loop_from_json(json.loads(Path(entry["orbit"]).read_text()))
-        return loop
+        return loop, dict(entry)
     winding = int(entry["winding"])
     radius = entry.get("radius")
     if radius is None:
         radius = spectral.circle_radius_for_winding(
             params.n, params.alpha, params.omega, winding
         )
+    radius = float(radius)
     plane = tuple(entry.get("plane", (0, 1)))
-    return FourierLoop.circle(
-        float(radius), winding, dim=params.d, cutoff=cutoff, plane=plane
-    )
+    loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=cutoff, plane=plane)
+    return loop, {"winding": winding, "radius": radius, "plane": list(plane)}
 
 
 def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
-    """Transverse bulge shape: a (shifted) circle or a single harmonic."""
+    """(shape, amplitude, entry with its defaults) of the transverse bulge: a
+    (shifted) circle or a single harmonic, None if the amplitude is not > 0."""
     unknown = set(entry) - _BULGE_KEYS
     if unknown:
         raise ValueError(f"unknown bulge fields: {sorted(unknown)}")
     amplitude = float(entry.get("amplitude", 0.0))
+    resolved = {**entry, "amplitude": amplitude}
     if amplitude <= 0.0:
-        return None, 0.0
+        return None, 0.0, resolved
     if "winding" in entry:
         loop = FourierLoop.circle(1.0, int(entry["winding"]), dim=params.d, cutoff=cutoff)
         if "shift" in entry:
             loop = loop.shift(float(entry["shift"]))
-        return loop, amplitude
+        return loop, amplitude, resolved
     comp = int(entry["component"])
     harmonic = int(entry["harmonic"])
     kind = entry.get("kind", "sin")
     cos = np.zeros((cutoff, params.d))
     sin = np.zeros((cutoff, params.d))
     (cos if kind == "cos" else sin)[harmonic - 1, comp] = 1.0
-    return FourierLoop(np.zeros(params.d), cos, sin), amplitude
+    return FourierLoop(np.zeros(params.d), cos, sin), amplitude, {**resolved, "kind": kind}
 
 
 def cmd_mpa(args) -> int:
@@ -333,14 +337,13 @@ def cmd_mpa(args) -> int:
         omega=float(raw.get("omega", 0.0)),
     )
     cutoff = int(raw.get("harmonics", 12))
-    group = _GROUPS[raw.get("symmetry", "none")]
-    bulge, bulge_amp = (None, 0.0)
-    if "bulge" in raw:
-        bulge, bulge_amp = _load_bulge(raw["bulge"], params, cutoff)
-        if bulge is not None and group is not None:
-            from .loops import project_symmetry
+    symmetry = raw.get("symmetry", "none")
+    group = _GROUPS[symmetry]
+    bulge, bulge_amp, bulge_doc = _load_bulge(raw.get("bulge", {}), params, cutoff)
+    if bulge is not None and group is not None:
+        from .loops import project_symmetry
 
-            bulge = project_symmetry(bulge, group)
+        bulge = project_symmetry(bulge, group)
     cfg = MountainPassConfig(
         nodes=int(raw.get("nodes", 21)),
         cutoff=cutoff,
@@ -351,28 +354,36 @@ def cmd_mpa(args) -> int:
         bulge=bulge,
         bulge_amplitude=bulge_amp,
     )
-    end_a = _load_endpoint(raw["endpoints"][0], params, cutoff)
-    end_b = _load_endpoint(raw["endpoints"][1], params, cutoff)
+    end_a, doc_a = _load_endpoint(raw["endpoints"][0], params, cutoff)
+    end_b, doc_b = _load_endpoint(raw["endpoints"][1], params, cutoff)
     result = mountain_pass(end_a, end_b, params, cfg)
 
-    config_doc = dict(raw)
-    config_doc["command"] = "mpa"
-    config_doc["version"] = __version__
+    # every value the search used, defaults included: the config runs again
+    # as it stands once "command" and "version" are dropped
+    config_doc = {
+        "command": "mpa", "version": __version__,
+        "n": params.n, "dim": params.d, "alpha": params.alpha, "omega": params.omega,
+        "harmonics": cutoff, "grid": result.action.grid_size, "nodes": cfg.nodes,
+        "max_sweeps": cfg.max_sweeps, "saddle_tol": cfg.saddle_tol, "symmetry": symmetry,
+        "endpoints": [doc_a, doc_b], "bulge": bulge_doc,
+        "out": raw.get("out"), "svg": bool(raw.get("svg", False)),
+    }  # fmt: skip
     doc = to_json_dict(
         result.loop,
         params,
         result.diagnostics,
         extra={"result": result.as_dict(), "config": config_doc},
     )
-    out = Path(raw["out"]) if "out" in raw else None
-    if out is not None:
+    if raw.get("out") is not None:
+        out = Path(raw["out"])
         _dump_json(doc, out / "saddle.json")
         path_doc = {
             "config": config_doc,
             "nodes": [
-                to_json_dict(loop, params) for loop in result.path.to_loops()
+                to_json_dict(unpack_coefficients(vec, params.d, result.loop.cutoff), params)
+                for vec in result.path
             ],
-            "actions": list(result.path.actions),
+            "actions": list(result.profile),
         }
         _dump_json(path_doc, out / "path.json")
         if raw.get("svg"):

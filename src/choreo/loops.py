@@ -475,7 +475,8 @@ class LoopDiagnostics:
     def as_dict(self) -> dict:
         return {
             "winding": self.winding,
-            "winding_residual": self.winding_residual,
+            # null, not NaN, beside a null winding: artifacts stay strict JSON
+            "winding_residual": None if self.winding is None else self.winding_residual,
             "planarity": self.planarity,
             "min_separation": self.min_separation,
             "radius": self.radius,
@@ -517,9 +518,13 @@ def diagnostics(
     the dominant plane (top two principal axes of the gyration tensor; for
     d = 2 the coordinate plane itself, so the sign convention is stable),
     divided by 2*pi and rounded to the nearest integer with the rounding
-    residual recorded.  Samples closer than 1e-9 to the centroid are skipped
-    in the angle sum, which makes the count stable for curves that pass
-    through their own centroid.
+    residual recorded.  The winding is None (residual nan) where an angle
+    step is not resolved: where the chord between two consecutive samples
+    (or a sample itself) comes within 1e-9 of the centroid, the step is
+    +-pi up to rounding and its sign is noise.  So a curve through its
+    centroid, like the figure eight, has none, and neither has its mirror
+    image.  Every other step lies strictly inside (-pi, pi) and its sign is
+    the side on which the chord passes the centroid.
 
     Planarity is the smallest-to-largest singular value ratio of the
     centered sample matrix, i.e. the axis ratio of the gyration ellipsoid
@@ -553,14 +558,20 @@ def diagnostics(
         basis = evecs[:, [-1, -2]]
 
     P = Y @ basis  # in-plane coordinates (M, 2)
-    radii = np.linalg.norm(P, axis=1)
-    keep = radii > 1e-9
-    theta = np.arctan2(P[keep, 1], P[keep, 0])
-    dtheta = np.diff(np.concatenate([theta, theta[:1]]))
-    dtheta = (dtheta + math.pi) % TWO_PI - math.pi
-    turns = float(np.sum(dtheta)) / TWO_PI
-    winding = int(round(turns))
-    residual = turns - winding
+    # the distance of the centroid from each chord P[i] -> P[i + 1]
+    chord = np.roll(P, -1, axis=0) - P
+    c2 = np.sum(chord**2, axis=1)
+    foot = np.divide(-np.sum(P * chord, axis=1), c2, out=np.zeros(M), where=c2 > 0)
+    clearance = np.linalg.norm(P + np.clip(foot, 0.0, 1.0)[:, None] * chord, axis=1)
+    if np.min(clearance) <= 1e-9:
+        winding, residual = None, math.nan
+    else:
+        theta = np.arctan2(P[:, 1], P[:, 0])
+        dtheta = np.diff(np.concatenate([theta, theta[:1]]))
+        dtheta = (dtheta + math.pi) % TWO_PI - math.pi
+        turns = float(np.sum(dtheta)) / TWO_PI
+        winding = int(round(turns))
+        residual = turns - winding
 
     center2, radius = _fit_circle_2d(P)
     in_plane_dev = np.linalg.norm(P - center2, axis=1) - radius

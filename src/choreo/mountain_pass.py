@@ -27,17 +27,19 @@ single evaluations): the ten rungs t, t/2, ..., t/2^9 of a node step with
 the midpoints of each rung, of which the first that passes is taken (a step
 that none passes is refused), and all nodes that reparametrisation moved.
 The path phase reports why it stopped (``path_stop``: the sweep budget,
-the refine trigger or stagnation), and the result reports
-``midpoint_max``, the highest action at the final path's segment
+the refine trigger or stagnation).  The result keeps the final path once,
+as its (P, N) array ``path`` beside the node actions ``profile``, and
+reports ``midpoint_max``, the highest action at the path's segment
 midpoints, from one more stacked call: node actions alone can miss the
 path's maximum.
 
 Bracket phase.  Node actions sample the path coarsely, so the barrier
-crossing is located directly: walking out from the maximal node, the first
-pair of consecutive nodes whose basin probes relax into different endpoint
-basins brackets the basin boundary, and bisection of that segment pins a
-point on the boundary to relative accuracy (its first probe starts from
-the midpoint evaluation above).  A probe is
+crossing is located directly: of the path's segments, taken in order of
+distance from the maximal node (the left one first on a tie), the first
+whose two nodes' basin probes relax into different endpoint basins
+brackets the basin boundary, and bisection of that segment pins a point on
+the boundary to relative accuracy (its first probe starts from the
+midpoint evaluation above).  A probe is
 :func:`optimize.descend` in the H^1 metric, with its guarded Newton finish,
 run down to gradient norm 1e-4 (at most 800 iterations), and is classified
 by the nearer endpoint.
@@ -77,7 +79,6 @@ from .loops import (
     SystemParams,
     check_discretisation,
     pack_coefficients,
-    unpack_coefficients,
 )
 from .optimize import DescentConfig, SearchResult, descend
 
@@ -125,29 +126,15 @@ _BISECT_TOL = 1e-6  # relative length of the bracketing segment
 _MAX_REFINE_ITERS = 120
 
 
-@dataclass
-class LoopPath:
-    """P coefficient vectors with endpoints fixed and cached node actions."""
-
-    nodes: np.ndarray  # (P, N): one packed vector per row
-    actions: np.ndarray
-    dim: int
-    cutoff: int
-
-    def max_interior(self) -> int:
-        return 1 + int(np.argmax(self.actions[1:-1]))
-
-    def to_loops(self) -> list[FourierLoop]:
-        return [unpack_coefficients(v, self.dim, self.cutoff) for v in self.nodes]
-
-
 @dataclass(frozen=True)
 class SaddleResult(SearchResult):
     sweeps: int
     refine_iters: int
-    path: LoopPath
-    max_action_history: tuple[float, ...]
+    # the final path, one packed vector per row with the endpoints first
+    # and last, and the action of each row
+    path: np.ndarray
     profile: tuple[float, ...]
+    max_action_history: tuple[float, ...]
     endpoint_actions: tuple[float, float]
     # why the path phase ended: "max_sweeps", "refine_trigger" or
     # "stagnation" (None when the endpoints coincide and it never ran)
@@ -183,14 +170,6 @@ class SaddleResult(SearchResult):
 # path construction
 
 
-def _node_eval(obj: Objective, vec: np.ndarray) -> Evaluation | None:
-    """The node's evaluation, or None where the collision guard trips."""
-    try:
-        return obj.evaluate(vec)
-    except CollisionError:
-        return None
-
-
 def _repair(obj: Objective, path: np.ndarray, i: int) -> Evaluation:
     """Replace a colliding interior node by the neighbour midpoint plus an
     escalating deterministic transverse offset; returns its evaluation."""
@@ -208,7 +187,7 @@ def _repair(obj: Objective, path: np.ndarray, i: int) -> Evaluation:
     amp = 0.05 * norm
     for _ in range(_REPAIR_TRIES):
         cand = base + amp * direction
-        ev = _node_eval(obj, cand)
+        (ev,) = obj.evaluate_batch(cand)
         if ev is not None:
             path[i] = cand
             return ev
@@ -225,9 +204,8 @@ def initial_path(
     """Straight-line path in coefficient space with optional transverse
     bulge, one node per row; :func:`mountain_pass` evaluates it and repairs
     colliding nodes."""
-    P = cfg.nodes
-    s = np.linspace(0.0, 1.0, P)
-    path = [(1.0 - si) * end_a + si * end_b for si in s]
+    s = np.linspace(0.0, 1.0, cfg.nodes)
+    path = (1.0 - s)[:, None] * end_a + s[:, None] * end_b
     if cfg.bulge is not None and cfg.bulge_amplitude > 0.0:
         direction = np.where(
             obj.mask, pack_coefficients(cfg.bulge.padded(obj.cutoff)), 0.0
@@ -235,9 +213,9 @@ def initial_path(
         nrm = np.linalg.norm(direction)
         if nrm > 0:
             direction /= nrm
-        for i in range(1, P - 1):
-            path[i] = path[i] + cfg.bulge_amplitude * math.sin(math.pi * s[i]) * direction
-    return np.stack(path)
+        bump = [cfg.bulge_amplitude * math.sin(math.pi * si) for si in s[1:-1]]
+        path[1:-1] += np.multiply.outer(bump, direction)
+    return path
 
 
 def _reparametrise(path: np.ndarray, pin: int) -> np.ndarray:
@@ -349,18 +327,22 @@ def _basin(
 
 
 def _bisect_to_boundary(
-    p_a: np.ndarray, p_b: np.ndarray, basin_fn, ev_mid: Evaluation
+    obj: Objective,
+    ends: tuple[np.ndarray, np.ndarray],
+    p_a: np.ndarray,
+    p_b: np.ndarray,
+    ev_mid: Evaluation,
 ) -> np.ndarray | None:
-    """Shrink a straddling segment onto the basin boundary; returns the
-    midpoint, or None if classification breaks down.  ``ev_mid`` is the
-    evaluation of the segment's midpoint, the first point probed."""
-    p_a, p_b = p_a.copy(), p_b.copy()
+    """Shrink a segment from basin 0 (``p_a``) to basin 1 (``p_b``) onto the
+    basin boundary; returns the midpoint, or None if classification breaks
+    down.  ``ev_mid`` is the evaluation of the segment's midpoint, the first
+    point probed."""
     scale = max(1.0, float(np.linalg.norm(p_a)))
     for _ in range(80):
         if float(np.linalg.norm(p_a - p_b)) < _BISECT_TOL * scale:
             break
         mid = 0.5 * (p_a + p_b)
-        side = basin_fn(mid, ev_mid)
+        side = _basin(obj, mid, ends, ev_mid)
         ev_mid = None
         if side == 0:
             p_a = mid
@@ -406,7 +388,7 @@ def _refine(
         step = np.zeros_like(x)
         step[obj.free] = step_r
         cand = x + step
-        ev_c = _node_eval(obj, cand)
+        (ev_c,) = obj.evaluate_batch(cand)
         gcn = math.inf if ev_c is None else float(np.linalg.norm(ev_c.gradient()))
         if gcn < gnorm:
             x, ev, g, gnorm = cand, ev_c, ev_c.gradient(), gcn
@@ -449,7 +431,6 @@ def mountain_pass(
     act_a, act_b = ev_a.value, ev_b.value
 
     if np.array_equal(va, vb):
-        path = LoopPath(np.stack([va, va, vb]), np.full(3, act_a), obj.dim, obj.cutoff)
         return SaddleResult.at(
             obj,
             va,
@@ -457,9 +438,9 @@ def mountain_pass(
             converged=True,
             sweeps=0,
             refine_iters=0,
-            path=path,
+            path=np.stack([va, va, vb]),
             max_action_history=(act_a,),
-            profile=tuple(path.actions.tolist()),
+            profile=(act_a,) * 3,
             endpoint_actions=(act_a, act_a),
             path_stop=None,
             kernel_calls=obj.counts.kernel_calls,
@@ -484,12 +465,12 @@ def mountain_pass(
         if evs[i] is None:
             evs[i] = _repair(obj, nodes, i)
     acts = np.array([ev.value for ev in evs])
+    im = 1 + int(np.argmax(acts[1:-1]))  # the top node, kept current
     history: list[float] = []
     sweeps_done = 0
     path_stop = "max_sweeps"
     for sweep in range(1, cfg.max_sweeps + 1):
         sweeps_done = sweep
-        im = 1 + int(np.argmax(acts[1:-1]))
         mesh = 0.5 * (
             float(np.linalg.norm(nodes[im] - nodes[im - 1]))
             + float(np.linalg.norm(nodes[im + 1] - nodes[im]))
@@ -504,7 +485,6 @@ def mountain_pass(
                 guard, float(np.max(acts[1:-1])),
             )  # fmt: skip
             nodes[idx], evs[idx], acts[idx] = vec, ev, ev.value
-        current_max = float(np.max(acts[1:-1]))
         pin = 1 + int(np.argmax(acts[1:-1]))
         new_nodes = _reparametrise(nodes, pin)
         # the endpoints, the pinned node and any node left in place are
@@ -516,12 +496,10 @@ def mountain_pass(
             for k, ev in zip(moved, obj.evaluate_batch(new_nodes[moved])):
                 new_evs[k] = ev
         new_acts = np.array([math.inf if ev is None else ev.value for ev in new_evs])
-        if float(np.max(new_acts[1:-1])) <= current_max + 1e-12:
+        if float(np.max(new_acts[1:-1])) <= acts[pin] + 1e-12:
             nodes, evs, acts = new_nodes, new_evs, new_acts
-            current_max = float(np.max(acts[1:-1]))
-        history.append(current_max)
-
         im = 1 + int(np.argmax(acts[1:-1]))
+        history.append(float(acts[im]))
         if float(np.linalg.norm(evs[im].gradient())) < _REFINE_TRIGGER:
             path_stop = "refine_trigger"
             break
@@ -535,38 +513,29 @@ def mountain_pass(
     midpoint_max = max(math.inf if ev is None else ev.value for ev in mids)
 
     # --- bracket phase ----------------------------------------------------
-    def basin_fn(x, ev=None):
-        return _basin(obj, x, (va, vb), ev)
-
-    im = 1 + int(np.argmax(acts[1:-1]))
+    ends = (va, vb)
     sides: dict[int, int | None] = {0: 0, len(nodes) - 1: 1}
 
     def side_of(i: int):
         if i not in sides:
-            sides[i] = basin_fn(nodes[i], evs[i])
+            sides[i] = _basin(obj, nodes[i], ends, evs[i])
         return sides[i]
 
     start, ev_start = nodes[im].copy(), evs[im]
     vec_candidate, ev_candidate = start, ev_start
-    # walk outward from the max node for the nearest straddling segment
-    found = None
-    for offset in range(0, len(nodes)):
-        for seg in ((im - 1 - offset, im - offset), (im + offset, im + 1 + offset)):
-            i, j = seg
-            if 0 <= i < j <= len(nodes) - 1:
-                a, b = side_of(i), side_of(j)
-                if a is not None and b is not None and a != b:
-                    found = (i, j) if a == 0 else (j, i)
-                    break
-        if found:
-            break
-    if found:
-        i, j = found
-        k = min(i, j)  # segment k joins nodes k, k + 1; its midpoint is probed first
-        if mids[k] is not None:  # else that probe would collide
-            boundary = _bisect_to_boundary(nodes[i], nodes[j], basin_fn, mids[k])
+    # segment k joins nodes k and k + 1; the segments are probed nearest the
+    # top node first, the left one first on a tie, up to the first whose
+    # nodes drain to different endpoints
+    for k in sorted(range(len(nodes) - 1), key=lambda k: abs(2 * (k - im) + 1)):
+        a, b = side_of(k), side_of(k + 1)
+        if a is None or b is None or a == b:
+            continue
+        if mids[k] is not None:  # else the first bisection probe would collide
+            p_a, p_b = (nodes[k], nodes[k + 1]) if a == 0 else (nodes[k + 1], nodes[k])
+            boundary = _bisect_to_boundary(obj, ends, p_a, p_b, mids[k])
             if boundary is not None:
                 vec_candidate, ev_candidate = boundary, None
+        break
     # the refinement needs no other evaluation of the path phase: free the
     # stacked calls' arrays they hold
     del evs, mids
@@ -589,7 +558,7 @@ def mountain_pass(
         converged=gnorm < cfg.saddle_tol,
         sweeps=sweeps_done,
         refine_iters=refine_iters,
-        path=LoopPath(nodes, acts, obj.dim, obj.cutoff),
+        path=nodes,
         max_action_history=tuple(history),
         profile=tuple(acts.tolist()),
         endpoint_actions=(act_a, act_b),

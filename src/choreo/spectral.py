@@ -273,14 +273,13 @@ def min2_check(n: int, alpha: float, k: int) -> Min2Result:
     if gcd(k, n) != 1:
         raise ValueError(f"k={k} must be coprime with n={n}")
     spec = circulant_spectrum(n, alpha, k=k, cross_validate=False)
-    eps = min(0.5, 1.0 / (1.0 + math.sqrt(TWO_PI * spec.delta_max)))
+    eps = _half_width(spec)
     return Min2Result(holds=eps > 0.0, epsilon=eps, delta_max=spec.delta_max)
 
 
-def _window_half_width(n: int, alpha: float) -> float:
-    """min2-style margin from the base spectrum (used where the variant
-    operator is undefined, e.g. non-coprime windings and the near-n band)."""
-    spec = circulant_spectrum(n, alpha, cross_validate=False)
+def _half_width(spec: CirculantSpectrum) -> float:
+    """The window half-width of :func:`min2_check` from ``spec``'s delta_max
+    (the base spectrum where the variant operator is undefined)."""
     return min(0.5, 1.0 / (1.0 + math.sqrt(TWO_PI * spec.delta_max)))
 
 
@@ -557,7 +556,7 @@ def classify(n: int, alpha: float, omega: float) -> RegimeReport:
     if _is_integer(half):
         k = int(round(half))
         if 1 <= k <= n - 2 and gcd(k, n) == 1 and gcd(k + 1, n) == 1:
-            eps = _window_half_width(n, alpha)
+            eps = _half_width(circulant_spectrum(n, alpha, cross_validate=False))
             if eps >= 0.5 - _INTEGER_TOL:
                 pred = predicted_circle(n, alpha, omega)
                 if pred is not None and len(pred.windings) > 1:
@@ -606,7 +605,7 @@ def classify(n: int, alpha: float, omega: float) -> RegimeReport:
                 f"half-width {cert.epsilon:.6f}"
             )
         else:
-            eps = _window_half_width(n, alpha)
+            eps = _half_width(circulant_spectrum(n, alpha, cross_validate=False))
             if 0 < dist < eps:
                 j, k_t = n // g, g
                 evidence.append(
@@ -626,7 +625,7 @@ def classify(n: int, alpha: float, omega: float) -> RegimeReport:
             )
 
     if k == n:
-        eps = _window_half_width(n, alpha)
+        eps = _half_width(circulant_spectrum(n, alpha, cross_validate=False))
         dist = n - omega_bar
         if 0 < dist < eps:
             pred0 = predicted_circle(n, alpha, 0.0)  # the limiting inertial circle

@@ -232,6 +232,21 @@ def test_verify_injected_fault_names_invariant(monkeypatch, capsys):
     assert "delta1_value" in out.err or "failed" in out.err
 
 
+def test_verify_wrong_multiplicities_fail_the_pattern_check(monkeypatch):
+    # a multiplicity pattern with the right total but the wrong shape: the
+    # check counts the eigenvectors itself, so it must not pass
+    import choreo.spectral as spectral
+    import choreo.verify as verify
+
+    true_multiplicities = spectral._multiplicities
+    monkeypatch.setattr(
+        spectral, "_multiplicities", lambda n: tuple(reversed(true_multiplicities(n)))
+    )
+    checks = {c.name: c for c in verify.suite_spectral()}
+    assert len(checks) == 7
+    assert checks["multiplicity_pattern"].passed is False
+
+
 def test_verify_report_file(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, _ = run(
@@ -288,6 +303,35 @@ def test_mpa_config_runs_and_writes(tmp_path, capsys):
     assert result["value_evals"] > result["kernel_calls"]
     assert (tmp_path / "mpa" / "path.json").exists()
     assert (tmp_path / "mpa" / "saddle.svg").exists()
+
+
+def test_mpa_artifacts_embed_the_resolved_config(tmp_path, capsys):
+    # a minimal config: every default the search used is written out, and
+    # the embedded config, run again as it stands, gives the same document
+    minimal = {"n": 2, "endpoints": [{"winding": 1}, {"winding": -1}]}
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(minimal))
+    code, out, _ = run(capsys, "mpa", "--config", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    config = doc["config"]
+    assert config["command"] == "mpa"
+    for key in ("dim", "alpha", "omega", "harmonics", "grid", "nodes",
+                "max_sweeps", "saddle_tol", "symmetry", "bulge", "out", "svg"):  # fmt: skip
+        assert key in config, key
+    assert config["grid"] == doc["result"]["action"]["grid_size"]
+    for end in config["endpoints"]:
+        assert end["radius"] > 0.0 and end["plane"] == [0, 1]
+
+    rerun = {k: v for k, v in config.items() if k not in ("command", "version")}
+    path.write_text(json.dumps(rerun))
+    code, out, _ = run(capsys, "mpa", "--config", str(path))
+    assert code == 0
+    again = json.loads(out)
+    assert again["result"] == doc["result"]
+    for key in ("mean", "cos", "sin"):
+        assert again[key] == doc[key]
+    assert again == doc
 
 
 def _two_body_mpa(tmp_path, **fields) -> Path:

@@ -323,16 +323,41 @@ def test_degenerate_loop_flagged():
     assert d.winding is None
 
 
-def test_figure_eight_winding_zero():
-    # lemniscate-like loop through its own centroid
+def test_figure_eight_has_no_winding():
+    # lemniscate-like loop through its own centroid: the angle about the
+    # centroid is undefined at the crossing, so no winding is reported
     cos = np.zeros((2, 2))
     sin = np.zeros((2, 2))
     sin[1, 0] = 0.6  # x1 = 0.6 sin 2t
     sin[0, 1] = 1.0  # x2 = sin t
     p = SystemParams(n=3)
     d = loop_diagnostics(FourierLoop(np.zeros(2), cos, sin), p)
-    assert d.winding in (-1, 0, 1)  # angle sum is ambiguous only by one
+    assert d.winding is None and math.isnan(d.winding_residual)
+    assert d.as_dict()["winding_residual"] is None
+    assert not d.degenerate
     assert d.radius_rms > 1e-2  # decisively non-circular
+
+
+def test_chord_through_the_centroid_has_no_winding():
+    # the lemniscate sampled half a step off its crossing: no sample is near
+    # the centroid, but the chord across the crossing runs through it, so
+    # that angle step is +-pi up to rounding; nor has the mirror image one
+    t = (np.arange(48) + 0.5) * (TWO_PI / 48)
+    X = np.stack([0.6 * np.sin(2 * t), np.sin(t)], axis=1)
+    assert np.min(np.linalg.norm(X, axis=1)) > 1e-2
+    for Y in (X, X * np.array([-1.0, 1.0])):
+        assert diagnostics(Y, np.zeros(2), 1.0).winding is None
+
+
+def test_winding_of_a_curve_near_its_centroid():
+    # a unit circle passing 0.01 from the centroid, half a step off a
+    # sample: the chord there turns by 0.92 pi, which is resolved, so the
+    # count is 1 on every grid and -1 for the mirror image
+    for M in (48, 96, 480):
+        t = (np.arange(M) + 0.5) * (TWO_PI / M)
+        X = np.stack([0.99 + np.cos(t), np.sin(t)], axis=1)
+        assert diagnostics(X, np.zeros(2), 1.0).winding == 1
+        assert diagnostics(X * np.array([-1.0, 1.0]), np.zeros(2), 1.0).winding == -1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from choreo.loops import EIGHT3D, FourierLoop, SystemParams
+from choreo.loops import EIGHT3D, FourierLoop, SystemParams, diagnostics
 from choreo.action import CollisionError
 from choreo.mountain_pass import (
     _LADDER,
@@ -78,7 +78,7 @@ def test_equal_endpoints_return_immediately():
     assert res.converged
     assert res.sweeps == 0
     assert abs(res.action.total - res.endpoint_actions[0]) < 1e-12
-    vals = res.path.actions
+    vals = res.profile
     assert max(vals) - min(vals) < 1e-12  # flat profile
 
 
@@ -212,8 +212,9 @@ def test_saddle_search_evaluates_each_vector_once(monkeypatch):
         return evaluate(self, vec)
 
     def counted_batch(self, vecs):
-        pending.extend(vec.tobytes() for vec in vecs)
-        calls.append(len(vecs))
+        rows = vecs.reshape(-1, vecs.shape[-1])  # one vector is one row
+        pending.extend(vec.tobytes() for vec in rows)
+        calls.append(len(rows))
         return evaluate_batch(self, vecs)
 
     def settle(refused_ladder):
@@ -436,9 +437,10 @@ def test_saddle_between_tied_circles(tied_saddle):
 def test_saddle_endpoints_unchanged(tied_saddle):
     res, p = tied_saddle
     end_a, end_b = tied_endpoints()
-    obj = Objective(p, cutoff=res.path.cutoff)
-    assert np.array_equal(res.path.nodes[0], obj.pack(end_a))
-    assert np.array_equal(res.path.nodes[-1], obj.pack(end_b))
+    obj = Objective(p, cutoff=res.loop.cutoff)
+    assert res.path.shape == (len(res.profile), obj.pack(end_a).size)
+    assert np.array_equal(res.path[0], obj.pack(end_a))
+    assert np.array_equal(res.path[-1], obj.pack(end_b))
 
 
 def test_saddle_max_history_monotone(tied_saddle):
@@ -454,7 +456,7 @@ def test_saddle_signature(tied_saddle, eight_saddle):
     for (res, p), symmetry in ((tied_saddle, None), (eight_saddle, EIGHT3D)):
         assert res.morse_index == 1
         assert res.zero_modes >= 1 and res.zero_threshold > 0.0
-        obj = Objective(p, cutoff=res.path.cutoff, symmetry=symmetry)
+        obj = Objective(p, cutoff=res.loop.cutoff, symmetry=symmetry)
         x = obj.pack(res.loop)
         evals, evecs = obj.evaluate(x).spectrum()
         assert evals[0] < -1e-3
@@ -473,17 +475,17 @@ def test_saddle_signature(tied_saddle, eight_saddle):
 
 def test_profile_reports_maximum(tied_saddle):
     res, _ = tied_saddle
-    im = res.path.max_interior()
-    assert 0 < im < len(res.path.nodes) - 1
-    assert res.path.actions[im] == max(res.path.actions[1:-1])
+    im = int(np.argmax(res.profile))
+    assert 0 < im < len(res.path) - 1
+    assert res.profile[im] == max(res.profile[1:-1])
 
 
 @pytest.mark.parametrize("case", ["tied", "eight"])
 def test_midpoint_max_equals_midpoints_one_at_a_time(case, tied_saddle, eight_saddle):
     res, p = tied_saddle if case == "tied" else eight_saddle
     group = EIGHT3D if case == "eight" else None
-    obj = Objective(p, cutoff=res.path.cutoff, symmetry=group)
-    nodes = res.path.nodes
+    obj = Objective(p, cutoff=res.loop.cutoff, symmetry=group)
+    nodes = res.path
     mids = [obj.value(0.5 * (a + b)) for a, b in zip(nodes[:-1], nodes[1:])]
     assert res.midpoint_max == max(mids)
     assert res.as_dict()["midpoint_max"] == res.midpoint_max
@@ -573,6 +575,21 @@ def test_eight_shape(eight_saddle):
     assert np.allclose(
         res.loop.evaluate(ts)[:, 0], res.loop.evaluate(ts + math.pi)[:, 0], atol=1e-9
     )
+
+
+def test_mirror_eights_have_the_same_winding(eight_saddle):
+    # the eight passes through its centroid, 1.7e-10 from a grid sample; its
+    # mirror image x1 -> -x1 is the search with the opposite bulge, bit for
+    # bit.  The angle about the centroid is undefined there, so neither
+    # reports a winding (not 0 for one and -1 for the other)
+    res, _ = eight_saddle
+    loop = res.loop
+    flip = np.array([-1.0, 1.0, 1.0])
+    mirror = FourierLoop(loop.mean * flip, loop.cos_coeffs * flip, loop.sin_coeffs * flip)
+    M = res.action.grid_size
+    windings = [diagnostics(x.sample(M), x.mean, 1.0).winding for x in (loop, mirror)]
+    assert windings == [None, None]
+    assert res.diagnostics.winding is None
 
 
 def test_eight_newton_residual_covanishes(eight_saddle):
