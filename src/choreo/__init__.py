@@ -6,9 +6,9 @@ an attractive pair potential 1/r^alpha.  It provides:
 
 * ``loops`` -- truncated Fourier loops, body trajectories, symmetry
   projection and orbit diagnostics;
-* ``action`` -- Kepler, inertial and rotating-frame action functionals with
-  exact coefficient gradients and a force-balance residual, all evaluated
-  through one ``Objective`` over packed Fourier coefficients;
+* ``action`` -- the ``Objective``: the Kepler, inertial and rotating-frame
+  actions over packed Fourier coefficients, with exact gradients and
+  Hessians and a force-balance residual;
 * ``spectral`` -- the circulant second-difference operator on the body
   cycle, its eigenvalues, admissible eigenbranches, the circle-restricted
   optimum and the regime classifier over the frame angular velocity;
@@ -35,10 +35,6 @@ from .loops import (
 from .action import (
     ActionValue,
     CollisionError,
-    GradientVector,
-    choreography_action,
-    gradient,
-    kepler_action,
     newton_residual,
     rotating_action,
 )
@@ -88,7 +84,6 @@ __all__ = [
     "DescentConfig",
     "EIGHT3D",
     "FourierLoop",
-    "GradientVector",
     "LoopDiagnostics",
     "MinimizeResult",
     "MountainPassConfig",
@@ -99,16 +94,13 @@ __all__ = [
     "admissible_lambdas",
     "body_trajectories",
     "bound_chain",
-    "choreography_action",
     "circulant_spectrum",
     "classify",
     "constrained_power_min",
     "detect_clusters",
     "diagnostics",
-    "gradient",
     "init_circle",
     "jensen_gap",
-    "kepler_action",
     "kepler_minimize",
     "min2_check",
     "minimize",

@@ -32,13 +32,14 @@ as the quadratic form 1/2 x^T Q x: at the converged (n, alpha, w) =
 by 2e-15), close to the Armijo test's slack of 2.5e-13 there.
 
 One evaluation path: :class:`Objective` is the only door into the value
-stage.  The functionals of this module build one at the loop's cutoff; the
-descent of :mod:`optimize` and the saddle search of :mod:`mountain_pass`
-keep one per run.  The value stage samples the loop, runs the potential
-stage (:func:`pair_potential`, or its one-lag Kepler case), which returns
-each row's value and minimal separation with the lag differences D and
-squared distances r2, checks the collision guard and returns an
-:class:`Evaluation` per row that reads its row of those arrays on demand.
+stage.  The descent of :mod:`optimize` and the saddle search of
+:mod:`mountain_pass` keep one per run; :func:`rotating_action` and
+:func:`newton_residual` build one at the loop's cutoff.  The value stage
+samples the loop, runs the potential stage (:func:`pair_potential`, or its
+one-lag Kepler case), which returns each row's value and minimal separation
+with the lag differences D and squared distances r2, checks the collision
+guard and returns an :class:`Evaluation` per row that reads its row of those
+arrays on demand.
 Its force, -(2 pi alpha / M) sum_h r2^(-(alpha+2)/2) D, is formed only for
 a gradient or a residual, so a descent step pays for one value stage per
 trial and one force stage per accepted point.  The Newton residual applies
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -116,23 +117,6 @@ class ActionValue:
             "total": self.total,
             "grid_size": self.grid_size,
         }
-
-
-@dataclass(frozen=True)
-class GradientVector:
-    """Derivative of the discretised action w.r.t. every Fourier coefficient."""
-
-    mean: np.ndarray
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(
-            float(self.mean @ self.mean)
-            + float(np.sum(self.cos_coeffs**2))
-            + float(np.sum(self.sin_coeffs**2))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +182,6 @@ def _pack(mean, cos, sin) -> np.ndarray:
     return np.concatenate([mean, np.ravel(cos), np.ravel(sin)])
 
 
-def _split(vec: np.ndarray, d: int, K: int):
-    return vec[:d], vec[d : d + K * d].reshape(K, d), vec[d + K * d :].reshape(K, d)
-
-
 def kinetic_value(
     mean: np.ndarray, cos: np.ndarray, sin: np.ndarray, omega: float
 ) -> float:
@@ -221,8 +201,8 @@ def kinetic_gradient(
     """Exact gradient L^T (w * Lx) of :func:`kinetic_value` in (mean, cos, sin)."""
     K, d = cos.shape
     L, w = velocity_map(d, K, omega)
-    _, wv = _kinetic(_pack(mean, cos, sin), L, w)
-    return _split(L.T @ wv, d, K)
+    g = L.T @ _kinetic(_pack(mean, cos, sin), L, w)[1]
+    return g[:d], g[d : d + K * d].reshape(K, d), g[d + K * d :].reshape(K, d)
 
 
 def _power_sums(r2: np.ndarray, alpha: float):
@@ -678,92 +658,25 @@ class Objective:
 
 
 # ---------------------------------------------------------------------------
-# public functionals
-
-
-def _evaluate(
-    x: FourierLoop,
-    params: SystemParams | None,
-    grid_size: int | None,
-    alpha: float | None = None,
-) -> tuple[Objective, np.ndarray, Evaluation]:
-    """The objective at x's cutoff (Kepler's when ``params`` is None), x
-    packed for it, and its evaluation of x."""
-    if params is None and float(np.max(np.abs(x.mean))) > 1e-12:
-        raise ValueError("Kepler loops must have zero mean")
-    obj = Objective(params, x.cutoff, grid_size, alpha=alpha, dim=x.dim)
-    vec = obj.pack(x)
-    return obj, vec, obj.evaluate(vec)
-
-
-def kepler_action(
-    q: FourierLoop, alpha: float, grid_size: int | None = None
-) -> ActionValue:
-    """Two-body action 1/2 int |q'|^2 + int dt/|q|^alpha for zero-mean q."""
-    obj, _, ev = _evaluate(q, None, grid_size, alpha)
-    return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
-
-
-def choreography_action(
-    x: FourierLoop, params: SystemParams, grid_size: int | None = None
-) -> ActionValue:
-    """Inertial choreography action: :func:`rotating_action` at omega = 0."""
-    return rotating_action(x, replace(params, omega=0.0), grid_size)
+# loop-level functionals
 
 
 def rotating_action(
     y: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> ActionValue:
-    """Rotating-frame action at params.omega (the inertial action when 0).
-
-    Mutual distances are rotation invariant, so only the kinetic part
-    differs from the inertial functional.
-    """
-    obj, _, ev = _evaluate(y, params, grid_size)
+    """Rotating-frame action at params.omega (the inertial action when 0);
+    only its kinetic part depends on the frame."""
+    obj = Objective(params, y.cutoff, grid_size)
+    ev = obj.evaluate(obj.pack(y))
     return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
-
-
-def gradient(
-    x: FourierLoop, params: SystemParams, grid_size: int | None = None
-) -> GradientVector:
-    """Exact derivative of the discretised action w.r.t. each coefficient.
-
-    The kinetic part is L^T (w * Lx) of the velocity map; the potential part
-    accumulates -alpha (x(t) - x(t+h tau)) / r^{alpha+2} on the grid and
-    pulls it back through the shift structure and the basis functions.
-    """
-    _, _, ev = _evaluate(x, params, grid_size)
-    return GradientVector(*_split(ev.gradient(), x.dim, x.cutoff))
-
-
-def kepler_gradient(
-    q: FourierLoop, alpha: float, grid_size: int | None = None
-) -> GradientVector:
-    """Exact derivative of :func:`kepler_action` w.r.t. the harmonic
-    coefficients of zero-mean q.  The mean is pinned, not a degree of
-    freedom: its component is reported as 0."""
-    _, _, ev = _evaluate(q, None, grid_size, alpha)
-    return GradientVector(*_split(ev.gradient(), q.dim, q.cutoff))
 
 
 def newton_residual(
     x: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> float:
-    """L^2 norm of the equations of motion along body 0.
-
-    Inertial frame:   x0'' + sum_h alpha (x0 - x_h)/|x0 - x_h|^{alpha+2};
-    rotating frame:   y0'' + 2 w J y0' - w^2 y0 + same force, with the
-    Coriolis and centrifugal terms acting on the rotation plane only.
-    A loop is a critical point of the discretised action iff the gradient
-    vanishes; this residual must co-vanish (up to the truncation tail).
-    """
-    obj, vec, ev = _evaluate(x, params, grid_size)
-    return obj.residual(vec, ev)
-
-
-def kepler_newton_residual(
-    q: FourierLoop, alpha: float, grid_size: int | None = None
-) -> float:
-    """L^2 norm of q'' + alpha q / |q|^{alpha+2} on the grid, for zero-mean q."""
-    obj, vec, ev = _evaluate(q, None, grid_size, alpha)
-    return obj.residual(vec, ev)
+    """L^2 norm of the equations of motion along body 0, with the Coriolis
+    and centrifugal terms on the rotation plane (:meth:`Objective.residual`);
+    it co-vanishes with the gradient up to the truncation tail."""
+    obj = Objective(params, x.cutoff, grid_size)
+    vec = obj.pack(x)
+    return obj.residual(vec, obj.evaluate(vec))

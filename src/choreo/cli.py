@@ -29,6 +29,7 @@ from .loops import (
     FourierLoop,
     SystemParams,
     loop_from_json,
+    project_symmetry,
     samples_csv,
     to_json_dict,
     unpack_coefficients,
@@ -279,14 +280,23 @@ def _add_mpa(sub) -> None:
     p.add_argument("--config", type=Path, required=True)
 
 
+def _check_fields(entry, allowed: set, what: str) -> None:
+    """Refuse a config entry that is not a JSON object or has unknown fields."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object, not {json.dumps(entry)}")
+    unknown = set(entry) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}; known: {sorted(allowed)}")
+
+
 def _load_endpoint(entry: dict, params: SystemParams, cutoff: int):
     """(loop, entry with its defaults: a circle's computed radius and plane)."""
-    unknown = set(entry) - _ENDPOINT_KEYS
-    if unknown:
-        raise ValueError(f"unknown endpoint fields: {sorted(unknown)}")
+    _check_fields(entry, _ENDPOINT_KEYS, "endpoint")
     if "orbit" in entry:
         loop, _ = loop_from_json(json.loads(Path(entry["orbit"]).read_text()))
         return loop, dict(entry)
+    if "winding" not in entry:
+        raise ValueError("an endpoint needs a 'winding' or an 'orbit' field")
     winding = int(entry["winding"])
     radius = entry.get("radius")
     if radius is None:
@@ -302,9 +312,7 @@ def _load_endpoint(entry: dict, params: SystemParams, cutoff: int):
 def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
     """(shape, amplitude, entry with its defaults) of the transverse bulge: a
     (shifted) circle or a single harmonic, None if the amplitude is not > 0."""
-    unknown = set(entry) - _BULGE_KEYS
-    if unknown:
-        raise ValueError(f"unknown bulge fields: {sorted(unknown)}")
+    _check_fields(entry, _BULGE_KEYS, "bulge")
     amplitude = float(entry.get("amplitude", 0.0))
     resolved = {**entry, "amplitude": amplitude}
     if amplitude <= 0.0:
@@ -314,9 +322,13 @@ def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
         if "shift" in entry:
             loop = loop.shift(float(entry["shift"]))
         return loop, amplitude, resolved
-    comp = int(entry["component"])
-    harmonic = int(entry["harmonic"])
+    comp, harmonic = int(entry.get("component", -1)), int(entry.get("harmonic", 0))
     kind = entry.get("kind", "sin")
+    if not (0 <= comp < params.d and 1 <= harmonic <= cutoff and kind in ("cos", "sin")):
+        raise ValueError(
+            f"a bulge needs a 'winding', or a 'component' in 0..{params.d - 1} and a "
+            f"'harmonic' in 1..{cutoff} (and 'kind' 'cos' or 'sin'): {json.dumps(entry)}"
+        )
     cos = np.zeros((cutoff, params.d))
     sin = np.zeros((cutoff, params.d))
     (cos if kind == "cos" else sin)[harmonic - 1, comp] = 1.0
@@ -325,10 +337,10 @@ def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
 
 def cmd_mpa(args) -> int:
     raw = json.loads(args.config.read_text())
-    unknown = set(raw) - _MPA_KEYS
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if "endpoints" not in raw or len(raw["endpoints"]) != 2:
+    _check_fields(raw, _MPA_KEYS, "config")
+    if "n" not in raw:
+        raise ValueError("config needs the body count 'n'")
+    if not isinstance(raw.get("endpoints"), list) or len(raw["endpoints"]) != 2:
         raise ValueError("config must list exactly two endpoints")
     params = SystemParams(
         n=int(raw["n"]),
@@ -338,11 +350,11 @@ def cmd_mpa(args) -> int:
     )
     cutoff = int(raw.get("harmonics", 12))
     symmetry = raw.get("symmetry", "none")
+    if symmetry not in sorted(_GROUPS):  # list membership: no TypeError for a list value
+        raise ValueError(f"unknown symmetry {symmetry!r}; choose from {sorted(_GROUPS)}")
     group = _GROUPS[symmetry]
     bulge, bulge_amp, bulge_doc = _load_bulge(raw.get("bulge", {}), params, cutoff)
     if bulge is not None and group is not None:
-        from .loops import project_symmetry
-
         bulge = project_symmetry(bulge, group)
     cfg = MountainPassConfig(
         nodes=int(raw.get("nodes", 21)),

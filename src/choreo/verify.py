@@ -350,6 +350,8 @@ SUITES = {
 
 
 def run_suites(names, seeds: int = 200) -> tuple[list[CheckOutcome], bool]:
+    if seeds < 1:  # a check over no draws would pass on nothing
+        raise ValueError(f"seeds must be at least 1, not {seeds}")
     if "all" in names:
         names = list(SUITES)
     results: list[CheckOutcome] = []

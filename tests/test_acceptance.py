@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from choreo import cli
-from choreo.action import choreography_action
 from choreo.bounds import (
     bound_chain,
     bound_chain_minimum,

@@ -8,11 +8,6 @@ from hypothesis import given, strategies as st
 from choreo.action import (
     CollisionError,
     KernelCounts,
-    choreography_action,
-    gradient,
-    kepler_action,
-    kepler_gradient,
-    kepler_newton_residual,
     kinetic_gradient,
     kinetic_value,
     newton_residual,
@@ -36,38 +31,55 @@ def circle(radius, winding=1, dim=2, cutoff=4):
     return FourierLoop.circle(radius, winding, dim=dim, cutoff=cutoff)
 
 
+def kepler_eval(q, alpha, grid_size=None):
+    """The Kepler objective at q's cutoff and its evaluation of q."""
+    obj = Objective(None, cutoff=q.cutoff, grid_size=grid_size, alpha=alpha, dim=q.dim)
+    return obj, obj.evaluate(obj.pack(q))
+
+
+def choreo_eval(x, p, grid_size=None):
+    """The objective of p at x's cutoff and its evaluation of x."""
+    obj = Objective(p, cutoff=x.cutoff, grid_size=grid_size)
+    return obj, obj.evaluate(obj.pack(x))
+
+
 # ---------------------------------------------------------------------------
 # Kepler functional
 
 
 def test_kepler_unit_circle():
-    av = kepler_action(circle(1.0), 1.0)
-    assert abs(av.kinetic - math.pi) < 1e-12
-    assert abs(av.potential - TWO_PI) < 1e-12
-    assert abs(av.total - 3 * math.pi) < 1e-12
+    _, ev = kepler_eval(circle(1.0), 1.0)
+    assert abs(ev.kinetic - math.pi) < 1e-12
+    assert abs(ev.potential - TWO_PI) < 1e-12
+    assert abs(ev.value - 3 * math.pi) < 1e-12
 
 
 def test_kepler_radius_two():
     # speed 2 circle: kinetic pi R^2 = 4 pi, potential 2 pi / 2 = pi
-    av = kepler_action(circle(2.0), 1.0)
-    assert abs(av.kinetic - 4 * math.pi) < 1e-12
-    assert abs(av.potential - math.pi) < 1e-12
+    _, ev = kepler_eval(circle(2.0), 1.0)
+    assert abs(ev.kinetic - 4 * math.pi) < 1e-12
+    assert abs(ev.potential - math.pi) < 1e-12
 
 
 @given(st.floats(0.5, 2.0))
 def test_kepler_scaling_homogeneity(lam):
     alpha = 1.4
     q = circle(1.0)
-    base = kepler_action(q, alpha)
-    scaled = kepler_action(q.scaled(lam), alpha)
+    _, base = kepler_eval(q, alpha)
+    _, scaled = kepler_eval(q.scaled(lam), alpha)
     assert abs(scaled.kinetic - lam**2 * base.kinetic) < 1e-10
     assert abs(scaled.potential - lam ** (-alpha) * base.potential) < 1e-10
 
 
-def test_kepler_rejects_nonzero_mean():
-    q = circle(1.0).with_mean([0.1, 0.0])
-    with pytest.raises(ValueError):
-        kepler_action(q, 1.0)
+def test_kepler_objective_pins_the_mean():
+    # the mean is not a degree of freedom of the Kepler functional: packing
+    # drops it, so a loop with a mean evaluates as its zero-mean part
+    q = circle(1.0)
+    obj, ev = kepler_eval(q, 1.0)
+    moved = q.with_mean([0.1, 0.0])
+    assert not obj.mask[:2].any()
+    assert np.array_equal(obj.pack(moved), obj.pack(q))
+    assert kepler_eval(moved, 1.0)[1].value == ev.value
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +95,26 @@ def lagrange_radius():
 def test_choreography_three_body_circle_formula():
     p = SystemParams(n=3, alpha=1.0)
     for R in (0.7, 1.0, lagrange_radius()):
-        av = choreography_action(circle(R), p)
+        _, ev = choreo_eval(circle(R), p)
         expected = math.pi * R**2 + TWO_PI / (math.sqrt(3.0) * R)
-        assert abs(av.total - expected) < 1e-12 * max(1.0, expected)
-    minimum = choreography_action(circle(lagrange_radius()), p)
-    assert abs(minimum.total - 3.0 ** (2.0 / 3.0) * math.pi) < 1e-12
+        assert abs(ev.value - expected) < 1e-12 * max(1.0, expected)
+    _, minimum = choreo_eval(circle(lagrange_radius()), p)
+    assert abs(minimum.value - 3.0 ** (2.0 / 3.0) * math.pi) < 1e-12
 
 
 def test_choreography_two_body_circle_formula():
     p = SystemParams(n=2, alpha=1.0)
     R = 1.3
-    av = choreography_action(circle(R), p)
-    assert abs(av.total - (math.pi * R**2 + math.pi / (2 * R))) < 1e-12
+    _, ev = choreo_eval(circle(R), p)
+    assert abs(ev.value - (math.pi * R**2 + math.pi / (2 * R))) < 1e-12
 
 
 def test_choreography_scaling_law(rng):
     p = SystemParams(n=4, alpha=2.0)
     x = random_loop(rng, p)
     lam = 1.37
-    base = choreography_action(x, p)
-    scaled = choreography_action(x.scaled(lam), p)
+    _, base = choreo_eval(x, p)
+    _, scaled = choreo_eval(x.scaled(lam), p)
     assert abs(scaled.kinetic - lam**2 * base.kinetic) < 1e-10 * base.kinetic
     assert (
         abs(scaled.potential - lam ** (-p.alpha) * base.potential)
@@ -113,7 +125,7 @@ def test_choreography_scaling_law(rng):
 def test_collision_guard_reports_lag():
     p = SystemParams(n=4, alpha=1.0)
     with pytest.raises(CollisionError) as err:
-        choreography_action(circle(1.0, winding=2), p)  # bodies 0 and 2 coincide
+        choreo_eval(circle(1.0, winding=2), p)  # bodies 0 and 2 coincide
     assert err.value.h in (1, 2, 3)
     assert err.value.separation < 1e-8
 
@@ -126,9 +138,10 @@ def test_rotating_reduces_to_inertial_at_zero_omega(rng):
     p = SystemParams(n=3, alpha=1.0, omega=0.0)
     x = random_loop(rng, p)
     a = rotating_action(x, p)
-    b = choreography_action(x, p)
+    obj, b = choreo_eval(x, p)
     assert a.kinetic == b.kinetic
     assert a.potential == b.potential
+    assert a.grid_size == obj.grid_size
 
 
 def test_rotating_circle_kinetic_formula():
@@ -157,9 +170,9 @@ def test_frame_consistency_at_multiples_of_n(rng):
     p_in = SystemParams(n=n, alpha=1.0, omega=0.0)
     y = random_loop(rng, p_rot, cutoff=5)
     x = rotate_winding(y, omega)
-    a = rotating_action(y, p_rot, grid_size=120)
-    b = choreography_action(x, p_in, grid_size=120)
-    assert abs(a.total - b.total) < 1e-9 * max(1.0, b.total)
+    _, a = choreo_eval(y, p_rot, grid_size=120)
+    _, b = choreo_eval(x, p_in, grid_size=120)
+    assert abs(a.value - b.value) < 1e-9 * max(1.0, b.value)
 
 
 def test_frame_kinetic_consistency_any_integer_omega(rng):
@@ -169,8 +182,8 @@ def test_frame_kinetic_consistency_any_integer_omega(rng):
     p_rot = SystemParams(n=3, alpha=1.0, omega=float(omega))
     y = random_loop(rng, p_rot, cutoff=5)
     x = rotate_winding(y, omega)
-    a = rotating_action(y, p_rot, grid_size=96)
-    b = choreography_action(x, SystemParams(n=3, alpha=1.0), grid_size=96)
+    _, a = choreo_eval(y, p_rot, grid_size=96)
+    _, b = choreo_eval(x, SystemParams(n=3, alpha=1.0), grid_size=96)
     assert abs(a.kinetic - b.kinetic) < 1e-10 * max(1.0, b.kinetic)
 
 
@@ -183,8 +196,8 @@ def test_potential_rotation_translation_invariance(rng):
     moved = FourierLoop(
         x.mean @ R.T + np.array([0.4, -1.1]), x.cos_coeffs @ R.T, x.sin_coeffs @ R.T
     )
-    a = choreography_action(x, p)
-    b = choreography_action(moved, p)
+    _, a = choreo_eval(x, p)
+    _, b = choreo_eval(moved, p)
     assert abs(a.potential - b.potential) <= 1e-12 * a.potential
 
 
@@ -383,26 +396,28 @@ def test_gradient_directional_derivative(rng):
 
 def test_gradient_vanishes_at_lagrange_circle():
     p = SystemParams(n=3, alpha=1.0)
-    g = gradient(circle(lagrange_radius(), cutoff=4), p, grid_size=96)
-    assert g.norm < 1e-8
+    _, ev = choreo_eval(circle(lagrange_radius(), cutoff=4), p, grid_size=96)
+    assert np.linalg.norm(ev.gradient()) < 1e-8
 
 
 def test_kepler_gradient_finite_difference(rng):
-    # central differences of kepler_action on every harmonic coefficient;
-    # the mean is pinned, not a degree of freedom, and reported as 0
+    # central differences of the Kepler value on every harmonic coefficient
+    # of a loop built anew for each; the mean is pinned, not a degree of
+    # freedom, and its gradient entries are 0
     alpha = 1.3
     q = circle(1.1, cutoff=5)
     cos = q.cos_coeffs + rng.uniform(-0.05, 0.05, (5, 2))
     sin = q.sin_coeffs + rng.uniform(-0.05, 0.05, (5, 2))
-    g = kepler_gradient(FourierLoop(np.zeros(2), cos, sin), alpha)
+    obj, ev = kepler_eval(FourierLoop(np.zeros(2), cos, sin), alpha)
+    g = obj.unpack(ev.gradient())
     assert np.all(g.mean == 0.0)
     eps = 1e-6
     for arr, grad in ((cos, g.cos_coeffs), (sin, g.sin_coeffs)):
         for idx in np.ndindex(arr.shape):
             arr[idx] += eps
-            up = kepler_action(FourierLoop(np.zeros(2), cos, sin), alpha).total
+            up = kepler_eval(FourierLoop(np.zeros(2), cos, sin), alpha)[1].value
             arr[idx] -= 2 * eps
-            dn = kepler_action(FourierLoop(np.zeros(2), cos, sin), alpha).total
+            dn = kepler_eval(FourierLoop(np.zeros(2), cos, sin), alpha)[1].value
             arr[idx] += eps
             fd = (up - dn) / (2 * eps)
             assert abs(fd - grad[idx]) < 1e-6 * max(1.0, abs(fd))
@@ -490,16 +505,15 @@ def test_residual_matches_hand_written_frame_terms(rng, kepler):
     # x'' + 2 w J x' - w^2 P x; d = 3 has rows outside the rotation plane
     for i in range(8):
         if kepler:
-            alpha = 0.6 + 0.2 * i
             x = random_loop(rng, SystemParams(n=2, d=2 + i % 2), zero_mean=True)
-            obj = Objective(None, cutoff=x.cutoff, alpha=alpha, dim=x.dim)
-            got = kepler_newton_residual(x, alpha)
+            obj, ev = kepler_eval(x, 0.6 + 0.2 * i)
+            got = obj.residual(obj.pack(x), ev)
         else:
             p = SystemParams(n=3 + i % 3, d=3, alpha=0.6 + 0.2 * i, omega=0.35 + 0.4 * i)
             x = random_loop(rng, p)
-            obj = Objective(p, cutoff=x.cutoff)
+            obj, ev = choreo_eval(x, p)
             got = newton_residual(x, p)
-        ref = _frame_residual(x, obj.omega, obj.evaluate(obj.pack(x)))
+        ref = _frame_residual(x, obj.omega, ev)
         assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -526,7 +540,9 @@ def test_residual_nonzero_off_critical(rng):
 
 
 def test_kepler_residual_unit_circle():
-    assert kepler_newton_residual(circle(1.0, cutoff=4), 1.0, grid_size=192) < 1e-10
+    q = circle(1.0, cutoff=4)
+    obj, ev = kepler_eval(q, 1.0, grid_size=192)
+    assert obj.residual(obj.pack(q), ev) < 1e-10
 
 
 def test_residual_covanishes_with_gradient():
@@ -536,7 +552,8 @@ def test_residual_covanishes_with_gradient():
 
     R = circle_radius_for_winding(3, 1.0, 0.5, -1)
     x = circle(R, -1, cutoff=4)
-    g = gradient(x, p)
-    res = newton_residual(x, p)
-    assert g.norm < 1e-10
+    obj, ev = choreo_eval(x, p)
+    res = obj.residual(obj.pack(x), ev)
+    assert np.linalg.norm(ev.gradient()) < 1e-10
     assert res < 1e-8
+    assert res == newton_residual(x, p)

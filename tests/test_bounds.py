@@ -311,9 +311,10 @@ def test_chain_strict_on_random_loops(rng):
 def test_chain_kinetic_term_is_exact(rng):
     p = SystemParams(n=4, alpha=1.0)
     x = random_loop(rng, p)
-    from choreo.action import choreography_action
+    from choreo.action import Objective
 
-    assert abs(kinetic_integral(x) - choreography_action(x, p).kinetic) < 1e-10
+    obj = Objective(p, cutoff=x.cutoff)
+    assert abs(kinetic_integral(x) - obj.evaluate(obj.pack(x)).kinetic) < 1e-10
 
 
 def test_chain_minimum_matches_circle_prediction():

@@ -16,6 +16,21 @@ def run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
+# the package
+
+
+def test_every_exported_name_resolves():
+    import choreo
+
+    assert len(set(choreo.__all__)) == len(choreo.__all__)
+    for name in choreo.__all__:
+        assert getattr(choreo, name) is not None, name
+    namespace = {}
+    exec("from choreo import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(choreo.__all__)
+
+
+# ---------------------------------------------------------------------------
 # classify / spectrum
 
 
@@ -247,6 +262,16 @@ def test_verify_wrong_multiplicities_fail_the_pattern_check(monkeypatch):
     assert checks["multiplicity_pattern"].passed is False
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_refuses_runs_without_draws(capsys, seeds):
+    # a check over no random loops would report a pass on nothing
+    code, out, err = run(capsys, "verify", "--suite", "inequalities", "--seeds", seeds)
+    assert code == 1
+    assert "PASS" not in out
+    assert err.startswith("error: ") and "seeds" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_report_file(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, _ = run(
@@ -450,3 +475,39 @@ def test_mpa_requires_two_endpoints(tmp_path, capsys):
     path.write_text(json.dumps({"n": 3, "endpoints": [{"winding": -1}]}))
     code, _, _ = run(capsys, "mpa", "--config", str(path))
     assert code == 1
+
+
+_CIRCLES = [{"winding": -1}, {"winding": 1}]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"n": 3, "symmetry": "bogus", "endpoints": _CIRCLES}, "symmetry"),
+        ({"n": 3, "endpoints": [{"winding": -1}, {"radius": 1.0}]}, "winding"),
+        ({"endpoints": _CIRCLES}, "'n'"),
+        ({"n": 3, "endpoints": [{"winding": -1}, 7]}, "endpoint"),
+        ({"n": 3, "endpoints": {"a": 1, "b": 2}}, "endpoints"),
+        ({"n": 3, "endpoints": _CIRCLES, "bulge": {"amplitude": 0.3}}, "component"),
+        (
+            {"n": 3, "endpoints": _CIRCLES,
+             "bulge": {"amplitude": 0.3, "component": 2, "harmonic": 1}},
+            "component",
+        ),
+        ([1, 2], "JSON object"),
+    ],
+    ids=[
+        "unknown-symmetry", "no-winding", "no-n", "endpoint-not-object",
+        "endpoints-not-list", "bulge-without-shape", "bulge-component-out-of-range",
+        "config-not-object",
+    ],
+)  # fmt: skip
+def test_mpa_malformed_config_is_one_error_line(tmp_path, capsys, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
