@@ -11,12 +11,18 @@ Subcommands: minimize, classify, spectrum, verify, mpa.  Exit codes:
 
 Artifacts are deterministic: JSON is emitted with sorted keys, every file
 embeds the fully resolved configuration, and no timestamps are written.
+
+``choreo mpa`` reads its JSON configuration, each endpoint and the bulge
+against one field table each (``_CONFIG``, ``_ENDPOINT``, ``_BULGE``: every
+field's JSON type and default).  An unknown or missing field, a value of the
+wrong type and a non-finite number are refused with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +35,6 @@ from .loops import (
     FourierLoop,
     SystemParams,
     loop_from_json,
-    project_symmetry,
     samples_csv,
     to_json_dict,
     unpack_coefficients,
@@ -55,6 +60,13 @@ def _iterations_csv(history) -> str:
     for it, act, gn, step in history:
         lines.append(f"{it},{act!r},{gn!r},{step!r}")
     return "\n".join(lines) + "\n"
+
+
+def _config(args, **resolved) -> dict:
+    """The configuration an artifact embeds: every parsed argument but the
+    output flags, the values resolved from them, and the version."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "svg", "csv")}
+    return {**config, **resolved, "version": __version__}
 
 
 # ---------------------------------------------------------------------------
@@ -114,30 +126,11 @@ def cmd_minimize(args) -> int:
     ]
     result = multistart(params, cfg, specs).best
 
-    config_doc = {
-        "command": "minimize",
-        "n": args.n,
-        "alpha": args.alpha,
-        "omega": args.omega,
-        "dim": args.dim,
-        "harmonics": args.harmonics,
-        "grid": args.grid,
-        "seed": args.seed,
-        "winding": winding,
-        "radius": args.radius,
-        "noise": args.noise,
-        "starts": args.starts,
-        "grad_tol": args.grad_tol,
-        "max_iters": args.max_iters,
-        "symmetry": args.symmetry,
-        "pin_mean": args.pin_mean,
-        "version": __version__,
-    }
     doc = to_json_dict(
         result.loop,
         params,
         result.diagnostics,
-        extra={"result": result.as_dict(), "config": config_doc},
+        extra={"result": result.as_dict(), "config": _config(args, winding=winding)},
     )
     out = args.out
     if out is not None:
@@ -179,13 +172,7 @@ def _add_classify(sub) -> None:
 def cmd_classify(args) -> int:
     report = spectral.classify(args.n, args.alpha, args.omega)
     doc = report.as_dict()
-    doc["config"] = {
-        "command": "classify",
-        "n": args.n,
-        "alpha": args.alpha,
-        "omega": args.omega,
-        "version": __version__,
-    }
+    doc["config"] = _config(args)
     _dump_json(doc, args.out)
     return 0
 
@@ -201,13 +188,7 @@ def _add_spectrum(sub) -> None:
 def cmd_spectrum(args) -> int:
     spec = spectral.circulant_spectrum(args.n, args.alpha, k=args.variant)
     doc = spec.as_dict()
-    doc["config"] = {
-        "command": "spectrum",
-        "n": args.n,
-        "alpha": args.alpha,
-        "variant": args.variant,
-        "version": __version__,
-    }
+    doc["config"] = _config(args)
     _dump_json(doc, args.out)
     return 0
 
@@ -232,16 +213,8 @@ def cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
-    doc = {
-        "passed": ok,
-        "checks": [r.as_dict() for r in results],
-        "config": {
-            "command": "verify",
-            "suite": args.suite,
-            "seeds": args.seeds,
-            "version": __version__,
-        },
-    }
+    checks = [r.as_dict() for r in results]
+    doc = {"passed": ok, "checks": checks, "config": _config(args)}
     if args.out is not None:
         _dump_json(doc, args.out)
     if not ok:
@@ -255,24 +228,27 @@ def cmd_verify(args) -> int:
 # mountain pass
 
 
-_MPA_KEYS = {
-    "n",
-    "alpha",
-    "omega",
-    "dim",
-    "harmonics",
-    "grid",
-    "nodes",
-    "saddle_tol",
-    "max_sweeps",
-    "symmetry",
-    "endpoints",
-    "bulge",
-    "out",
-    "svg",
-}
-_ENDPOINT_KEYS = {"winding", "radius", "orbit", "plane"}
-_BULGE_KEYS = {"amplitude", "winding", "shift", "component", "harmonic", "kind"}
+# The fields of the three mpa input documents, name -> (JSON type, default).
+# A number field (float) also takes a JSON integer, a field whose default is
+# None also takes null, and a field whose default is ... is required.
+_CONFIG = {
+    "n": (int, ...), "alpha": (float, 1.0), "omega": (float, 0.0), "dim": (int, 2),
+    "harmonics": (int, 12), "grid": (int, None), "nodes": (int, 21),
+    "max_sweeps": (int, 4000), "saddle_tol": (float, 1e-6), "symmetry": (str, "none"),
+    "endpoints": (list, ...), "bulge": (dict, {}), "out": (str, None), "svg": (bool, False),
+}  # fmt: skip
+_ENDPOINT = {
+    "winding": (int, None), "radius": (float, None), "orbit": (str, None),
+    "plane": (list, [0, 1]),
+}  # fmt: skip
+_BULGE = {
+    "amplitude": (float, 0.0), "winding": (int, None), "shift": (float, None),
+    "component": (int, None), "harmonic": (int, None), "kind": (str, "sin"),
+}  # fmt: skip
+_JSON_TYPES = {
+    int: "an integer", float: "a number", str: "a string", bool: "true or false",
+    list: "an array", dict: "an object",
+}  # fmt: skip
 
 
 def _add_mpa(sub) -> None:
@@ -280,51 +256,79 @@ def _add_mpa(sub) -> None:
     p.add_argument("--config", type=Path, required=True)
 
 
-def _check_fields(entry, allowed: set, what: str) -> None:
-    """Refuse a config entry that is not a JSON object or has unknown fields."""
+def _read(entry, fields: dict, what: str) -> dict:
+    """Every field of the JSON object ``entry``, given or defaulted, checked
+    against its type in ``fields``; a number is read as a finite float."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} must be a JSON object, not {json.dumps(entry)}")
-    unknown = set(entry) - allowed
+    unknown = set(entry) - set(fields)
     if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}; known: {sorted(allowed)}")
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}; known: {sorted(fields)}")
+    record = {}
+    for name, (kind, default) in fields.items():
+        if name not in entry:
+            if default is ...:
+                raise ValueError(f"{what} needs the field {name!r}")
+            record[name] = default
+            continue
+        value = entry[name]
+        if kind is float and type(value) is int:
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if type(value) is not kind and not (value is None and default is None):
+            null = " or null" if default is None else ""
+            raise ValueError(
+                f"{what} field {name!r} must be {_JSON_TYPES[kind]}{null}, "
+                f"not {json.dumps(value)}"
+            )
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"{what} field {name!r} must be finite, not {value}")
+        record[name] = value
+    return record
 
 
-def _load_endpoint(entry: dict, params: SystemParams, cutoff: int):
+def _load_endpoint(entry, params: SystemParams, cutoff: int):
     """(loop, entry with its defaults: a circle's computed radius and plane)."""
-    _check_fields(entry, _ENDPOINT_KEYS, "endpoint")
-    if "orbit" in entry:
-        loop, _ = loop_from_json(json.loads(Path(entry["orbit"]).read_text()))
+    end = _read(entry, _ENDPOINT, "endpoint")
+    if end["orbit"] is not None:
+        loop, _ = loop_from_json(json.loads(Path(end["orbit"]).read_text()))
         return loop, dict(entry)
-    if "winding" not in entry:
+    winding, radius, plane = end["winding"], end["radius"], list(end["plane"])
+    if winding is None:
         raise ValueError("an endpoint needs a 'winding' or an 'orbit' field")
-    winding = int(entry["winding"])
-    radius = entry.get("radius")
+    if not (
+        len(plane) == 2
+        and plane[0] != plane[1]
+        and all(type(c) is int and 0 <= c < params.d for c in plane)
+    ):
+        raise ValueError(
+            f"endpoint field 'plane' must be two distinct coordinates in "
+            f"0..{params.d - 1}, not {json.dumps(plane)}"
+        )
     if radius is None:
         radius = spectral.circle_radius_for_winding(
             params.n, params.alpha, params.omega, winding
         )
-    radius = float(radius)
-    plane = tuple(entry.get("plane", (0, 1)))
     loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=cutoff, plane=plane)
-    return loop, {"winding": winding, "radius": radius, "plane": list(plane)}
+    return loop, {"winding": winding, "radius": radius, "plane": plane}
 
 
-def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
+def _load_bulge(entry, params: SystemParams, cutoff: int):
     """(shape, amplitude, entry with its defaults) of the transverse bulge: a
     (shifted) circle or a single harmonic, None if the amplitude is not > 0."""
-    _check_fields(entry, _BULGE_KEYS, "bulge")
-    amplitude = float(entry.get("amplitude", 0.0))
+    bulge = _read(entry, _BULGE, "bulge")
+    amplitude = bulge["amplitude"]
     resolved = {**entry, "amplitude": amplitude}
     if amplitude <= 0.0:
         return None, 0.0, resolved
-    if "winding" in entry:
-        loop = FourierLoop.circle(1.0, int(entry["winding"]), dim=params.d, cutoff=cutoff)
-        if "shift" in entry:
-            loop = loop.shift(float(entry["shift"]))
+    if bulge["winding"] is not None:
+        loop = FourierLoop.circle(1.0, bulge["winding"], dim=params.d, cutoff=cutoff)
+        if bulge["shift"] is not None:
+            loop = loop.shift(bulge["shift"])
         return loop, amplitude, resolved
-    comp, harmonic = int(entry.get("component", -1)), int(entry.get("harmonic", 0))
-    kind = entry.get("kind", "sin")
-    if not (0 <= comp < params.d and 1 <= harmonic <= cutoff and kind in ("cos", "sin")):
+    comp, harmonic, kind = bulge["component"], bulge["harmonic"], bulge["kind"]
+    if not (
+        comp in range(params.d) and harmonic in range(1, cutoff + 1) and kind in ("cos", "sin")
+    ):
         raise ValueError(
             f"a bulge needs a 'winding', or a 'component' in 0..{params.d - 1} and a "
             f"'harmonic' in 1..{cutoff} (and 'kind' 'cos' or 'sin'): {json.dumps(entry)}"
@@ -336,49 +340,38 @@ def _load_bulge(entry: dict, params: SystemParams, cutoff: int):
 
 
 def cmd_mpa(args) -> int:
-    raw = json.loads(args.config.read_text())
-    _check_fields(raw, _MPA_KEYS, "config")
-    if "n" not in raw:
-        raise ValueError("config needs the body count 'n'")
-    if not isinstance(raw.get("endpoints"), list) or len(raw["endpoints"]) != 2:
+    config = _read(json.loads(args.config.read_text()), _CONFIG, "config")
+    if len(config["endpoints"]) != 2:
         raise ValueError("config must list exactly two endpoints")
+    if config["symmetry"] not in _GROUPS:
+        raise ValueError(
+            f"unknown symmetry {config['symmetry']!r}; choose from {sorted(_GROUPS)}"
+        )
     params = SystemParams(
-        n=int(raw["n"]),
-        d=int(raw.get("dim", 2)),
-        alpha=float(raw.get("alpha", 1.0)),
-        omega=float(raw.get("omega", 0.0)),
+        n=config["n"], d=config["dim"], alpha=config["alpha"], omega=config["omega"]
     )
-    cutoff = int(raw.get("harmonics", 12))
-    symmetry = raw.get("symmetry", "none")
-    if symmetry not in sorted(_GROUPS):  # list membership: no TypeError for a list value
-        raise ValueError(f"unknown symmetry {symmetry!r}; choose from {sorted(_GROUPS)}")
-    group = _GROUPS[symmetry]
-    bulge, bulge_amp, bulge_doc = _load_bulge(raw.get("bulge", {}), params, cutoff)
-    if bulge is not None and group is not None:
-        bulge = project_symmetry(bulge, group)
+    cutoff = config["harmonics"]
+    bulge, bulge_amp, bulge_doc = _load_bulge(config["bulge"], params, cutoff)
     cfg = MountainPassConfig(
-        nodes=int(raw.get("nodes", 21)),
+        nodes=config["nodes"],
         cutoff=cutoff,
-        grid_size=raw.get("grid"),
-        max_sweeps=int(raw.get("max_sweeps", 4000)),
-        saddle_tol=float(raw.get("saddle_tol", 1e-6)),
-        symmetry=group,
+        grid_size=config["grid"],
+        max_sweeps=config["max_sweeps"],
+        saddle_tol=config["saddle_tol"],
+        symmetry=_GROUPS[config["symmetry"]],
         bulge=bulge,
         bulge_amplitude=bulge_amp,
     )
-    end_a, doc_a = _load_endpoint(raw["endpoints"][0], params, cutoff)
-    end_b, doc_b = _load_endpoint(raw["endpoints"][1], params, cutoff)
+    (end_a, doc_a), (end_b, doc_b) = (
+        _load_endpoint(entry, params, cutoff) for entry in config["endpoints"]
+    )
     result = mountain_pass(end_a, end_b, params, cfg)
 
     # every value the search used, defaults included: the config runs again
     # as it stands once "command" and "version" are dropped
     config_doc = {
-        "command": "mpa", "version": __version__,
-        "n": params.n, "dim": params.d, "alpha": params.alpha, "omega": params.omega,
-        "harmonics": cutoff, "grid": result.action.grid_size, "nodes": cfg.nodes,
-        "max_sweeps": cfg.max_sweeps, "saddle_tol": cfg.saddle_tol, "symmetry": symmetry,
-        "endpoints": [doc_a, doc_b], "bulge": bulge_doc,
-        "out": raw.get("out"), "svg": bool(raw.get("svg", False)),
+        **config, "command": "mpa", "version": __version__,
+        "grid": result.action.grid_size, "endpoints": [doc_a, doc_b], "bulge": bulge_doc,
     }  # fmt: skip
     doc = to_json_dict(
         result.loop,
@@ -386,8 +379,8 @@ def cmd_mpa(args) -> int:
         result.diagnostics,
         extra={"result": result.as_dict(), "config": config_doc},
     )
-    if raw.get("out") is not None:
-        out = Path(raw["out"])
+    if config["out"] is not None:
+        out = Path(config["out"])
         _dump_json(doc, out / "saddle.json")
         path_doc = {
             "config": config_doc,
@@ -398,7 +391,7 @@ def cmd_mpa(args) -> int:
             "actions": list(result.profile),
         }
         _dump_json(path_doc, out / "path.json")
-        if raw.get("svg"):
+        if config["svg"]:
             (out / "saddle.svg").write_text(
                 saddle_svg(result.loop, (end_a, end_b), params)
             )

@@ -620,16 +620,30 @@ def to_json_dict(
 
 
 def loop_from_json(doc: dict) -> tuple[FourierLoop, SystemParams]:
-    p = doc["params"]
+    """The loop and parameters of an orbit document (the layout of
+    :func:`to_json_dict`); a missing or ill-typed field raises ValueError
+    naming it."""
+
+    def field(obj, path: str, convert):
+        key = path.rsplit(".", 1)[-1]
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"orbit document has no field {path!r}")
+        try:
+            return convert(obj[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"orbit document field {path!r} is ill-typed") from None
+
+    p = field(doc, "params", dict)
     params = SystemParams(
-        n=int(p["n"]), d=int(p["d"]), alpha=float(p["alpha"]), omega=float(p["omega"])
+        n=field(p, "params.n", int),
+        d=field(p, "params.d", int),
+        alpha=field(p, "params.alpha", float),
+        omega=field(p, "params.omega", float),
     )
     loop = FourierLoop(
-        np.asarray(doc["mean"], float),
-        np.asarray(doc["cos"], float),
-        np.asarray(doc["sin"], float),
+        *(field(doc, key, lambda v: np.asarray(v, float)) for key in ("mean", "cos", "sin"))
     )
-    if loop.cutoff != int(doc["cutoff"]):
+    if loop.cutoff != field(doc, "cutoff", int):
         raise ValueError("cutoff field does not match coefficient arrays")
     if loop.dim != params.d:
         raise ValueError("loop dimension does not match params.d")

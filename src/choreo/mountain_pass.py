@@ -102,7 +102,7 @@ class MountainPassConfig:
         check_discretisation(self.cutoff, self.grid_size)
         if self.nodes < 3:
             raise ValueError("a path needs at least 3 nodes")
-        if self.saddle_tol <= 0:
+        if not self.saddle_tol > 0:
             raise ValueError("saddle_tol must be positive")
 
 

@@ -93,7 +93,6 @@ from .loops import (
     body_samples,
     check_discretisation,
     diagnostics as loop_diagnostics,
-    project_symmetry,
 )
 from .spectral import circle_radius_for_winding
 
@@ -113,7 +112,7 @@ class DescentConfig:
 
     def __post_init__(self) -> None:
         check_discretisation(self.cutoff, self.grid_size)
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
 
 
@@ -431,8 +430,11 @@ def init_circle(
 
     At zero noise the winding must be coprime with n, otherwise two bodies
     coincide along the whole orbit; with noise the degeneracy is lifted and
-    any winding not divisible by n is accepted.
+    any winding not divisible by n is accepted.  The noise must be finite
+    and non-negative.
     """
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     m = int(winding)
     if m % params.n == 0:
         raise ValueError(f"winding {m} is divisible by n={params.n}: all bodies collide")
@@ -481,8 +483,9 @@ def minimize(
     The action sequence is nonincreasing by construction; termination is by
     gradient tolerance, escape detection, step starvation or the iteration
     budget.  The symmetry projection, when a group is configured, is a
-    coordinate mask, so masking the gradient keeps every iterate inside the
-    constraint subspace (projected gradient descent).
+    coordinate mask: ``Objective.pack`` projects ``init`` onto the constraint
+    subspace, and masking the gradient keeps every iterate inside it
+    (projected gradient descent).
     """
     obj = Objective(
         params,
@@ -491,8 +494,7 @@ def minimize(
         symmetry=cfg.symmetry,
         pin_mean=cfg.pin_mean,
     )
-    x0 = obj.pack(init if cfg.symmetry is None else project_symmetry(init, cfg.symmetry))
-    return _minimize(obj, x0, cfg)
+    return _minimize(obj, obj.pack(init), cfg)
 
 
 def kepler_minimize(

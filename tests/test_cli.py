@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text: str):
+    """An artifact parsed as strict JSON: the NaN and Infinity tokens that
+    json.loads accepts are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 # ---------------------------------------------------------------------------
 # the package
 
@@ -37,7 +47,7 @@ def test_every_exported_name_resolves():
 def test_classify_stdout_json(capsys):
     code, out, _ = run(capsys, "classify", "--n", "5", "--alpha", "1", "--omega", "2.1")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["regime"] == "ROTATING_CIRCLE"
     assert doc["predicted_winding"] == 2
     assert doc["config"]["command"] == "classify"
@@ -52,7 +62,7 @@ def test_classify_deterministic(capsys):
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "3", "--alpha", "1")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert abs(doc["deltas"][1] - 1.0 / (2 * math.pi)) < 1e-14
     assert doc["multiplicities"] == [1, 2]
 
@@ -111,7 +121,7 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
         "--out", str(out), "--svg", "--csv",
     )
     assert code == 0
-    doc = json.loads((out / "orbit.json").read_text())
+    doc = strict_json((out / "orbit.json").read_text())
     assert doc["result"]["converged"] is True
     assert abs(doc["diagnostics"]["radius"] - 3.0 ** (-1.0 / 6.0)) < 1e-4
     # one gradient at the start and one per accepted step; every further
@@ -166,7 +176,7 @@ def test_minimize_budget_exhausted_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert err == "descent did not converge: iteration budget exhausted\n"
-    result = json.loads((out / "orbit.json").read_text())["result"]
+    result = strict_json((out / "orbit.json").read_text())["result"]
     assert result["converged"] is False and result["iters"] == 2
 
 
@@ -191,6 +201,24 @@ def test_minimize_refuses_unaffordable_discretisation(tmp_path, capsys, flags):
     assert not (tmp_path / "big").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--noise", "inf"), ("--noise", "nan"), ("--noise", "-0.1"), ("--grad-tol", "nan")],
+)
+def test_minimize_refuses_non_finite_or_negative_noise_and_nan_tolerance(
+    tmp_path, capsys, flags
+):
+    code, _, err = run(
+        capsys,
+        "minimize",
+        "--n", "3", "--harmonics", "4", *flags, "--out", str(tmp_path / "run"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_minimize_orbit_schema_round_trips(tmp_path, capsys):
     out = tmp_path / "run"
     run(
@@ -201,7 +229,7 @@ def test_minimize_orbit_schema_round_trips(tmp_path, capsys):
     )
     from choreo.loops import loop_from_json
 
-    loop, params = loop_from_json(json.loads((out / "orbit.json").read_text()))
+    loop, params = loop_from_json(strict_json((out / "orbit.json").read_text()))
     assert params.n == 3
     assert loop.cutoff == 4
 
@@ -279,7 +307,7 @@ def test_verify_report_file(tmp_path, capsys):
         "--out", str(report),
     )
     assert code == 0
-    doc = json.loads(report.read_text())
+    doc = strict_json(report.read_text())
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
 
@@ -290,7 +318,7 @@ def test_verify_spectral_report_file(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, err = run(capsys, "verify", "--suite", "spectral", "--out", str(report))
     assert code == 0, err
-    doc = json.loads(report.read_text())
+    doc = strict_json(report.read_text())
     assert doc["passed"] is True
     assert all(c["passed"] is True for c in doc["checks"])
 
@@ -317,7 +345,7 @@ def test_mpa_config_runs_and_writes(tmp_path, capsys):
     path.write_text(json.dumps(config))
     code, _, _ = run(capsys, "mpa", "--config", str(path))
     assert code == 0
-    doc = json.loads((tmp_path / "mpa" / "saddle.json").read_text())
+    doc = strict_json((tmp_path / "mpa" / "saddle.json").read_text())
     assert doc["result"]["converged"] is True
     assert doc["result"]["above_endpoints"] is True
     # why the path phase stopped and how much the search evaluated
@@ -338,7 +366,7 @@ def test_mpa_artifacts_embed_the_resolved_config(tmp_path, capsys):
     path.write_text(json.dumps(minimal))
     code, out, _ = run(capsys, "mpa", "--config", str(path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     config = doc["config"]
     assert config["command"] == "mpa"
     for key in ("dim", "alpha", "omega", "harmonics", "grid", "nodes",
@@ -352,7 +380,7 @@ def test_mpa_artifacts_embed_the_resolved_config(tmp_path, capsys):
     path.write_text(json.dumps(rerun))
     code, out, _ = run(capsys, "mpa", "--config", str(path))
     assert code == 0
-    again = json.loads(out)
+    again = strict_json(out)
     assert again["result"] == doc["result"]
     for key in ("mean", "cos", "sin"):
         assert again[key] == doc[key]
@@ -395,7 +423,7 @@ def test_mpa_unreachable_tolerance_exits_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("saddle search stopped at gradient norm")
     assert "(tolerance 1.0e-300)" in err
-    result = json.loads((tmp_path / "mpa" / "saddle.json").read_text())["result"]
+    result = strict_json((tmp_path / "mpa" / "saddle.json").read_text())["result"]
     assert result["converged"] is False
 
 
@@ -423,7 +451,7 @@ def test_mpa_orbit_endpoints_from_minimize_with_harmonic_bulge(tmp_path, capsys)
     path = _two_body_mpa(tmp_path, endpoints=ends, bulge=bulge, out=str(tmp_path / "mpa"))
     code, _, _ = run(capsys, "mpa", "--config", str(path))
     assert code == 0
-    doc = json.loads((tmp_path / "mpa" / "saddle.json").read_text())
+    doc = strict_json((tmp_path / "mpa" / "saddle.json").read_text())
     assert doc["result"]["converged"] is True
     assert doc["result"]["above_endpoints"] is True
     assert doc["config"]["endpoints"] == ends
@@ -439,7 +467,7 @@ def test_mpa_drained_to_endpoint_level_exits_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("saddle search ended at action")
     assert len(err.strip().splitlines()) == 1
-    result = json.loads((tmp_path / "mpa" / "saddle.json").read_text())["result"]
+    result = strict_json((tmp_path / "mpa" / "saddle.json").read_text())["result"]
     assert result["converged"] is True
     assert result["above_endpoints"] is False
     assert result["path_stop"] is not None
@@ -478,6 +506,8 @@ def test_mpa_requires_two_endpoints(tmp_path, capsys):
 
 
 _CIRCLES = [{"winding": -1}, {"winding": 1}]
+# a quick two-body search, so that a malformed field accepted by mistake runs fast
+_SMALL = {"n": 2, "harmonics": 4, "nodes": 3, "endpoints": [{"winding": 1}, _CIRCLES[0]]}
 
 
 @pytest.mark.parametrize(
@@ -495,11 +525,24 @@ _CIRCLES = [{"winding": -1}, {"winding": 1}]
             "component",
         ),
         ([1, 2], "JSON object"),
+        ({**_SMALL, "n": None}, "'n'"),
+        ({**_SMALL, "n": True}, "'n'"),
+        ({**_SMALL, "n": 3.7}, "'n'"),
+        ({**_SMALL, "harmonics": None}, "'harmonics'"),
+        ({**_SMALL, "nodes": "21"}, "'nodes'"),
+        ({**_SMALL, "grid": "x"}, "'grid'"),
+        ({**_SMALL, "saddle_tol": math.nan}, "'saddle_tol'"),
+        ({**_SMALL, "svg": 1}, "'svg'"),
+        ({**_SMALL, "endpoints": [{"winding": 1, "plane": 5}, _CIRCLES[0]]}, "'plane'"),
+        ({**_SMALL, "endpoints": [{"winding": 1, "plane": [0, 5]}, _CIRCLES[0]]}, "'plane'"),
+        ({**_SMALL, "endpoints": [{"orbit": 5}, _CIRCLES[0]]}, "'orbit'"),
     ],
     ids=[
         "unknown-symmetry", "no-winding", "no-n", "endpoint-not-object",
         "endpoints-not-list", "bulge-without-shape", "bulge-component-out-of-range",
-        "config-not-object",
+        "config-not-object", "n-null", "n-boolean", "n-fraction", "harmonics-null",
+        "nodes-string", "grid-string", "saddle-tol-nan", "svg-integer", "plane-integer",
+        "plane-out-of-range", "orbit-integer",
     ],
 )  # fmt: skip
 def test_mpa_malformed_config_is_one_error_line(tmp_path, capsys, config, field):
@@ -511,3 +554,19 @@ def test_mpa_malformed_config_is_one_error_line(tmp_path, capsys, config, field)
     assert err.startswith("error: ") and field in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "orbit, field",
+    [({}, "'params'"), ({"params": {"n": 2, "alpha": 1.0, "omega": 0.0}}, "'params.d'")],
+    ids=["empty", "params-without-d"],
+)
+def test_mpa_malformed_orbit_file_is_one_error_line(tmp_path, capsys, orbit, field):
+    (tmp_path / "o.json").write_text(json.dumps(orbit))
+    ends = [{"orbit": str(tmp_path / "o.json")}, {"winding": -1}]
+    path = _two_body_mpa(tmp_path, endpoints=ends)
+    code, out, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert len(err.strip().splitlines()) == 1

@@ -64,6 +64,15 @@ def test_init_circle_rejects_shared_factor_at_zero_noise():
     init_circle(p, 2, 1.0, noise=0.1)  # lifted by noise
 
 
+def test_tolerances_refuse_nan():
+    # NaN is not positive: a NaN gradient tolerance would run the whole
+    # iteration budget, and no saddle search could ever meet one
+    with pytest.raises(ValueError, match="grad_tol"):
+        DescentConfig(grad_tol=math.nan)
+    with pytest.raises(ValueError, match="saddle_tol"):
+        MountainPassConfig(saddle_tol=math.nan)
+
+
 def test_init_circle_deterministic():
     p = SystemParams(n=3)
     a = init_circle(p, -1, 1.0, noise=0.1, seed=42)
