@@ -90,7 +90,7 @@ def jensen_gap(
     if not 1 <= h <= params.n - 1:
         raise ValueError(f"lag h must be in 1..n-1, got {h}")
     M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    r2 = lag_distances(x.sample(M), params.n)[1][h - 1]
+    r2 = lag_distances(x.sample(M), params.n, h)[1][0]
     sep = math.sqrt(float(np.min(r2)))
     if sep < GUARD:
         raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)

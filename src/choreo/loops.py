@@ -230,27 +230,34 @@ def _shift_index(n: int) -> np.ndarray:
     return idx
 
 
-def lag_differences(X: np.ndarray, n: int) -> np.ndarray:
+def lag_differences(X: np.ndarray, n: int, lag: int | None = None) -> np.ndarray:
     """x(t_j) - x(t_j + h tau) for grid samples X of shape (..., M, d).
 
     Leading axes are batch axes: each sample array along them is handled
-    alike.  Row h-1 of the (..., n-1, M, d) result holds lag h.  The grid
-    splits into n blocks of M/n samples, and the shift by h tau moves every
-    block h places, so the shifted loops are gathered block by block.
+    alike.  Row h-1 of the (..., n-1, M, d) result holds lag h; given
+    ``lag``, the one row of the (..., 1, M, d) result holds it, and no
+    other lag is formed.
+    The grid splits into n blocks of M/n samples, and the shift by h tau
+    moves every block h places, so the shifted loops are gathered block by
+    block.
     """
     lead, (M, d) = X.shape[:-2], X.shape[-2:]
     if M % n:
         raise ValueError(f"grid size {M} is not a multiple of n={n}")
+    index = _shift_index(n) if lag is None else _shift_index(n)[lag - 1 : lag]
     blocks = X.reshape(lead + (n, M // n, d))
-    shifted = np.take(blocks, _shift_index(n), axis=-3)  # (..., n-1, n, M/n, d)
-    return (blocks[..., None, :, :, :] - shifted).reshape(lead + (n - 1, M, d))
+    shifted = np.take(blocks, index, axis=-3)  # (..., n-1 or 1, n, M/n, d)
+    return (blocks[..., None, :, :, :] - shifted).reshape(lead + (len(index), M, d))
 
 
-def lag_distances(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def lag_distances(
+    X: np.ndarray, n: int, lag: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(D, r2): the lag differences of grid samples X, shape (..., M, d),
-    and their squared norms, shape (..., n-1, M).  The one formula for r2,
-    shared by the action kernel and :func:`min_separation`."""
-    D = lag_differences(X, n)
+    and their squared norms, shape (..., n-1, M), or (..., 1, M) for the
+    one ``lag``.  The one formula for r2, shared by the action kernel,
+    :func:`min_separation` and the Jensen gap."""
+    D = lag_differences(X, n, lag)
     return D, np.einsum("...hmd,...hmd->...hm", D, D)
 
 

@@ -417,6 +417,12 @@ def descend(
 # public entry points
 
 
+# Largest start noise relative to max(|radius|, 1): ten radii of noise on
+# every coefficient already leaves no circle in the start, and a noise near
+# the float range overflows the draw or the action.
+MAX_RELATIVE_NOISE = 10.0
+
+
 def init_circle(
     params: SystemParams,
     winding: int,
@@ -430,11 +436,16 @@ def init_circle(
 
     At zero noise the winding must be coprime with n, otherwise two bodies
     coincide along the whole orbit; with noise the degeneracy is lifted and
-    any winding not divisible by n is accepted.  The noise must be finite
-    and non-negative.
+    any winding not divisible by n is accepted.  The noise must be finite,
+    non-negative and at most MAX_RELATIVE_NOISE * max(|radius|, 1).
     """
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    cap = MAX_RELATIVE_NOISE * max(abs(radius), 1.0)
+    if noise > cap:
+        raise ValueError(
+            f"noise {noise:g} exceeds {MAX_RELATIVE_NOISE:g} * max(|radius|, 1) = {cap:g}"
+        )
     m = int(winding)
     if m % params.n == 0:
         raise ValueError(f"winding {m} is divisible by n={params.n}: all bodies collide")

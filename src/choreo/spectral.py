@@ -39,6 +39,10 @@ An older normalisation of the same constants (kinetic coefficient 2 pi n
 and radius (alpha c~ / (4 pi n))^{1/(alpha+2)}) fails the circle equality
 test; it is reported in ``legacy_constants`` fields for traceability and is
 never used in predictions.
+
+Each table is one array pass: the delta_l and the P_q are row sums of one
+(rows, n - 1) array, the dense operator is gathered from its first row, and
+the winding scan reads P_q from one table over the residues q coprime with n.
 """
 
 from __future__ import annotations
@@ -116,21 +120,27 @@ class CirculantSpectrum:
 
 
 def dense_operator(mu: np.ndarray, n: int) -> np.ndarray:
-    """The n x n matrix of the second-difference operator with weights mu."""
-    D = np.zeros((n, n))
+    """The n x n matrix of the second-difference operator with weights mu:
+    circulant, entry (i, j) is the first row's entry (j - i) mod n."""
+    first = np.concatenate((np.cumsum(2.0 * mu)[-1:], -(mu + mu[::-1])))
     idx = np.arange(n)
-    for h in range(1, n):
-        D[idx, idx] += 2.0 * mu[h - 1]
-        D[idx, (idx + h) % n] -= mu[h - 1]
-        D[idx, (idx - h) % n] -= mu[h - 1]
-    return D
+    return first[(idx[None, :] - idx[:, None]) % n]
 
 
-def _multiplicities(n: int) -> tuple[int, ...]:
-    mult = [1] + [2] * (n // 2)
-    if n % 2 == 0:
-        mult[-1] = 1
-    return tuple(mult)
+def _multiplicities(n: int) -> tuple[int, ...]:  # 1, 2, ..., 2 (1 at l = n/2)
+    return (1,) + (2,) * ((n - 1) // 2) + (1,) * (1 - n % 2)
+
+
+# Entries of one row block of the delta_l and P_q tables: O(n) memory.
+_BLOCK = 1 << 16
+
+
+def _row_sums(term, rows: np.ndarray, n: int) -> np.ndarray:
+    """sum_{h=1}^{n-1} term(r, h) for each r in rows: np.sum's pairwise sum."""
+    h, step = np.arange(1, n), max(1, _BLOCK // n)
+    return np.concatenate(
+        [np.sum(term(rows[i : i + step, None], h), axis=-1) for i in range(0, len(rows), step)]
+    )
 
 
 # Largest body count with a spectrum (the eigenvalue sums cost O(n^2)), and
@@ -169,10 +179,8 @@ def circulant_spectrum(
     mu = 1.0 / (c * xi ** (alpha / 2.0 + 1.0))
     c_tilde = 0.5 * (TWO_PI) ** (alpha / 2.0 + 1.0) * c
 
-    ls = np.arange(0, n // 2 + 1)
-    deltas = 2.0 * np.array(
-        [float(np.sum(mu * (1.0 - np.cos(TWO_PI * h * l / n)))) for l in ls]
-    )
+    ls = np.arange(n // 2 + 1)
+    deltas = 2.0 * _row_sums(lambda l, h: mu * (1.0 - np.cos(TWO_PI * h * l / n)), ls, n)
     deltas[0] = 0.0
     mult = _multiplicities(n)
 
@@ -186,16 +194,8 @@ def circulant_spectrum(
             )
 
     return CirculantSpectrum(
-        n=n,
-        alpha=float(alpha),
-        k=k,
-        xi_bar=xi,
-        mu_bar=mu,
-        c=c,
-        c_tilde=c_tilde,
-        deltas=deltas,
-        multiplicities=mult,
-        delta_max=float(np.max(deltas)),
+        n=n, alpha=float(alpha), k=k, xi_bar=xi, mu_bar=mu, c=c, c_tilde=c_tilde,
+        deltas=deltas, multiplicities=mult, delta_max=float(np.max(deltas)),
     )
 
 
@@ -287,14 +287,24 @@ def _half_width(spec: CirculantSpectrum) -> float:
 # circle-restricted optimum
 
 
+def _chord_sums(n: int, alpha: float, q: np.ndarray) -> np.ndarray:
+    """P_q for an array of residues q coprime with n: one row sum each."""
+    return math.pi * _row_sums(
+        lambda q, h: (2.0 * np.abs(np.sin(math.pi * q * h / n))) ** (-alpha), q, n
+    )
+
+
 def chord_sum(n: int, alpha: float, q: int) -> float:
     """P_q = pi sum_h (2 |sin(pi q h / n)|)^{-alpha}; infinite if gcd(q,n)>1."""
-    q = abs(int(q)) % n
-    if q == 0 or gcd(q, n) != 1:
-        return math.inf
-    h = np.arange(1, n)
-    chords = 2.0 * np.abs(np.sin(math.pi * q * h / n))
-    return math.pi * float(np.sum(chords ** (-alpha)))
+    q = abs(int(q)) % n  # gcd(0, n) = n: q = 0 collides too
+    return float(_chord_sums(n, alpha, np.array([q]))[0]) if gcd(q, n) == 1 else math.inf
+
+
+def _circle(alpha, omega, m, P, R=None) -> tuple[float, float]:
+    """(R, A(R, m)) given the chord sum P; R defaults to the optimal radius."""
+    if R is None:
+        R = (alpha * P / (TWO_PI * (m + omega) ** 2)) ** (1.0 / (alpha + 2.0))
+    return R, math.pi * R**2 * (m + omega) ** 2 + P / R**alpha
 
 
 def circle_radius_for_winding(n: int, alpha: float, omega: float, m: int) -> float:
@@ -302,18 +312,16 @@ def circle_radius_for_winding(n: int, alpha: float, omega: float, m: int) -> flo
     P = chord_sum(n, alpha, m)
     if not math.isfinite(P):
         raise ValueError(f"winding {m} collides for n={n}")
-    w2 = (m + omega) ** 2
-    if w2 == 0.0:
+    if (m + omega) ** 2 == 0.0:
         raise ValueError("winding cancels the frame speed: no optimal radius")
-    return (alpha * P / (TWO_PI * w2)) ** (1.0 / (alpha + 2.0))
+    return _circle(alpha, omega, m, P)[0]
 
 
 def restricted_circle_action(
     n: int, alpha: float, omega: float, m: int, radius: float
 ) -> float:
     """A(R, m) = pi R^2 (m + w)^2 + P_{|m|} / R^alpha."""
-    P = chord_sum(n, alpha, m)
-    return math.pi * radius**2 * (m + omega) ** 2 + P / radius**alpha
+    return _circle(alpha, omega, m, chord_sum(n, alpha, m), radius)[1]
 
 
 @dataclass(frozen=True)
@@ -354,40 +362,32 @@ def predicted_circle(n: int, alpha: float, omega: float) -> CirclePrediction | N
     cancels the frame speed exactly (m + w = 0): the restricted infimum is
     then 0, approached by ever larger circles and not attained.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if n < 2 or alpha <= 0:
+        raise ValueError(f"need n >= 2 and alpha > 0, got n={n}, alpha={alpha}")
     span = 2 * n + 2
-    lo = -(math.ceil(omega) + span)
-    hi = span
-    best: list[tuple[int, float, float]] = []
-    for m in range(lo, hi + 1):
-        if m == 0 or gcd(abs(m) % n if abs(m) % n else n, n) != 1:
-            continue
-        if abs(m + omega) < _INTEGER_TOL:
-            return None
-        R = circle_radius_for_winding(n, alpha, omega, m)
-        A = restricted_circle_action(n, alpha, omega, m, R)
-        best.append((m, R, A))
+    ms = [m for m in range(-(math.ceil(omega) + span), span + 1) if gcd(abs(m) % n, n) == 1]
+    if any(abs(m + omega) < _INTEGER_TOL for m in ms):
+        return None
+    qs = sorted({abs(m) % n for m in ms})
+    P = dict(zip(qs, _chord_sums(n, alpha, np.array(qs)).tolist()))
+    best = [(m, *_circle(alpha, omega, m, P[abs(m) % n])) for m in ms]
     best.sort(key=lambda t: (t[2], abs(t[0]), t[0]))
     a_min = best[0][2]
     tied = [t for t in best if t[2] <= a_min * (1.0 + 1e-12)]
     windings = tuple(t[0] for t in tied)
     spec = circulant_spectrum(n, alpha, cross_validate=False)
     k_near = max(int(round(omega)), 1)
+    e, rot = 1.0 / (alpha + 2.0), 2.0 * n * TWO_PI * max((omega - k_near) ** 2, 1e-300)
     legacy = {
-        "radius_inertial": (alpha * spec.c_tilde / (4.0 * math.pi * n))
-        ** (1.0 / (alpha + 2.0)),
-        "radius_rotating": (
-            alpha * spec.c_tilde / (2.0 * n * TWO_PI * max((omega - k_near) ** 2, 1e-300))
-        )
-        ** (1.0 / (alpha + 2.0)),
+        "radius_inertial": (alpha * spec.c_tilde / (4.0 * math.pi * n)) ** e,
+        "radius_rotating": (alpha * spec.c_tilde / rot) ** e,
         "kinetic_coefficient": TWO_PI * n,
     }
     return CirclePrediction(
         windings=windings,
         radius=tied[0][1],
         action=a_min,
-        chord_sum=chord_sum(n, alpha, windings[0]),
+        chord_sum=P[abs(windings[0]) % n],
         legacy_constants=legacy,
     )
 
@@ -471,8 +471,8 @@ def classify(n: int, alpha: float, omega: float) -> RegimeReport:
     """
     if not (math.isfinite(omega) and math.isfinite(alpha)):
         raise ValueError(f"omega and alpha must be finite, got omega={omega}, alpha={alpha}")
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
+    if n < 2 or omega < 0:
+        raise ValueError(f"need n >= 2 and omega >= 0, got n={n}, omega={omega}")
     if math.ulp(omega) > _INTEGER_TOL:
         # omega_bar and the integer tests would be rounding noise
         raise ValueError(

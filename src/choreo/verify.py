@@ -6,7 +6,10 @@ string:
 * ``spectral``     -- eigenvalue identities, dense-matrix agreement,
                       multiplicity pattern, eigenvector residuals, weight
                       normalisation and the chord-sum identity, swept over
-                      n = 2..50 and four exponents;
+                      n = 2..50 and four exponents, one array pass per n;
+                      the dense matrices are built entry-wise from the
+                      weights and solved densely, and the multiplicities
+                      are counted from the eigenvectors themselves;
 * ``inequalities`` -- Poincare, Jensen, the trigonometric estimate and the
                       constrained power-sum stationarity on seeded random
                       data;
@@ -68,15 +71,16 @@ def random_loop(
     The base winding is +-1 so the loop stays separated for moderate noise;
     retries shrink the noise if a near-collision slips through.
     """
+    decay = np.arange(1, cutoff + 1, dtype=float)[:, None] ** -1.5
     for attempt in range(_MAX_TRIES):
         amp = _NOISE * (0.7**attempt)
         winding = 1 if rng.integers(0, 2) else -1
         radius = float(rng.uniform(0.6, 1.4))
-        loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=cutoff)
-        k = np.arange(1, cutoff + 1, dtype=float)[:, None]
-        decay = k**-1.5
-        cos = loop.cos_coeffs + amp * decay * rng.standard_normal((cutoff, params.d))
-        sin = loop.sin_coeffs + amp * decay * rng.standard_normal((cutoff, params.d))
+        # the circle R (cos t, winding sin t) in the first two coordinates
+        circle = np.zeros((2, cutoff, params.d))
+        circle[0, 0, 0], circle[1, 0, 1] = radius, winding * radius
+        cos = circle[0] + amp * decay * rng.standard_normal((cutoff, params.d))
+        sin = circle[1] + amp * decay * rng.standard_normal((cutoff, params.d))
         mean = (
             np.zeros(params.d)
             if zero_mean
@@ -106,33 +110,29 @@ def suite_spectral() -> list[CheckOutcome]:
     bound_ok = True
     mult_ok = True
     for n in range(2, _SPECTRAL_MAX_N + 1):
-        for alpha in alphas:
-            spec = spectral.circulant_spectrum(n, alpha, cross_validate=False)
-            worst_delta1 = max(worst_delta1, abs(spec.deltas[1] - 1.0 / TWO_PI))
-            if spec.deltas[0] != 0.0:
-                bound_ok = False
-            for l in range(2, n // 2 + 1):
-                if not spec.deltas[l] < l * l / TWO_PI:
-                    bound_ok = False
-            dense = spectral.dense_operator(spec.mu_bar, n)
-            ev = np.sort(np.linalg.eigvalsh(dense))
-            closed = np.sort(np.repeat(spec.deltas, spec.multiplicities))
-            worst_dense = max(worst_dense, float(np.max(np.abs(ev - closed))))
-            # the multiplicity of delta_l counts its cos and sin eigenvectors
-            # that do not vanish
-            i = np.arange(n)
-            counts = [0] * (n // 2 + 1)
-            for l in range(n // 2 + 1):
-                for vec in (np.cos(TWO_PI * i * l / n), np.sin(TWO_PI * i * l / n)):
-                    if np.linalg.norm(vec) < 1e-9:
-                        continue
-                    counts[l] += 1
-                    resid = dense @ vec - spec.deltas[l] * vec
-                    worst_vec = max(
-                        worst_vec,
-                        float(np.linalg.norm(resid) / np.linalg.norm(vec)),
-                    )
-            mult_ok &= tuple(counts) == spec.multiplicities
+        # one pass per n: the four exponents are stacked along axis 0
+        specs = [spectral.circulant_spectrum(n, a, cross_validate=False) for a in alphas]
+        deltas = np.array([spec.deltas for spec in specs])
+        ls = np.arange(n // 2 + 1)
+        bound_ok &= bool(np.all(deltas[:, 0] == 0.0))
+        bound_ok &= bool(np.all(deltas[:, 2:] < ls[2:] ** 2 / TWO_PI))
+        worst_delta1 = max(worst_delta1, float(np.max(np.abs(deltas[:, 1] - 1.0 / TWO_PI))))
+        dense = np.array([spectral.dense_operator(spec.mu_bar, n) for spec in specs])
+        ev = np.sort(np.linalg.eigvalsh(dense), axis=-1)
+        closed = np.sort([np.repeat(sp.deltas, sp.multiplicities) for sp in specs], axis=-1)
+        worst_dense = max(worst_dense, float(np.max(np.abs(ev - closed))))
+        # columns: the cos, then the sin eigenvector of each l; the
+        # multiplicity of delta_l counts its columns that do not vanish
+        phase = TWO_PI * np.arange(n)[:, None] * ls / n
+        V = np.concatenate((np.cos(phase), np.sin(phase)), axis=1)
+        norms = np.linalg.norm(V, axis=0)
+        keep = norms >= 1e-9
+        V, norms, col_l = V[:, keep], norms[keep], np.concatenate((ls, ls))[keep]
+        counts = tuple(np.bincount(col_l, minlength=n // 2 + 1).tolist())
+        mult_ok &= all(counts == spec.multiplicities for spec in specs)
+        resid = np.linalg.norm(dense @ V - V * deltas[:, None, col_l], axis=1)
+        worst_vec = max(worst_vec, float(np.max(resid / norms)))
+        for alpha, spec in zip(alphas, specs):
             worst_weight = max(
                 worst_weight, abs(float(spec.mu_bar @ spec.xi_bar) - 1.0)
             )

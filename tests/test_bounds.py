@@ -14,7 +14,14 @@ from choreo.bounds import (
     rayleigh_quotient,
     trig_check,
 )
-from choreo.loops import FourierLoop, SystemParams
+from choreo.loops import (
+    FourierLoop,
+    SystemParams,
+    lag_distances,
+    min_separation,
+    pair_square_integrals,
+    resolve_grid_size,
+)
 from choreo.spectral import admissible_lambdas, circulant_spectrum
 from choreo.verify import random_loop
 
@@ -104,6 +111,75 @@ def test_jensen_scaling_homogeneity(rng):
     s = lam ** (-p.alpha)
     assert abs(g2.lhs - s * g1.lhs) < 1e-10 * g1.lhs
     assert abs(g2.rhs - s * g1.rhs) < 1e-10 * g1.rhs
+
+
+def test_lag_h_distances_equal_the_full_table_row(rng):
+    # the Jensen gap forms only its own lag; each lag-h row is the one the
+    # full (n-1, M) table holds
+    for n in (2, 3, 5, 8):
+        for d in (2, 3):
+            x = random_loop(rng, SystemParams(n=n, d=d))
+            X = x.sample(resolve_grid_size(x.cutoff, n, None))
+            D, r2 = lag_distances(X, n)
+            for h in range(1, n):
+                D_h, r2_h = lag_distances(X, n, h)
+                assert D_h.shape == (1,) + D.shape[1:]
+                assert np.array_equal(D_h[0], D[h - 1])
+                assert np.array_equal(r2_h[0], r2[h - 1])
+
+
+def test_jensen_gap_over_the_suite_draws_reads_the_full_table():
+    # the draws of verify.suite_inequalities (seed 0, 200 Poincare loops,
+    # then the Jensen draws): each gap equals the one read from row h-1 of
+    # the full lag table
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        random_loop(rng, SystemParams(n=3, d=2), zero_mean=True)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        alpha = float(rng.choice([0.5, 1.0, 2.0]))
+        p = SystemParams(n=n, d=2, alpha=alpha)
+        x = random_loop(rng, p)
+        h = int(rng.integers(1, n))
+        r2 = lag_distances(x.sample(resolve_grid_size(x.cutoff, n, None)), n)[1][h - 1]
+        xi_h = float(pair_square_integrals(x, n)[h - 1])
+        gap = jensen_gap(x, p, h)
+        assert gap.lhs == float(np.mean(r2 ** (-alpha / 2.0)))
+        assert gap.rhs == (xi_h / TWO_PI) ** (-alpha / 2.0)
+
+
+def _random_loop_on_a_circle(rng, params, cutoff=6, zero_mean=False):
+    """random_loop's draws added to a FourierLoop.circle."""
+    decay = np.arange(1, cutoff + 1, dtype=float)[:, None] ** -1.5
+    for attempt in range(64):
+        amp = 0.35 * (0.7**attempt)
+        winding = 1 if rng.integers(0, 2) else -1
+        radius = float(rng.uniform(0.6, 1.4))
+        loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=cutoff)
+        cos = loop.cos_coeffs + amp * decay * rng.standard_normal((cutoff, params.d))
+        sin = loop.sin_coeffs + amp * decay * rng.standard_normal((cutoff, params.d))
+        mean = (
+            np.zeros(params.d)
+            if zero_mean
+            else 0.2 * amp * rng.standard_normal(params.d)
+        )
+        loop = FourierLoop(mean, cos, sin)
+        if min_separation(loop, params) > 1e-3:
+            return loop
+
+
+def test_random_loop_equals_the_circle_construction_bit_for_bit():
+    for seed in range(40):
+        n, d, cutoff = 2 + seed % 7, 2 + seed % 2, 1 + seed % 8
+        params = SystemParams(n=n, d=d)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for zero_mean in (False, True):
+            x = random_loop(a, params, cutoff=cutoff, zero_mean=zero_mean)
+            y = _random_loop_on_a_circle(b, params, cutoff=cutoff, zero_mean=zero_mean)
+            assert np.array_equal(x.mean, y.mean)
+            assert np.array_equal(x.cos_coeffs, y.cos_coeffs)
+            assert np.array_equal(x.sin_coeffs, y.sin_coeffs)
+        assert a.integers(1 << 30) == b.integers(1 << 30)  # the same draws
 
 
 def test_jensen_lag_validation(rng):

@@ -59,6 +59,15 @@ def test_classify_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_classify_refuses_fewer_than_two_bodies(capsys, n):
+    code, out, err = run(capsys, "classify", "--n", n, "--omega", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n >= 2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "3", "--alpha", "1")
     assert code == 0
@@ -215,6 +224,21 @@ def test_minimize_refuses_non_finite_or_negative_noise_and_nan_tolerance(
     )
     assert code == 1
     assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("noise", ["1e308", "1e200"])
+def test_minimize_refuses_noise_beyond_the_radius_cap(tmp_path, capsys, noise):
+    # 1e308 overflowed numpy's uniform draw and 1e200 the action, each
+    # ending in a traceback or an eigensolver error
+    code, out, err = run(
+        capsys,
+        "minimize",
+        "--n", "3", "--noise", noise, "--out", str(tmp_path / "run"),
+    )
+    assert code == 1
+    assert err.startswith("error: noise ") and "radius" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "run").exists()
 

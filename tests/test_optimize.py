@@ -15,6 +15,7 @@ from choreo.loops import (
     resolve_grid_size,
 )
 from choreo.optimize import (
+    MAX_RELATIVE_NOISE,
     DescentConfig,
     Objective,
     StartSpec,
@@ -62,6 +63,18 @@ def test_init_circle_rejects_shared_factor_at_zero_noise():
     with pytest.raises(ValueError):
         init_circle(p, 4, 1.0, noise=0.1)  # divisible by n: always rejected
     init_circle(p, 2, 1.0, noise=0.1)  # lifted by noise
+
+
+def test_init_circle_caps_the_noise_relative_to_the_radius():
+    # a noise far beyond the radius leaves no circle in the start, and one
+    # near the float range overflowed the draw or the action
+    p = SystemParams(n=3)
+    init_circle(p, 1, 1.0, noise=MAX_RELATIVE_NOISE, seed=1)
+    init_circle(p, 1, 3.0, noise=3.0 * MAX_RELATIVE_NOISE, seed=1)
+    init_circle(p, 1, 0.2, noise=MAX_RELATIVE_NOISE, seed=1)  # radii below 1 count as 1
+    for radius, noise in ((1.0, 10.5), (3.0, 30.5), (1.0, 1e200), (1.0, 1e308)):
+        with pytest.raises(ValueError, match="noise"):
+            init_circle(p, 1, radius, noise=noise)
 
 
 def test_tolerances_refuse_nan():
@@ -197,9 +210,9 @@ def test_result_is_finished_from_its_final_evaluation(monkeypatch, case):
         calls["sample"] += 1
         return sample(self, grid_size)
 
-    def counted_lag_differences(X, n):
+    def counted_lag_differences(X, n, lag=None):
         calls["lag_differences"] += 1
-        return lag_differences(X, n)
+        return lag_differences(X, n, lag)
 
     monkeypatch.setattr(FourierLoop, "sample", counted_sample)
     monkeypatch.setattr(loops, "lag_differences", counted_lag_differences)

@@ -97,6 +97,99 @@ def test_variant_rearranges_spectrum():
 
 
 # ---------------------------------------------------------------------------
+# the array passes against the per-element loops they replace
+
+
+def _dense_by_lag_loop(mu, n):
+    """The dense operator assembled lag by lag."""
+    D = np.zeros((n, n))
+    idx = np.arange(n)
+    for h in range(1, n):
+        D[idx, idx] += 2.0 * mu[h - 1]
+        D[idx, (idx + h) % n] -= mu[h - 1]
+        D[idx, (idx - h) % n] -= mu[h - 1]
+    return D
+
+
+def test_dense_operator_equals_the_lag_loop_bit_for_bit():
+    for n in range(2, 61):
+        for alpha in (0.5, 1.0, 3.0):
+            mu = circulant_spectrum(n, alpha, cross_validate=False).mu_bar
+            assert np.array_equal(dense_operator(mu, n), _dense_by_lag_loop(mu, n))
+    # weights without the h <-> n - h symmetry of the pair data
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 6, 11, 60):
+        mu = rng.uniform(0.1, 2.0, n - 1)
+        assert np.array_equal(dense_operator(mu, n), _dense_by_lag_loop(mu, n))
+
+
+def _deltas_by_index_loop(spec):
+    """delta_l as one np.sum per spatial index l."""
+    n, h = spec.n, np.arange(1, spec.n)
+    sums = [
+        float(np.sum(spec.mu_bar * (1.0 - np.cos(TWO_PI * h * l / n))))
+        for l in range(n // 2 + 1)
+    ]
+    deltas = 2.0 * np.array(sums)
+    deltas[0] = 0.0
+    return deltas
+
+
+def test_deltas_equal_per_index_sums_bit_for_bit():
+    for n in range(2, 61):
+        for k in range(1, 6):
+            if gcd(k, n) != 1:
+                continue
+            for alpha in (0.5, 1.7):
+                spec = circulant_spectrum(n, alpha, k=k, cross_validate=False)
+                assert np.array_equal(spec.deltas, _deltas_by_index_loop(spec))
+    # tables of several row blocks, up to the largest body count
+    for n in (1000, 4096):
+        spec = circulant_spectrum(n, 1.0, k=3, cross_validate=False)
+        assert np.array_equal(spec.deltas, _deltas_by_index_loop(spec))
+        h = np.arange(1, n)
+        for q in (1, 7, n - 1):
+            chords = 2.0 * np.abs(np.sin(math.pi * q * h / n))
+            assert chord_sum(n, 1.0, q) == math.pi * float(np.sum(chords**-1.0))
+
+
+def _predicted_by_winding_scan(n, alpha, omega):
+    """(windings, radius, action, chord sum) of the best circles, each
+    winding with its own chord sum; None when a winding cancels omega."""
+    h, best = np.arange(1, n), []
+    for m in range(-(math.ceil(omega) + 2 * n + 2), 2 * n + 3):
+        if m == 0 or gcd(abs(m), n) != 1:
+            continue
+        if abs(m + omega) < 1e-12:
+            return None
+        chords = 2.0 * np.abs(np.sin(math.pi * (abs(m) % n) * h / n))
+        P = math.pi * float(np.sum(chords ** (-alpha)))
+        R = (alpha * P / (TWO_PI * (m + omega) ** 2)) ** (1.0 / (alpha + 2.0))
+        A = math.pi * R**2 * (m + omega) ** 2 + P / R**alpha
+        best.append((A, abs(m), m, R, P))
+    best.sort()
+    tied = [t for t in best if t[0] <= best[0][0] * (1.0 + 1e-12)]
+    return tuple(t[2] for t in tied), tied[0][3], best[0][0], tied[0][4]
+
+
+def test_predicted_circle_equals_the_winding_scan():
+    rng = np.random.default_rng(18)
+    grid = [(3, 1.0, 1.5), (5, 1.0, 3.0), (4, 1.0, 9.3), (3, 2.0, 7.5), (7, 0.5, 7.0)]
+    for _ in range(120):
+        n = int(rng.integers(2, 13))
+        grid.append((n, float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0, 3 * n))))
+    for n, alpha, omega in grid:
+        pred = predicted_circle(n, alpha, omega)
+        scan = _predicted_by_winding_scan(n, alpha, omega)
+        if scan is None:
+            assert pred is None
+            continue
+        assert (pred.windings, pred.radius, pred.action, pred.chord_sum) == scan
+    assert predicted_circle(3, 1.0, 1.5).windings == (-1, -2)  # the tie
+    assert predicted_circle(5, 1.0, 3.0) is None  # integer omega coprime with n
+
+
+# ---------------------------------------------------------------------------
 # admissible branches
 
 
@@ -275,6 +368,15 @@ def test_classify_refuses_unresolvable_omega():
 def test_classify_refuses_non_finite_input(alpha, omega):
     with pytest.raises(ValueError, match="must be finite"):
         classify(3, alpha, omega)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_classify_and_prediction_refuse_fewer_than_two_bodies(n):
+    # n = 1 used to end in a ZeroDivisionError from the winding scan, and
+    # n = 0 in one from the reduction omega // n
+    for call in (classify, predicted_circle):
+        with pytest.raises(ValueError, match="n >= 2"):
+            call(n, 1.0, 0.5)
 
 
 def test_classify_cluster_shapes():
