@@ -189,10 +189,17 @@ def kinetic_value(
 
     With w = 0 this reduces to the inertial 1/2 int |y'|^2 for all
     components.  Evaluated as the weighted sum of squares of the velocity
-    coefficients, see :func:`velocity_map`.
+    coefficients, see :func:`velocity_map`; the one-row case of
+    :func:`kinetic_values`.
     """
-    K, d = cos.shape
-    return float(_kinetic(_pack(mean, cos, sin), *velocity_map(d, K, omega))[0])
+    return float(kinetic_values(_pack(mean, cos, sin), cos.shape[1], omega))
+
+
+def kinetic_values(vecs: np.ndarray, dim: int, omega: float) -> np.ndarray:
+    """:func:`kinetic_value` of each packed vector of a stack (..., N),
+    N = dim (2K + 1), row by row: shape vecs.shape[:-1]."""
+    K = (vecs.shape[-1] // dim - 1) // 2
+    return _kinetic(vecs, *velocity_map(dim, K, omega))[0]
 
 
 def kinetic_gradient(

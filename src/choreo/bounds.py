@@ -27,6 +27,16 @@ and equality throughout exactly on circles.  The kinetic coefficient pi in
 A- is the calibrated constant (the unit circle realises J = pi/n); the
 uncalibrated value 2 pi n is reported alongside for traceability but plays
 no role in any certificate.
+
+Stacks: each oracle on loops has a ``*_stack`` form over a coefficient
+stack (S, 2K + 1, d), the rows mean, a_1..a_K, b_1..b_K of S loops
+(:func:`loops.coefficient_rows`), and the one-loop function is its one-row
+case, so every formula has one copy.  The chain takes A and its kinetic
+term from one :meth:`Objective.evaluate_batch` and xi from one spectrum and
+one stacked :func:`loops.pair_square_integrals_stack`.  Each row equals
+that loop alone bit for bit: the products are stacks of matrix-vector
+products, and the scalar powers of the chain and of the Jensen right side
+are taken in Python floats, as an array power may round differently.
 """
 
 from __future__ import annotations
@@ -37,15 +47,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .action import GUARD, CollisionError, kinetic_value, rotating_action
+from .action import GUARD, CollisionError, Objective, kinetic_value, kinetic_values
 from .loops import (
     TWO_PI,
     FourierLoop,
     SystemParams,
+    coefficient_rows,
+    harmonic_energy,
     lag_distances,
-    pair_square_integrals,
+    pair_square_integrals_stack,
     resolve_grid_size,
+    sample_basis,
 )
+
+
+def _stack(x: FourierLoop) -> np.ndarray:
+    """One loop as a one-row coefficient stack (1, 2K + 1, d)."""
+    return coefficient_rows(x)[None]
+
+
+def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent element by element in Python floats, so each
+    equals the scalar power of that value alone (an array power may take a
+    vector path that differs in the last bit)."""
+    return np.array([v**exponent for v in values.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -54,24 +79,34 @@ from .loops import (
 
 def poincare_ratio(q: FourierLoop) -> float:
     """int |q'|^2 / int |q|^2 for a zero-mean loop; >= 1, = 1 iff only the
-    first harmonics are present.  Computed exactly from the coefficients."""
-    if float(np.max(np.abs(q.mean))) > 1e-12:
+    first harmonics are present.  Computed exactly from the coefficients;
+    the one-row case of :func:`poincare_ratio_stack`."""
+    return float(poincare_ratio_stack(_stack(q))[0])
+
+
+def poincare_ratio_stack(coeffs: np.ndarray) -> np.ndarray:
+    """:func:`poincare_ratio` of each loop of a coefficient stack
+    (S, 2K + 1, d), shape (S,); raises if any loop has a mean or is zero."""
+    if float(np.max(np.abs(coeffs[:, 0]))) > 1e-12:
         raise ValueError("Poincare ratio requires a zero-mean loop")
-    energy = np.sum(q.cos_coeffs**2 + q.sin_coeffs**2, axis=1)
-    total = float(np.sum(energy))
-    if total <= 0.0:
+    energy = harmonic_energy(coeffs)
+    total = np.sum(energy, axis=-1)
+    if np.any(total <= 0.0):
         raise ValueError("zero loop")
-    k2 = np.arange(1, q.cutoff + 1, dtype=float) ** 2
-    return float(k2 @ energy) / total
+    k2 = np.arange(1, energy.shape[-1] + 1, dtype=float) ** 2
+    return (energy[:, None, :] @ k2[:, None])[:, 0, 0] / total
 
 
 @dataclass(frozen=True)
 class JensenGap:
-    lhs: float
-    rhs: float
+    """The two sides of the Jensen inequality: floats for one loop, arrays
+    over the rows for a stack."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     @property
-    def gap(self) -> float:
+    def gap(self) -> float | np.ndarray:
         return self.lhs - self.rhs
 
 
@@ -85,19 +120,32 @@ def jensen_gap(
 
     lhs = (1/2pi) int dt / |x(t) - x(t+h tau)|^alpha,
     rhs = ((1/2pi) int |x - x_h|^2)^{-alpha/2};
-    gap >= 0, and = 0 exactly when the chord length is constant in t.
+    gap >= 0, and = 0 exactly when the chord length is constant in t.  The
+    one-row case of :func:`jensen_gap_stack`.
     """
+    gap = jensen_gap_stack(_stack(x), params, h, grid_size)
+    return JensenGap(lhs=float(gap.lhs[0]), rhs=float(gap.rhs[0]))
+
+
+def jensen_gap_stack(
+    coeffs: np.ndarray, params: SystemParams, h: int, grid_size: int | None = None
+) -> JensenGap:
+    """:func:`jensen_gap` of each loop of a coefficient stack (S, 2K + 1, d):
+    lhs and rhs of shape (S,), each row equal to that loop alone bit for
+    bit.  Raises :class:`CollisionError` for the first row closer than
+    ``GUARD`` at lag h."""
     if not 1 <= h <= params.n - 1:
         raise ValueError(f"lag h must be in 1..n-1, got {h}")
-    M = resolve_grid_size(x.cutoff, params.n, grid_size)
-    r2 = lag_distances(x.sample(M), params.n, h)[1][0]
-    sep = math.sqrt(float(np.min(r2)))
-    if sep < GUARD:
-        raise CollisionError(sep, float(np.argmin(r2)) * TWO_PI / M, h)
-    lhs = float(np.mean(r2 ** (-params.alpha / 2.0)))
-    xi_h = float(pair_square_integrals(x, params.n)[h - 1])
-    rhs = (xi_h / TWO_PI) ** (-params.alpha / 2.0)
-    return JensenGap(lhs=lhs, rhs=rhs)
+    K = coeffs.shape[-2] // 2
+    M = resolve_grid_size(K, params.n, grid_size)
+    r2 = lag_distances(sample_basis(K, M) @ coeffs, params.n, h)[1][:, 0]
+    sep = np.sqrt(r2.min(axis=-1))
+    if np.any(sep < GUARD):
+        row = int(np.argmax(sep < GUARD))
+        raise CollisionError(float(sep[row]), float(np.argmin(r2[row])) * TWO_PI / M, h)
+    lhs = np.mean(r2 ** (-params.alpha / 2.0), axis=-1)
+    xi_h = pair_square_integrals_stack(coeffs, params.n)[:, h - 1]
+    return JensenGap(lhs=lhs, rhs=_powers(xi_h / TWO_PI, -params.alpha / 2.0))
 
 
 @dataclass(frozen=True)
@@ -231,44 +279,74 @@ def kinetic_integral(x: FourierLoop) -> float:
     return kinetic_value(x.mean, x.cos_coeffs, x.sin_coeffs, 0.0)
 
 
+def _pair_energy(coeffs: np.ndarray, params: SystemParams):
+    """(spectrum, xi, y) of a coefficient stack: the pair square integrals
+    xi (S, n-1) and y = sum_h mu_h xi_h (S,), from one spectrum."""
+    spec = spectral.circulant_spectrum(params.n, params.alpha, cross_validate=False)
+    xi = pair_square_integrals_stack(coeffs, params.n)
+    return spec, xi, (xi[:, None, :] @ spec.mu_bar[:, None])[:, 0, 0]
+
+
+def _rayleigh(kinetic: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """J = kinetic / (n y), row by row."""
+    denom = n * y
+    if np.any(denom <= 0.0):
+        raise ValueError("loop with no pair energy (constant loop?)")
+    return kinetic / denom
+
+
 def rayleigh_quotient(x: FourierLoop, params: SystemParams) -> float:
     """J(x) = (1/2 int |x'|^2) / (n sum_h mu_h xi^x_h) >= pi/n.
 
     The mean cancels in every pair difference and does not enter the
     numerator, so the quotient is translation invariant.  Equality holds
     exactly on circles of winding +-1; higher-winding circles realise the
-    corresponding eigenbranch values.
+    corresponding eigenbranch values.  The one-row case of
+    :func:`rayleigh_quotient_stack`.
     """
-    spec = spectral.circulant_spectrum(params.n, params.alpha, cross_validate=False)
-    xi = pair_square_integrals(x, params.n)
-    denom = params.n * float(spec.mu_bar @ xi)
-    if denom <= 0.0:
-        raise ValueError("loop with no pair energy (constant loop?)")
-    return kinetic_integral(x) / denom
+    return float(rayleigh_quotient_stack(_stack(x), params)[0])
+
+
+def rayleigh_quotient_stack(coeffs: np.ndarray, params: SystemParams) -> np.ndarray:
+    """:func:`rayleigh_quotient` of each loop of a coefficient stack
+    (S, 2K + 1, d), shape (S,).  Only the kinetic stage runs: no sampling
+    and no collision guard."""
+    _, _, y = _pair_energy(coeffs, params)
+    kinetic = kinetic_values(coeffs.reshape(len(coeffs), -1), coeffs.shape[-1], 0.0)
+    return _rayleigh(kinetic, y, params.n)
 
 
 @dataclass(frozen=True)
 class BoundChainReport:
-    """A >= A~ >= A- evaluated on one loop, with both slacks.
+    """A >= A~ >= A- evaluated on one loop, with both slacks, and the
+    Rayleigh quotient J of the same kinetic term; floats for one loop,
+    arrays over the rows for a stack (``xi`` then (S, n-1)).
 
     ``a_bar_legacy`` re-evaluates the final bound with the uncalibrated
     kinetic coefficient 2 pi n; it is reported only and asserted nowhere.
     """
 
-    a: float
-    a_tilde: float
-    a_bar: float
-    a_bar_legacy: float
+    a: float | np.ndarray
+    a_tilde: float | np.ndarray
+    a_bar: float | np.ndarray
+    a_bar_legacy: float | np.ndarray
     xi: np.ndarray
-    y_value: float
+    y_value: float | np.ndarray
+    rayleigh: float | np.ndarray
 
     @property
-    def slack_first(self) -> float:
+    def slack_first(self) -> float | np.ndarray:
         return self.a - self.a_tilde
 
     @property
-    def slack_second(self) -> float:
+    def slack_second(self) -> float | np.ndarray:
         return self.a_tilde - self.a_bar
+
+    def row(self, i: int) -> "BoundChainReport":
+        """The report of row i of a stack, with float fields."""
+        return BoundChainReport(
+            **{k: v[i] if k == "xi" else float(v[i]) for k, v in vars(self).items()}
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -278,6 +356,7 @@ class BoundChainReport:
             "a_bar_legacy": self.a_bar_legacy,
             "xi": self.xi.tolist(),
             "y_value": self.y_value,
+            "rayleigh": self.rayleigh,
             "slack_first": self.slack_first,
             "slack_second": self.slack_second,
         }
@@ -291,17 +370,41 @@ def bound_chain(
     A  : kinetic + pair potential by quadrature;
     A~ : Jensen + product-form minimum applied to the potential;
     A- : Rayleigh bound applied to the kinetic term as well.
+
+    The one-row case of :func:`bound_chain_stack`.
     """
-    inertial = SystemParams(n=params.n, d=params.d, alpha=params.alpha, omega=0.0)
-    action = rotating_action(x, inertial, grid_size=grid_size)
-    spec = spectral.circulant_spectrum(params.n, params.alpha, cross_validate=False)
-    xi = pair_square_integrals(x, params.n)
-    y = float(spec.mu_bar @ xi)
-    a_tilde = action.kinetic + spec.c_tilde / y ** (params.alpha / 2.0)
-    a_bar = math.pi * y + spec.c_tilde / y ** (params.alpha / 2.0)
-    a_bar_legacy = TWO_PI * params.n * y + spec.c_tilde / y ** (params.alpha / 2.0)
+    return bound_chain_stack(_stack(x), params, grid_size).row(0)
+
+
+def bound_chain_stack(
+    coeffs: np.ndarray, params: SystemParams, grid_size: int | None = None
+) -> BoundChainReport:
+    """:func:`bound_chain` of each loop of a coefficient stack (S, 2K + 1, d):
+    a report of arrays over the rows, each row equal to that loop alone bit
+    for bit.  A and the kinetic term come from one
+    :meth:`Objective.evaluate_batch` at the inertial frame; raises
+    :class:`CollisionError` for the first colliding row."""
+    S, _, d = coeffs.shape
+    if d != params.d:
+        raise ValueError("loop dimension does not match the objective")
+    inertial = SystemParams(n=params.n, d=d, alpha=params.alpha, omega=0.0)
+    obj = Objective(inertial, coeffs.shape[1] // 2, grid_size)
+    vecs = coeffs.reshape(S, -1)
+    evs = obj.evaluate_batch(vecs)
+    for vec, ev in zip(vecs, evs):
+        if ev is None:
+            obj.evaluate(vec)  # raises the row's CollisionError
+    spec, xi, y = _pair_energy(coeffs, params)
+    kinetic = np.array([ev.kinetic for ev in evs])
+    potential = spec.c_tilde / _powers(y, params.alpha / 2.0)
     return BoundChainReport(
-        a=action.total, a_tilde=a_tilde, a_bar=a_bar, a_bar_legacy=a_bar_legacy, xi=xi, y_value=y
+        a=np.array([ev.value for ev in evs]),
+        a_tilde=kinetic + potential,
+        a_bar=math.pi * y + potential,
+        a_bar_legacy=TWO_PI * params.n * y + potential,
+        xi=xi,
+        y_value=y,
+        rayleigh=_rayleigh(kinetic, y, params.n),
     )
 
 

@@ -185,8 +185,7 @@ class FourierLoop:
 
     def sample(self, grid_size: int) -> np.ndarray:
         """Samples on the uniform grid t_j = 2*pi*j/M, shape (M, d)."""
-        packed = pack_coefficients(self).reshape(-1, self.dim)
-        return sample_basis(self.cutoff, grid_size) @ packed
+        return sample_basis(self.cutoff, grid_size) @ coefficient_rows(self)
 
     def scaled(self, factor: float) -> "FourierLoop":
         return FourierLoop(
@@ -368,18 +367,38 @@ def unpack_coefficients(vec: np.ndarray, dim: int, cutoff: int) -> FourierLoop:
     return FourierLoop(mean, cos, sin)
 
 
+def coefficient_rows(loop: FourierLoop) -> np.ndarray:
+    """The packed vector as (2K + 1, d) rows mean, a_1..a_K, b_1..b_K: the
+    layout of a coefficient stack (S, 2K + 1, d), one loop per row."""
+    return pack_coefficients(loop).reshape(-1, loop.dim)
+
+
+def harmonic_energy(coeffs: np.ndarray) -> np.ndarray:
+    """|a_k|^2 + |b_k|^2 for k = 1..K of coefficient rows (..., 2K + 1, d),
+    shape (..., K)."""
+    K = coeffs.shape[-2] // 2
+    return np.sum(coeffs[..., 1 : K + 1, :] ** 2 + coeffs[..., K + 1 :, :] ** 2, axis=-1)
+
+
 def pair_square_integrals(loop: FourierLoop, n: int) -> np.ndarray:
-    """int_0^{2pi} |x(t) - x(t + h tau)|^2 dt for h = 1..n-1, exact.
+    """int_0^{2pi} |x(t) - x(t + h tau)|^2 dt for h = 1..n-1, exact; the
+    one-row case of :func:`pair_square_integrals_stack`."""
+    return pair_square_integrals_stack(coefficient_rows(loop)[None], n)[0]
+
+
+def pair_square_integrals_stack(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """:func:`pair_square_integrals` of each loop of a coefficient stack
+    (..., 2K + 1, d), shape (..., n-1).
 
     The difference loop at lag h has harmonic-k energy scaled by
-    2 (1 - cos(2 pi k h / n)); the mean cancels.
+    2 (1 - cos(2 pi k h / n)); the mean cancels.  A stack of
+    matrix-vector products, so each row equals that loop alone bit for bit.
     """
-    K = loop.cutoff
-    k = np.arange(1, K + 1)
+    energy = harmonic_energy(coeffs)  # (..., K)
+    k = np.arange(1, energy.shape[-1] + 1)
     h = np.arange(1, n)
     weights = 2.0 * (1.0 - np.cos(TWO_PI * np.outer(h, k) / n))  # (n-1, K)
-    energy = np.sum(loop.cos_coeffs**2 + loop.sin_coeffs**2, axis=1)  # (K,)
-    return math.pi * weights @ energy
+    return (math.pi * weights @ energy[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +518,13 @@ def min_separation(
     """min over t and h of |x(t) - x(t + h tau)| on the sampling grid; the
     ``separation`` of the action kernel on the same grid, bit for bit."""
     M = resolve_grid_size(loop.cutoff, params.n, grid_size)
-    _, r2 = lag_distances(loop.sample(M), params.n)
-    return math.sqrt(float(r2.min()))
+    return float(grid_separation(loop.sample(M), params.n))
+
+
+def grid_separation(X: np.ndarray, n: int) -> np.ndarray:
+    """min over the grid and the lags of the body distances of sample
+    arrays X (..., M, d), per row: shape X.shape[:-2]."""
+    return np.sqrt(lag_distances(X, n)[1].min(axis=(-2, -1)))
 
 
 def _fit_circle_2d(p: np.ndarray) -> tuple[np.ndarray, float]:

@@ -422,6 +422,10 @@ def descend(
 # the float range overflows the draw or the action.
 MAX_RELATIVE_NOISE = 10.0
 
+# Largest |radius| of a start circle: the action grows as R^2, and a radius
+# near the float range overflows it and its Hessian.
+MAX_RADIUS = 1e6
+
 
 def init_circle(
     params: SystemParams,
@@ -436,9 +440,12 @@ def init_circle(
 
     At zero noise the winding must be coprime with n, otherwise two bodies
     coincide along the whole orbit; with noise the degeneracy is lifted and
-    any winding not divisible by n is accepted.  The noise must be finite,
-    non-negative and at most MAX_RELATIVE_NOISE * max(|radius|, 1).
+    any winding not divisible by n is accepted.  The radius must be finite
+    with |radius| <= MAX_RADIUS, the noise finite, non-negative and at most
+    MAX_RELATIVE_NOISE * max(|radius|, 1).
     """
+    if not (math.isfinite(radius) and abs(radius) <= MAX_RADIUS):
+        raise ValueError(f"radius must be finite with |radius| <= {MAX_RADIUS:g}, got {radius}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
     cap = MAX_RELATIVE_NOISE * max(abs(radius), 1.0)

@@ -17,6 +17,15 @@ string:
                       collision-free loops, the Rayleigh bound, and the
                       equality certificates on circles.
 
+The random loops are drawn one after another, in the order of
+:func:`random_loop`, as coefficient rows (2K + 1, d) without building a
+``FourierLoop``, and each group of loops (one (n, alpha), or one
+(n, alpha, h) for Jensen) is bounded as one coefficient stack through the
+stacked forms of :mod:`bounds`; the 100 feasible points of a power-sum
+problem are one (100, K) draw.  Groups are drawn and bounded in chunks of
+at most _CHUNK loops, so memory does not grow with ``seeds``, which is
+capped at MAX_SEEDS.
+
 All randomness is seeded; a fixed seed gives bitwise identical reports.
 """
 
@@ -28,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, spectral
-from .loops import FourierLoop, SystemParams, min_separation
+from .loops import (
+    FourierLoop,
+    SystemParams,
+    grid_separation,
+    resolve_grid_size,
+    sample_basis,
+    unpack_coefficients,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +76,28 @@ _MIN_SEP = 1e-3
 _MAX_TRIES = 64
 
 
+def _draw(rng: np.random.Generator, params: SystemParams, cutoff: int, zero_mean: bool):
+    """One :func:`random_loop` as coefficient rows (2K + 1, d), no loop built:
+    winding, radius, cos noise, sin noise, then the mean are drawn."""
+    d = params.d
+    decay = np.arange(1, cutoff + 1, dtype=float)[:, None] ** -1.5
+    basis = sample_basis(cutoff, resolve_grid_size(cutoff, params.n, None))
+    for attempt in range(_MAX_TRIES):
+        amp = _NOISE * (0.7**attempt)
+        winding = 1 if rng.integers(0, 2) else -1
+        radius = float(rng.uniform(0.6, 1.4))
+        rows = np.zeros((2 * cutoff + 1, d))
+        # the circle R (cos t, winding sin t) in the first two coordinates
+        rows[1, 0], rows[cutoff + 1, 1] = radius, winding * radius
+        rows[1 : cutoff + 1] += amp * decay * rng.standard_normal((cutoff, d))
+        rows[cutoff + 1 :] += amp * decay * rng.standard_normal((cutoff, d))
+        if not zero_mean:
+            rows[0] = 0.2 * amp * rng.standard_normal(d)
+        if grid_separation(basis @ rows, params.n) > _MIN_SEP:
+            return rows
+    raise RuntimeError("could not draw a collision-free random loop")
+
+
 def random_loop(
     rng: np.random.Generator,
     params: SystemParams,
@@ -69,27 +107,23 @@ def random_loop(
     """Collision-free random loop: a unit circle plus decaying noise.
 
     The base winding is +-1 so the loop stays separated for moderate noise;
-    retries shrink the noise if a near-collision slips through.
+    retries shrink the noise if a near-collision slips through.  The
+    one-draw case of the suites' draws.
     """
-    decay = np.arange(1, cutoff + 1, dtype=float)[:, None] ** -1.5
-    for attempt in range(_MAX_TRIES):
-        amp = _NOISE * (0.7**attempt)
-        winding = 1 if rng.integers(0, 2) else -1
-        radius = float(rng.uniform(0.6, 1.4))
-        # the circle R (cos t, winding sin t) in the first two coordinates
-        circle = np.zeros((2, cutoff, params.d))
-        circle[0, 0, 0], circle[1, 0, 1] = radius, winding * radius
-        cos = circle[0] + amp * decay * rng.standard_normal((cutoff, params.d))
-        sin = circle[1] + amp * decay * rng.standard_normal((cutoff, params.d))
-        mean = (
-            np.zeros(params.d)
-            if zero_mean
-            else 0.2 * amp * rng.standard_normal(params.d)
-        )
-        loop = FourierLoop(mean, cos, sin)
-        if min_separation(loop, params) > _MIN_SEP:
-            return loop
-    raise RuntimeError("could not draw a collision-free random loop")
+    return unpack_coefficients(_draw(rng, params, cutoff, zero_mean).ravel(), params.d, cutoff)
+
+
+# Largest number of seeded draws a run may ask for, and the most loops drawn
+# and bounded as one stack, so memory does not grow with the count.
+MAX_SEEDS = 100_000
+_CHUNK = 256
+
+
+def _stacks(rng, params: SystemParams, count: int, zero_mean: bool = False):
+    """``count`` successive draws (cutoff 6) in stacks of at most _CHUNK."""
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        yield np.array([_draw(rng, params, 6, zero_mean) for _ in range(size)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +213,25 @@ def suite_spectral() -> list[CheckOutcome]:
 
 def suite_inequalities(seeds: int = 200, seed: int = 0) -> list[CheckOutcome]:
     rng = np.random.default_rng(seed)
-    out: list[CheckOutcome] = []
 
     # Poincare on zero-mean loops
     worst = math.inf
-    params = SystemParams(n=3, d=2)
-    for _ in range(seeds):
-        q = random_loop(rng, params, zero_mean=True)
-        worst = min(worst, bounds.poincare_ratio(q))
-    out.append(
-        CheckOutcome(
-            "inequalities",
-            "poincare",
-            worst >= 1.0 - 1e-12,
-            f"min ratio over {seeds} loops = {worst:.12f}",
-        )
-    )
+    for coeffs in _stacks(rng, SystemParams(n=3, d=2), seeds, zero_mean=True):
+        worst = min(worst, float(np.min(bounds.poincare_ratio_stack(coeffs))))
 
-    # Jensen per lag
+    # Jensen per lag: each chunk's draws in order, bounded per (n, alpha, h)
     worst_gap = math.inf
-    for _ in range(seeds):
-        n = int(rng.integers(2, 7))
-        alpha = float(rng.choice([0.5, 1.0, 2.0]))
-        p = SystemParams(n=n, d=2, alpha=alpha)
-        x = random_loop(rng, p)
-        h = int(rng.integers(1, n))
-        worst_gap = min(worst_gap, bounds.jensen_gap(x, p, h).gap)
-    out.append(
-        CheckOutcome(
-            "inequalities",
-            "jensen",
-            worst_gap >= -1e-10,
-            f"min gap over {seeds} draws = {worst_gap:.3e}",
-        )
-    )
+    for start in range(0, seeds, _CHUNK):
+        groups: dict[tuple, list] = {}
+        for _ in range(min(_CHUNK, seeds - start)):
+            n = int(rng.integers(2, 7))
+            alpha = float(rng.choice([0.5, 1.0, 2.0]))
+            p = SystemParams(n=n, d=2, alpha=alpha)
+            x = _draw(rng, p, 6, False)
+            groups.setdefault((p, int(rng.integers(1, n))), []).append(x)
+        for (p, h), xs in groups.items():
+            gap = bounds.jensen_gap_stack(np.array(xs), p, h).gap
+            worst_gap = min(worst_gap, float(np.min(gap)))
 
     # trigonometric estimate on a grid
     xs = np.arange(0.01, TWO_PI - 0.005, 0.01)
@@ -220,14 +239,6 @@ def suite_inequalities(seeds: int = 200, seed: int = 0) -> list[CheckOutcome]:
     for k in range(2, 13):
         margins = k * k * (1.0 - np.cos(xs)) - (1.0 - np.cos(k * xs))
         worst_margin = min(worst_margin, float(np.min(margins)))
-    out.append(
-        CheckOutcome(
-            "inequalities",
-            "trig",
-            worst_margin > 0.0,
-            f"min margin on the grid = {worst_margin:.3e}",
-        )
-    )
 
     # constrained power-sum: stationarity + closed-form + random feasible
     worst_stat = 0.0
@@ -244,35 +255,31 @@ def suite_inequalities(seeds: int = 200, seed: int = 0) -> list[CheckOutcome]:
         worst_closed = max(
             worst_closed, float(np.max(np.abs(s_closed - res.s)) / np.max(s_closed))
         )
-        for _ in range(100):
-            raw = rng.uniform(0.05, 3.0, size=K)
-            feas = raw / (mu @ raw)
-            worst_gap2 = min(worst_gap2, float(np.sum(feas**-beta)) - res.value)
-    out.append(
-        CheckOutcome(
-            "inequalities",
+        # 100 random feasible points, one per row
+        raw = rng.uniform(0.05, 3.0, size=(100, K))
+        feas = raw / (raw[:, None, :] @ mu[:, None])[:, 0]
+        worst_gap2 = min(worst_gap2, float(np.min(np.sum(feas**-beta, axis=-1) - res.value)))
+    checks = [
+        ("poincare", worst >= 1.0 - 1e-12, f"min ratio over {seeds} loops = {worst:.12f}"),
+        ("jensen", worst_gap >= -1e-10, f"min gap over {seeds} draws = {worst_gap:.3e}"),
+        ("trig", worst_margin > 0.0, f"min margin on the grid = {worst_margin:.3e}"),
+        (
             "power_min_stationarity",
             worst_stat < 1e-10,
             f"max stationarity residual = {worst_stat:.3e}",
-        )
-    )
-    out.append(
-        CheckOutcome(
-            "inequalities",
+        ),
+        (
             "power_min_closed_form",
             worst_closed < 1e-9,
             f"max deviation from the closed form = {worst_closed:.3e}",
-        )
-    )
-    out.append(
-        CheckOutcome(
-            "inequalities",
+        ),
+        (
             "power_min_beats_random",
             worst_gap2 >= -1e-10,
             f"min (random feasible - optimum) = {worst_gap2:.3e}",
-        )
-    )
-    return out
+        ),
+    ]
+    return [CheckOutcome("inequalities", name, ok, d) for name, ok, d in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -281,65 +288,33 @@ def suite_inequalities(seeds: int = 200, seed: int = 0) -> list[CheckOutcome]:
 
 def suite_chain(seeds: int = 200, seed: int = 1) -> list[CheckOutcome]:
     rng = np.random.default_rng(seed)
-    out: list[CheckOutcome] = []
     worst_first = math.inf
     worst_second = math.inf
     worst_rayleigh = math.inf
-    for n in (2, 3, 5, 8):
-        for alpha in (0.5, 1.0, 2.0):
-            p = SystemParams(n=n, d=2, alpha=alpha)
-            for _ in range(max(seeds // 12, 4)):
-                x = random_loop(rng, p)
-                rep = bounds.bound_chain(x, p)
-                worst_first = min(worst_first, rep.slack_first)
-                worst_second = min(worst_second, rep.slack_second)
-                worst_rayleigh = min(
-                    worst_rayleigh, bounds.rayleigh_quotient(x, p) - math.pi / n
-                )
-    out.append(
-        CheckOutcome(
-            "chain",
-            "ordering_first",
-            worst_first >= -1e-10,
-            f"min slack A - A~ = {worst_first:.3e}",
-        )
-    )
-    out.append(
-        CheckOutcome(
-            "chain",
-            "ordering_second",
-            worst_second >= -1e-10,
-            f"min slack A~ - A- = {worst_second:.3e}",
-        )
-    )
-    out.append(
-        CheckOutcome(
-            "chain",
-            "rayleigh_bound",
-            worst_rayleigh >= -1e-10,
-            f"min J - pi/n = {worst_rayleigh:.3e}",
-        )
-    )
-
-    # equality certificates on circles (optimal and non-optimal radii)
     worst_eq = 0.0
     for n in (2, 3, 5, 8):
         for alpha in (0.5, 1.0, 2.0):
             p = SystemParams(n=n, d=2, alpha=alpha)
-            r_star = bounds.bound_chain_minimum(n, alpha)["radius"]
-            for radius in (r_star, 1.0, 1.7):
-                circle = FourierLoop.circle(radius, 1, dim=2, cutoff=4)
-                rep = bounds.bound_chain(circle, p)
-                worst_eq = max(worst_eq, abs(rep.slack_first), abs(rep.slack_second))
-    out.append(
-        CheckOutcome(
-            "chain",
-            "circle_equality",
-            worst_eq < 1e-9,
-            f"max |slack| on circles = {worst_eq:.3e}",
-        )
-    )
-    return out
+            for coeffs in _stacks(rng, p, max(seeds // 12, 4)):
+                rep = bounds.bound_chain_stack(coeffs, p)
+                worst_first = min(worst_first, float(np.min(rep.slack_first)))
+                worst_second = min(worst_second, float(np.min(rep.slack_second)))
+                worst_rayleigh = min(worst_rayleigh, float(np.min(rep.rayleigh - math.pi / n)))
+            # equality certificates on the circles R (cos t, sin t), cutoff 4,
+            # of optimal and non-optimal radii
+            circles = np.zeros((3, 9, 2))
+            circles[:, 1, 0] = circles[:, 5, 1] = (
+                bounds.bound_chain_minimum(n, alpha)["radius"], 1.0, 1.7
+            )
+            rep = bounds.bound_chain_stack(circles, p)
+            worst_eq = max(worst_eq, float(np.max(np.abs((rep.slack_first, rep.slack_second)))))
+    checks = [
+        ("ordering_first", worst_first >= -1e-10, f"min slack A - A~ = {worst_first:.3e}"),
+        ("ordering_second", worst_second >= -1e-10, f"min slack A~ - A- = {worst_second:.3e}"),
+        ("rayleigh_bound", worst_rayleigh >= -1e-10, f"min J - pi/n = {worst_rayleigh:.3e}"),
+        ("circle_equality", worst_eq < 1e-9, f"max |slack| on circles = {worst_eq:.3e}"),
+    ]
+    return [CheckOutcome("chain", name, ok, d) for name, ok, d in checks]
 
 
 SUITES = {
@@ -350,8 +325,9 @@ SUITES = {
 
 
 def run_suites(names, seeds: int = 200) -> tuple[list[CheckOutcome], bool]:
-    if seeds < 1:  # a check over no draws would pass on nothing
-        raise ValueError(f"seeds must be at least 1, not {seeds}")
+    # a check over no draws would pass on nothing
+    if not 1 <= seeds <= MAX_SEEDS:
+        raise ValueError(f"seeds must lie in 1..{MAX_SEEDS}, got {seeds}")
     if "all" in names:
         names = list(SUITES)
     results: list[CheckOutcome] = []

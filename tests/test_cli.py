@@ -243,6 +243,21 @@ def test_minimize_refuses_noise_beyond_the_radius_cap(tmp_path, capsys, noise):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("radius", ["1e200", "inf", "nan", "1e7"])
+def test_minimize_refuses_a_radius_beyond_the_cap(tmp_path, capsys, radius):
+    # 1e200 overflowed the action (warnings, then an eigensolver error), and
+    # inf was reported as non-finite cos coefficients
+    code, out, err = run(
+        capsys,
+        "minimize",
+        "--n", "3", "--radius", radius, "--out", str(tmp_path / "run"),
+    )  # fmt: skip
+    assert code == 1
+    assert err.startswith("error: radius must be finite with |radius| <= 1e+06")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_minimize_orbit_schema_round_trips(tmp_path, capsys):
     out = tmp_path / "run"
     run(

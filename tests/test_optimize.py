@@ -15,6 +15,7 @@ from choreo.loops import (
     resolve_grid_size,
 )
 from choreo.optimize import (
+    MAX_RADIUS,
     MAX_RELATIVE_NOISE,
     DescentConfig,
     Objective,
@@ -75,6 +76,17 @@ def test_init_circle_caps_the_noise_relative_to_the_radius():
     for radius, noise in ((1.0, 10.5), (3.0, 30.5), (1.0, 1e200), (1.0, 1e308)):
         with pytest.raises(ValueError, match="noise"):
             init_circle(p, 1, radius, noise=noise)
+
+
+def test_init_circle_refuses_a_non_finite_or_oversized_radius():
+    # a radius near the float range overflowed the action and its Hessian
+    p = SystemParams(n=3)
+    init_circle(p, 1, MAX_RADIUS, noise=0.05, seed=1)
+    init_circle(p, 1, -MAX_RADIUS, noise=0.0)
+    too_big = float(np.nextafter(MAX_RADIUS, math.inf))
+    for radius in (too_big, -too_big, 1e200, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            init_circle(p, 1, radius, noise=0.05)
 
 
 def test_tolerances_refuse_nan():
