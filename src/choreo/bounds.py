@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .action import GUARD, CollisionError, Objective, kinetic_value, kinetic_values
+from .action import GUARD, CollisionError, Objective, kinetic_values
 from .loops import (
     TWO_PI,
     FourierLoop,
@@ -272,11 +272,6 @@ def constrained_power_min(mu, beta: float) -> PowerMinResult:
 
 # ---------------------------------------------------------------------------
 # Rayleigh quotient and the chain
-
-
-def kinetic_integral(x: FourierLoop) -> float:
-    """1/2 int |x'|^2 dt, exact from the coefficients."""
-    return kinetic_value(x.mean, x.cos_coeffs, x.sin_coeffs, 0.0)
 
 
 def _pair_energy(coeffs: np.ndarray, params: SystemParams):

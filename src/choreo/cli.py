@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .loops import (
     unpack_coefficients,
 )
 from .mountain_pass import MountainPassConfig, MountainPassError, mountain_pass
-from .optimize import DescentConfig, StartSpec, multistart
+from .optimize import MAX_STARTS, DescentConfig, StartSpec, multistart
 from .svgplot import orbit_svg, saddle_svg
 
 _GROUPS = {"none": None, "eight3d": EIGHT3D}
@@ -90,7 +91,9 @@ def _add_minimize(sub) -> None:
     )
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--starts", type=int, default=1, help="seeded starts to run")
+    p.add_argument(
+        "--starts", type=int, default=1, help=f"seeded starts to run, at most {MAX_STARTS}"
+    )
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--symmetry", choices=sorted(_GROUPS), default="none")
@@ -109,6 +112,8 @@ def _default_winding(params: SystemParams) -> int:
 
 
 def cmd_minimize(args) -> int:
+    if not 1 <= args.starts <= MAX_STARTS:
+        raise ValueError(f"--starts must be in 1..{MAX_STARTS}, got {args.starts}")
     params = SystemParams(n=args.n, d=args.dim, alpha=args.alpha, omega=args.omega)
     cfg = DescentConfig(
         cutoff=args.harmonics,
@@ -418,7 +423,10 @@ def cmd_mpa(args) -> int:
 # entry
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each call gets a fresh namespace of defaults."""
     parser = argparse.ArgumentParser(
         prog="choreo",
         description="n-body choreography action minimization and certification",
@@ -443,9 +451,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the CLI contract reserves 2 for
         # mathematical non-attainment, so usage problems map to 1

@@ -684,17 +684,15 @@ def loop_from_json(doc: dict) -> tuple[FourierLoop, SystemParams]:
 def samples_csv(
     loop: FourierLoop, params: SystemParams, grid_size: int | None = None
 ) -> str:
-    """CSV of body samples: columns t, then x_1..x_d for every body."""
+    """CSV of body samples: columns t, then x_1..x_d for every body.  Each
+    value is the repr of its Python float; the table is converted once."""
     M = resolve_grid_size(loop.cutoff, params.n, grid_size)
     t = np.arange(M) * (TWO_PI / M)
-    bodies = body_samples(loop.sample(M), params.n)
+    bodies = body_samples(loop.sample(M), params.n)  # (n, M, d)
+    table = np.concatenate([t[:, None], bodies.transpose(1, 0, 2).reshape(M, -1)], axis=1)
     header = ["t"] + [
         f"b{i}_x{c + 1}" for i in range(params.n) for c in range(params.d)
     ]
     lines = [",".join(header)]
-    for j in range(M):
-        row = [repr(float(t[j]))]
-        for body in bodies:
-            row.extend(repr(float(v)) for v in body[j])
-        lines.append(",".join(row))
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"

@@ -316,7 +316,7 @@ def _basin(
     drift along the rotation and time-shift orbits.
     """
     try:
-        xe = descend(obj, x, _PROBE, ev=ev).vec
+        xe = descend(obj, x[None], _PROBE, None if ev is None else [ev])[0].vec
     except CollisionError:
         return None
     da = float(np.linalg.norm(xe - ends[0]))

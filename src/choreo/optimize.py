@@ -63,6 +63,19 @@ Every result reports the Morse index of its final point and the number of
 zero modes, from the eigenvalues of the exact Hessian on the free
 coordinates (:meth:`SearchResult.at`).
 
+Lockstep: :func:`descend` takes a stack of starts that share one objective;
+a single start is the one-row stack.  Each start's iteration is the
+coroutine :func:`_descent`, which yields its requests (a trial's
+evaluation; at an accepted trial, its gradient and metric direction) and
+keeps its own step length, cap, Newton flag, escape streak, history and
+counts.  ``descend`` answers the requests of all starts round by round,
+one stacked call per kind, so an iteration of S starts is one kernel call
+per backtracking round instead of S; the last start left runs alone, each
+request answered as it comes.  Every stacked answer equals the one-row
+answer bit for bit (per-row matrix-vector and dot products, never one
+product over the stack), so every start ends where its own descent would.
+:func:`multistart` runs its starts this way.
+
 Escape detection: non-attained infima are approached by loops whose spatial
 extent diverges while the action still decreases.  A run is flagged
 ``escaped_to_infinity`` when the loop's rms norm about the origin exceeds
@@ -84,7 +97,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .action import ActionValue, CollisionError, Evaluation, Objective
+from .action import ActionValue, CollisionError, Evaluation, KernelCounts, Objective
 from .loops import (
     FourierLoop,
     LoopDiagnostics,
@@ -146,12 +159,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _norms(V: np.ndarray) -> list[float]:
+    """:func:`_norm` of each row of a stack (S, N), bit for bit: a dot
+    product per row, not one matrix-vector product over the stack."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]).tolist()
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """What every search reports about the point it ends at.
 
-    ``value_evals`` and ``grad_evals`` are the objective's value stages
-    (collisions included) and completed gradients over the whole search.
+    ``value_evals`` and ``grad_evals`` are the search's value stages
+    (collisions included) and completed gradients: all of its objective's,
+    or, for a start of a lockstep stack, that start's own.
     ``morse_index`` and ``zero_modes`` count the eigenvalues of the exact
     Hessian (on the free coordinates) below -``zero_threshold`` and within
     it; the threshold is 1e-6 of the largest |eigenvalue|.  Time shifts
@@ -172,12 +192,21 @@ class SearchResult:
     zero_threshold: float
 
     @classmethod
-    def at(cls, obj: Objective, vec: np.ndarray, ev: Evaluation, **fields):
+    def at(
+        cls,
+        obj: Objective,
+        vec: np.ndarray,
+        ev: Evaluation,
+        counts: KernelCounts | None = None,
+        **fields,
+    ):
         """The record of a search on ``obj`` that ends at ``vec``, whose
-        evaluation is ``ev``; ``fields`` are ``converged`` and the
+        evaluation is ``ev``; ``counts`` is the search's work, by default
+        all of ``obj``'s, and ``fields`` are ``converged`` and the
         subclass's own.  The diagnostics read ``ev``'s samples and
         separation (a Kepler record's is the distance of the body to the
         center); the index and zero modes read its Hessian."""
+        counts = obj.counts if counts is None else counts
         loop = obj.unpack(vec)
         evals = np.linalg.eigvalsh(ev.hessian())
         zero = _ZERO_MODE * float(np.max(np.abs(evals)))
@@ -187,8 +216,8 @@ class SearchResult:
             grad_norm=_norm(ev.gradient()),
             newton_residual=obj.residual(vec, ev),
             diagnostics=loop_diagnostics(ev.samples, loop.mean, ev.separation),
-            value_evals=obj.counts.value_evals,
-            grad_evals=obj.counts.grad_evals,
+            value_evals=counts.value_evals,
+            grad_evals=counts.grad_evals,
             morse_index=int(np.count_nonzero(evals < -zero)),
             zero_modes=int(np.count_nonzero(np.abs(evals) <= zero)),
             zero_threshold=zero,
@@ -265,13 +294,70 @@ class _DescentOutcome:
     escaped: bool
     abort_reason: str | None
     history: list
+    # this start's own work: its value stages (collisions included), its
+    # completed gradients and its collisions, its start's among them
+    counts: KernelCounts
+
+
+# The requests a descent makes: a kind is the pair (answer one payload,
+# answer a list of payloads).  A list is answered with stacked calls, each
+# row equal to its one-payload answer bit for bit.
+
+
+def _evaluate_one(obj: Objective, vec: np.ndarray) -> Evaluation | None:
+    try:
+        return obj.evaluate(vec)
+    except CollisionError:
+        return None
+
+
+def _evaluate_stack(obj: Objective, vecs: list) -> list[Evaluation | None]:
+    return obj.evaluate_batch(np.array(vecs))
+
+
+def _point_one(obj: Objective, request: tuple[Evaluation, np.ndarray, float]):
+    ev, vec, tol = request
+    g = ev.gradient()
+    gnorm = _norm(g)
+    if gnorm < tol:  # converged: the descent reads no direction
+        return g, gnorm, obj.rms(vec), None, None, None
+    direction, slope = obj.metric_direction(g)
+    return g, gnorm, obj.rms(vec), direction, slope, obj.rms(direction)
+
+
+def _point_stack(obj: Objective, requests: list):
+    evs, vecs, _ = zip(*requests)
+    grads = obj.gradients(evs)
+    directions, slopes = obj.metric_direction(grads)
+    norms, rms = _norms(grads), obj.rms(np.array(vecs)).tolist()
+    return zip(grads, norms, rms, directions, slopes.tolist(), obj.rms(directions).tolist())
+
+
+# the evaluation of a vector, None where it collides
+_EVALUATE = (_evaluate_one, _evaluate_stack)
+# what the descent reads at a point, from its (evaluation, vector, gradient
+# tolerance): the gradient g, its norm, the rms of the vector, the metric
+# direction P^-1 g, its slope g^T P^-1 g and its rms; alone, a point whose
+# gradient norm is below the tolerance gets no direction
+_POINT = (_point_one, _point_stack)
 
 
 def _newton(
-    obj: Objective, x: np.ndarray, ev: Evaluation, gnorm: float, cap: float, noise: float
-) -> tuple[np.ndarray, Evaluation] | None:
+    obj: Objective,
+    x: np.ndarray,
+    ev: Evaluation,
+    g: np.ndarray,
+    gnorm: float,
+    cap: float,
+    noise: float,
+    tol: float,
+    counts: KernelCounts,
+):
     """The guarded Newton iterate from ``x`` (evaluation ``ev``, gradient
-    norm ``gnorm``) with its evaluation, or None where a guard refuses it.
+    ``g`` of norm ``gnorm``) as (vector, evaluation, point), or None where
+    a guard refuses it; a coroutine of :func:`_descent` that requests the
+    trial's evaluation and point (``_POINT``, at the descent's gradient
+    tolerance ``tol``).
 
     The step is -sum (v^T g / lam) v over the eigenpairs of the Hessian on
     the free coordinates with lam > tau = max(1e-6 max|lam|, |g|): zero
@@ -282,7 +368,6 @@ def _newton(
     iterate collides or fails the Armijo test (with the descent's ``noise``
     slack), or when it does not halve the gradient norm.
     """
-    g = ev.gradient()
     evals, evecs = ev.spectrum()
     tau = max(_ZERO_MODE * float(np.max(np.abs(evals))), gnorm)
     keep = evals > tau
@@ -294,23 +379,112 @@ def _newton(
     if obj.rms(step) > cap:
         return None
     trial = x + step
-    try:
-        trial_ev = obj.evaluate(trial)
-    except CollisionError:
+    trial_ev = yield _EVALUATE, trial
+    counts.value_evals += 1
+    if trial_ev is None:
+        counts.collisions += 1
         return None
-    if (
-        trial_ev.value > ev.value + _ARMIJO * float(g @ step) + noise
-        or _norm(trial_ev.gradient()) > _NEWTON_CONTRACTION * gnorm
-    ):
+    if trial_ev.value > ev.value + _ARMIJO * float(g @ step) + noise:
         return None
-    return trial, trial_ev
+    point = yield _POINT, (trial_ev, trial, tol)
+    counts.grad_evals += 1
+    if point[1] > _NEWTON_CONTRACTION * gnorm:
+        return None
+    return trial, trial_ev, point
+
+
+def _descent(
+    obj: Objective,
+    x: np.ndarray,
+    ev: Evaluation,
+    point: tuple,
+    cfg: DescentConfig,
+):
+    """The descent of one start, from ``x`` with its evaluation and point
+    (``_POINT``), as a coroutine: it yields each request (kind, payload)
+    for the kernel, is sent the answer, and returns its
+    :class:`_DescentOutcome`.  :func:`descend` describes the iteration."""
+    g, gnorm, rms, direction, slope, length = point
+    f = ev.value
+    t = _INITIAL_STEP
+    escape_at = cfg.escape_factor * max(1.0, rms)
+    growth_streak = 0
+    history: list = []
+    abort = None
+    converged = escaped = newton = False
+    newton_steps = 0
+    counts = KernelCounts(value_evals=1, grad_evals=1)
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        converged = gnorm < cfg.grad_tol
+        if not converged:  # g != 0, so the direction is too
+            cap = _STEP_CAP * max(1.0, rms)
+            reach = cap / length
+            capped = reach < t
+            t = min(t, reach)
+        if cfg.log_every and (it % cfg.log_every == 0 or it == 1):
+            history.append((it, f, gnorm, t))
+        if converged:
+            break
+        if rms > escape_at and growth_streak >= _ESCAPE_WINDOW:
+            escaped = True
+            break
+        # near a minimum the sufficient decrease drops below the float
+        # resolution of f; allow that much slack (stays within the 1e-12
+        # per-step monotonicity contract)
+        noise = 1e-13 * max(1.0, abs(f))
+        if newton or (not capped and it >= _NEWTON_FIRST and it & (it - 1) == 0):
+            iterate = yield from _newton(obj, x, ev, g, gnorm, cap, noise, cfg.grad_tol, counts)
+            newton = iterate is not None
+        if newton:
+            newton_steps += 1
+            x, ev, (g, gnorm, new_rms, direction, slope, length) = iterate
+            f = ev.value
+        else:
+            while t >= _MIN_STEP:
+                trial = x - t * direction
+                trial_ev = yield _EVALUATE, trial
+                counts.value_evals += 1
+                if trial_ev is None:
+                    counts.collisions += 1
+                elif trial_ev.value <= f - _ARMIJO * t * slope + noise:
+                    break
+                t *= _BACKTRACK
+            else:
+                abort = "no feasible descent step above the minimum step size"
+                break
+            point = yield _POINT, (trial_ev, trial, cfg.grad_tol)
+            g, trial_gnorm, new_rms, direction, slope, length = point
+            counts.grad_evals += 1
+            # the step grows only on a decrease that f resolves: the Armijo
+            # term itself can sit below the noise while the actual decrease
+            # does not
+            measurable = f - trial_ev.value > noise
+            x, ev, f = trial, trial_ev, trial_ev.value
+            if measurable:
+                t = min(t * 2.0, _MAX_STEP)
+            elif trial_gnorm > gnorm:
+                # noise-floor regime: an overshooting step is invisible to
+                # the Armijo test, so stabilise on the gradient norm instead
+                t *= _BACKTRACK
+            gnorm = trial_gnorm
+        growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
+        rms = new_rms
+    else:
+        abort = "iteration budget exhausted"
+        it = cfg.max_iters
+    return _DescentOutcome(x, ev, it, newton_steps, converged, escaped, abort, history, counts)
 
 
 def descend(
-    obj: Objective, x0: np.ndarray, cfg: DescentConfig, ev: Evaluation | None = None
-) -> _DescentOutcome:
+    obj: Objective,
+    x0: np.ndarray,
+    cfg: DescentConfig,
+    evs: list[Evaluation] | None = None,
+) -> list[_DescentOutcome]:
     """Armijo-backtracked descent along -P^-1 g in the kinetic metric, with
-    a guarded Newton finish.
+    a guarded Newton finish, from each row of the stack ``x0`` (S, N) in
+    lockstep; one start is the one-row stack.
 
     The step length t multiplies P^-1 g.  Each iteration first caps it so
     that the displacement's rms is at most 5% of max(1, rms) of the loop,
@@ -333,84 +507,69 @@ def descend(
 
     Each trial is one value stage; the value and gradient at an accepted
     point are taken from its trial's evaluation, so a metric step completes
-    one gradient and evaluates nothing twice.  ``ev`` is the evaluation of
-    ``x0`` when the caller has it (a masked ``x0``); the start is then not
-    evaluated again.  The work is counted in ``obj.counts`` alone.
+    one gradient and evaluates nothing twice.  ``evs`` are the evaluations
+    of the masked rows of ``x0`` when the caller has them; otherwise the
+    starts are evaluated one by one, and a colliding start raises its
+    :class:`CollisionError`.
+
+    Lockstep: each start's iteration is the coroutine :func:`_descent`, with
+    its own step length, cap, Newton flag, escape streak, history, outcome
+    and counts.  Every round answers the pending requests of all rows, one
+    stacked call per kind: the trials of every row with one in one kernel
+    call (the first trials of rows that finished an iteration beside the
+    backtracking trials of rows that did not), then the points of the
+    trials accepted in it in one more: force stage, pullback, norms, rms
+    and the metric directions of the next iteration, one product with the
+    factor per row.  A row that converges, escapes or aborts leaves the
+    stack; the last row left runs alone, each request answered as it comes.
+    Every stacked answer equals the one-row answer bit for bit, so each
+    row's outcome is the one its descent alone would reach.  Returns one
+    :class:`_DescentOutcome` per row.
+
+    While two rows or more are left, every request is answered in stacked
+    form, a lone one too, so each accepted trial has its gradient completed
+    by :meth:`Objective.gradients`, which copies its row out of the kernel
+    call's arrays: a row keeps one row's arrays, whatever call its trial
+    came from, and a call's arrays go once its rejected trials do.
     """
-    x = np.where(obj.mask, x0, 0.0)
-    if ev is None:
-        ev = obj.evaluate(x)
-    f, g = ev.value, ev.gradient()
-    t = _INITIAL_STEP
-    rms = obj.rms(x)
-    escape_at = cfg.escape_factor * max(1.0, rms)
-    growth_streak = 0
-    history: list = []
-    abort = None
-    converged = escaped = newton = False
-    newton_steps = 0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        gnorm = _norm(g)
-        converged = gnorm < cfg.grad_tol
-        if not converged:  # g != 0, so the direction is too
-            direction, slope = obj.metric_direction(g)
-            cap = _STEP_CAP * max(1.0, rms)
-            reach = cap / obj.rms(direction)
-            capped = reach < t
-            t = min(t, reach)
-        if cfg.log_every and (it % cfg.log_every == 0 or it == 1):
-            history.append((it, f, gnorm, t))
-        if converged:
-            break
-        if rms > escape_at and growth_streak >= _ESCAPE_WINDOW:
-            escaped = True
-            break
-        # near a minimum the sufficient decrease drops below the float
-        # resolution of f; allow that much slack (stays within the 1e-12
-        # per-step monotonicity contract)
-        noise = 1e-13 * max(1.0, abs(f))
-        if newton or (not capped and it >= _NEWTON_FIRST and it & (it - 1) == 0):
-            iterate = _newton(obj, x, ev, gnorm, cap, noise)
-            newton = iterate is not None
-        if newton:
-            newton_steps += 1
-            x, ev = iterate
-            f, g = ev.value, ev.gradient()
-        else:
-            accepted = False
-            while t >= _MIN_STEP:
-                trial = x - t * direction
-                try:
-                    trial_ev = obj.evaluate(trial)
-                except CollisionError:
-                    trial_ev = None
-                if trial_ev is not None and trial_ev.value <= f - _ARMIJO * t * slope + noise:
-                    accepted = True
-                    break
-                t *= _BACKTRACK
-            if not accepted:
-                abort = "no feasible descent step above the minimum step size"
-                break
-            # the step grows only on a decrease that f resolves: the Armijo
-            # term itself can sit below the noise while the actual decrease
-            # does not
-            measurable = f - trial_ev.value > noise
-            x, ev = trial, trial_ev
-            f, g = ev.value, ev.gradient()
-            if measurable:
-                t = min(t * 2.0, _MAX_STEP)
-            elif _norm(g) > gnorm:
-                # noise-floor regime: an overshooting step is invisible to
-                # the Armijo test, so stabilise on the gradient norm instead
-                t *= _BACKTRACK
-        new_rms = obj.rms(x)
-        growth_streak = growth_streak + 1 if new_rms >= rms * (1.0 - 1e-9) else 0
-        rms = new_rms
+    X = np.where(obj.mask, x0, 0.0)
+    if evs is None:
+        evs = [obj.evaluate(x) for x in X]
+    if len(X) == 1:
+        points = [_point_one(obj, (evs[0], X[0], cfg.grad_tol))]
     else:
-        abort = "iteration budget exhausted"
-        it = cfg.max_iters
-    return _DescentOutcome(x, ev, it, newton_steps, converged, escaped, abort, history)
+        points = _point_stack(obj, [(ev, x, cfg.grad_tol) for ev, x in zip(evs, X)])
+    rows = [_descent(obj, x, ev, point, cfg) for x, ev, point in zip(X, evs, points)]
+    outcomes: list = [None] * len(rows)
+    pending = {}  # row -> its request (kind, payload)
+
+    def resume(i: int, answer) -> None:
+        try:
+            pending[i] = rows[i].send(answer)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            outcomes[i] = stop.value
+
+    for i in range(len(rows)):
+        resume(i, None)
+    while len(pending) > 1:
+        # a round evaluates every trial there is, then completes the points
+        # of the trials it accepts
+        for kind in (_EVALUATE, _POINT):
+            batch = [(i, payload) for i, (k, payload) in pending.items() if k is kind]
+            if batch:
+                answers = kind[1](obj, [payload for _, payload in batch])
+                for (i, _), answer in zip(batch, answers):
+                    resume(i, answer)
+    for i, request in pending.items():  # the last row, alone
+        row = rows[i]
+        try:
+            while True:
+                kind, payload = request
+                request = row.send(kind[0](obj, payload))
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +632,42 @@ def init_circle(
     return loop
 
 
-def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> MinimizeResult:
-    out = descend(obj, x0, cfg)
-    clusters = None
-    if obj.params is not None:
-        clusters = detect_clusters(out.ev.samples, out.vec[: obj.dim], out.ev.r2)
-    return MinimizeResult.at(
-        obj,
-        out.vec,
-        out.ev,
-        converged=out.converged,
-        iters=out.iters,
-        newton_steps=out.newton_steps,
-        collision_rejects=obj.counts.collisions,
-        clusters=clusters,
-        escaped_to_infinity=out.escaped,
-        abort_reason=out.abort_reason,
-        history=tuple(out.history),
+def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> list[MinimizeResult]:
+    """The result of :func:`descend` from each row of the masked stack
+    ``x0`` (S, N), each with its own counts; a colliding start raises its
+    :class:`CollisionError`."""
+    results = []
+    for out in descend(obj, x0, cfg):
+        clusters = None
+        if obj.params is not None:
+            clusters = detect_clusters(out.ev.samples, out.vec[: obj.dim], out.ev.r2)
+        results.append(
+            MinimizeResult.at(
+                obj,
+                out.vec,
+                out.ev,
+                out.counts,
+                converged=out.converged,
+                iters=out.iters,
+                newton_steps=out.newton_steps,
+                collision_rejects=out.counts.collisions,
+                clusters=clusters,
+                escaped_to_infinity=out.escaped,
+                abort_reason=out.abort_reason,
+                history=tuple(out.history),
+            )
+        )
+    return results
+
+
+def _objective(params: SystemParams, cutoff: int, cfg: DescentConfig) -> Objective:
+    """The objective of a descent whose start has the Fourier cutoff ``cutoff``."""
+    return Objective(
+        params,
+        cutoff=max(cfg.cutoff, cutoff),
+        grid_size=cfg.grid_size,
+        symmetry=cfg.symmetry,
+        pin_mean=cfg.pin_mean,
     )
 
 
@@ -505,14 +683,8 @@ def minimize(
     subspace, and masking the gradient keeps every iterate inside it
     (projected gradient descent).
     """
-    obj = Objective(
-        params,
-        cutoff=max(cfg.cutoff, init.cutoff),
-        grid_size=cfg.grid_size,
-        symmetry=cfg.symmetry,
-        pin_mean=cfg.pin_mean,
-    )
-    return _minimize(obj, obj.pack(init), cfg)
+    obj = _objective(params, init.cutoff, cfg)
+    return _minimize(obj, obj.pack(init)[None], cfg)[0]
 
 
 def kepler_minimize(
@@ -526,7 +698,7 @@ def kepler_minimize(
         alpha=alpha,
         dim=init.dim,
     )
-    return _minimize(obj, obj.pack(init), cfg)
+    return _minimize(obj, obj.pack(init)[None], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +811,63 @@ def _resolve_start(params: SystemParams, cfg: DescentConfig, spec) -> FourierLoo
     )
 
 
+# Largest number of starts one multistart takes: each is a full descent.
+MAX_STARTS = 10_000
+
+# Rows per lockstep stack.  The cost per row and iteration falls with the
+# stack's size and has levelled off by 16 rows: multistarts of 32 starts at
+# (4, 1, 0.5) K=8, (6, 1, 1.8) K=12 and (12, 1, 6.55) d=3 K=12 took 156,
+# 91 and 111 us per row and iteration one row at a time, 110, 74 and 81 in
+# stacks of 16 and 105, 62 and 79 in one stack of 32 (2-core host, BLAS on
+# one thread).  A kernel call's lag arrays are also held to about
+# _STACK_BYTES, so large grids run in smaller stacks; a row keeps only its
+# own arrays past the round it was accepted in (descend).
+_STACK_ROWS = 16
+_STACK_BYTES = 1 << 24
+
+
+def _stack_rows(obj: Objective) -> int:
+    """Rows per lockstep stack on ``obj``: ``_STACK_ROWS``, fewer where
+    the rows' lag differences, squared distances and force weights would
+    exceed ``_STACK_BYTES``, at least one."""
+    row = 8 * (obj.n - 1) * obj.grid_size * (obj.dim + 2)
+    return max(1, min(_STACK_ROWS, _STACK_BYTES // row))
+
+
 def multistart(
     params: SystemParams,
     cfg: DescentConfig,
     starts: Sequence[StartSpec | FourierLoop],
 ) -> MultistartResult:
-    """Run minimize() on each start in turn and return the argmin by action.
+    """Descend from every start in lockstep and return the argmin by action.
 
-    Each result is exactly what a separate minimize() call on the same start
-    returns; ties are broken by start index.  The full table is kept for
-    reporting.
+    The starts that share a Fourier cutoff share one objective, and go
+    through :func:`descend` as stacks of at most ``_STACK_ROWS`` rows (fewer
+    on large grids, :func:`_stack_rows`): each backtracking round is one
+    kernel call for the trials of all of a stack's rows, and a row leaves
+    the stack when it converges, escapes or aborts.  Each result is
+    bit for bit what a separate minimize() call on the same start returns,
+    its counts included; ties are broken by start index.  The full table is
+    kept for reporting.  At most ``MAX_STARTS`` starts are taken, checked
+    before any is built.
     """
     if not starts:
         raise ValueError("need at least one start")
-    results = [minimize(params, _resolve_start(params, cfg, spec), cfg) for spec in starts]
+    if len(starts) > MAX_STARTS:
+        raise ValueError(f"{len(starts)} starts exceed the cap of {MAX_STARTS}")
+    loops = [_resolve_start(params, cfg, spec) for spec in starts]
+    by_cutoff: dict[int, list[int]] = {}
+    for i, loop in enumerate(loops):
+        by_cutoff.setdefault(max(cfg.cutoff, loop.cutoff), []).append(i)
+    results: list = [None] * len(loops)
+    for cutoff, indices in by_cutoff.items():
+        obj = _objective(params, cutoff, cfg)
+        size = _stack_rows(obj)
+        for lo in range(0, len(indices), size):
+            chunk = indices[lo : lo + size]
+            x0 = np.array([obj.pack(loops[i]) for i in chunk])
+            for i, res in zip(chunk, _minimize(obj, x0, cfg)):
+                results[i] = res
     ordered = sorted(
         range(len(results)), key=lambda i: (results[i].action.total, i)
     )

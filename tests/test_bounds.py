@@ -9,7 +9,6 @@ from choreo.bounds import (
     bound_chain_minimum,
     constrained_power_min,
     jensen_gap,
-    kinetic_integral,
     poincare_ratio,
     rayleigh_quotient,
     trig_check,
@@ -390,7 +389,11 @@ def test_chain_kinetic_term_is_exact(rng):
     from choreo.action import Objective
 
     obj = Objective(p, cutoff=x.cutoff)
-    assert abs(kinetic_integral(x) - obj.evaluate(obj.pack(x)).kinetic) < 1e-10
+    # int |x'|^2 dt = pi sum_k k^2 (|a_k|^2 + |b_k|^2) over the period 2 pi,
+    # and the kinetic term is half of it
+    k2 = np.arange(1, x.cutoff + 1) ** 2
+    exact = 0.5 * math.pi * float(np.sum(k2[:, None] * (x.cos_coeffs**2 + x.sin_coeffs**2)))
+    assert abs(exact - obj.evaluate(obj.pack(x)).kinetic) < 1e-10
 
 
 def test_chain_minimum_matches_circle_prediction():

@@ -258,6 +258,58 @@ def test_minimize_refuses_a_radius_beyond_the_cap(tmp_path, capsys, radius):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("starts", ["1000000000", "10001", "0", "-3"])
+def test_minimize_refuses_starts_beyond_the_cap_before_any_start(
+    tmp_path, capsys, monkeypatch, starts
+):
+    # --starts 1000000000 built 10^9 StartSpecs before any check
+    made = []
+    monkeypatch.setattr(cli, "StartSpec", lambda *a, **k: made.append(1))
+    code, out, err = run(
+        capsys, "minimize", "--n", "3", "--starts", starts, "--out", str(tmp_path / "run")
+    )
+    assert code == 1 and not out
+    assert err.startswith(f"error: --starts must be in 1..{cli.MAX_STARTS}, got {starts}")
+    assert len(err.strip().splitlines()) == 1
+    assert not made and not (tmp_path / "run").exists()
+
+
+def _artifacts(path: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def test_cached_parser_gives_each_call_fresh_defaults(tmp_path, capsys):
+    # main builds its parser once per process; a call after others with
+    # other subcommands and flags parses as with a parser of its own
+    calls = [
+        ("minimize", "--n", "3", "--omega", "0.5", "--harmonics", "5", "--starts", "2",
+         "--seed", "4", "--svg", "--csv", "--pin-mean"),
+        ("classify", "--n", "4", "--omega", "1.2"),
+        ("minimize", "--n", "3", "--harmonics", "4"),
+        ("spectrum", "--n", "5", "--variant", "2"),
+        ("minimize", "--n", "4", "--alpha", "2", "--omega", "0.6", "--starts", "3", "--csv"),
+    ]  # fmt: skip
+    written = {}
+    for fresh in (False, True):
+        for k, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}"
+            if argv[0] == "minimize":
+                assert run(capsys, *argv, "--out", str(out))[0] == 0
+                written[fresh, k] = _artifacts(out)
+            else:
+                assert run(capsys, *argv, "--out", str(out / "doc.json"))[0] == 0
+                written[fresh, k] = _artifacts(out)
+    for k in range(len(calls)):
+        assert written[False, k] == written[True, k]
+    # the flags of the first call do not leak into the third
+    config = strict_json(written[False, 2]["orbit.json"].decode())["config"]
+    assert (config["omega"], config["starts"], config["pin_mean"]) == (0.0, 1, False)
+    assert set(written[False, 2]) == {"orbit.json", "iterations.csv"}
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_minimize_orbit_schema_round_trips(tmp_path, capsys):
     out = tmp_path / "run"
     run(

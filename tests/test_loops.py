@@ -427,6 +427,35 @@ def test_samples_csv_shape():
     assert len(lines) == 1 + 16
 
 
+def samples_csv_by_element(loop, params, grid_size=None):
+    """The element-by-element formatter samples_csv replaced: repr(float(v))
+    of each sample, row by row."""
+    M = resolve_grid_size(loop.cutoff, params.n, grid_size)
+    t = np.arange(M) * (2.0 * math.pi / M)
+    bodies = body_samples(loop.sample(M), params.n)
+    header = ["t"] + [f"b{i}_x{c + 1}" for i in range(params.n) for c in range(params.d)]
+    lines = [",".join(header)]
+    for j in range(M):
+        row = [repr(float(t[j]))]
+        for body in bodies:
+            row.extend(repr(float(v)) for v in body[j])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_samples_csv_equals_the_element_by_element_formatter(rng, d):
+    # the table is converted to Python floats once; every value keeps its
+    # repr, so the file is the same byte for byte
+    for n in range(2, 13):
+        loop = random_loop(rng, d=d, K=int(rng.integers(1, 9)))
+        p = SystemParams(n=n, d=d)
+        assert samples_csv(loop, p) == samples_csv_by_element(loop, p)
+    p = SystemParams(n=5, d=d)
+    loop = random_loop(rng, d=d, K=3)
+    assert samples_csv(loop, p, grid_size=40) == samples_csv_by_element(loop, p, 40)
+
+
 def test_artifacts_sample_each_loop_once(rng, monkeypatch):
     # samples.csv and the svg plots sample each loop once and take body i
     # as the samples rolled by i M/n rows: body 0 is the loop's samples bit

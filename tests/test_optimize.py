@@ -1,10 +1,11 @@
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from choreo import cli, loops
+from choreo import action, cli, loops, optimize
 from choreo.action import CollisionError, Evaluation, kinetic_gradient
 from choreo.loops import (
     EIGHT3D,
@@ -16,6 +17,7 @@ from choreo.loops import (
 )
 from choreo.optimize import (
     MAX_RADIUS,
+    MAX_STARTS,
     MAX_RELATIVE_NOISE,
     DescentConfig,
     Objective,
@@ -288,7 +290,7 @@ def test_descend_one_force_stage_per_accepted_step(monkeypatch, max_iters):
     cfg = DescentConfig(cutoff=6, max_iters=max_iters)
     obj = Objective(p, cutoff=6)
     counted = _Counted(obj, monkeypatch)
-    out = descend(obj, obj.pack(noisy_circle(p, -1, seed=4)), cfg)
+    (out,) = descend(obj, obj.pack(noisy_circle(p, -1, seed=4))[None], cfg)
     # every iteration but a converged last one accepts a step
     accepted = out.iters - 1 if out.converged else out.iters
     assert out.converged == (max_iters > 5)
@@ -393,7 +395,7 @@ def test_kepler_descent_keeps_mean_exactly_zero():
     assert np.all(res.loop.mean == 0.0)
     obj = Objective(None, cutoff=6, alpha=1.0, dim=2)
     _assert_trials_stay_masked(obj)
-    out = descend(obj, obj.pack(q0), DescentConfig(cutoff=6))
+    (out,) = descend(obj, obj.pack(q0)[None], DescentConfig(cutoff=6))
     assert out.converged and np.all(out.vec[:2] == 0.0)
 
 
@@ -412,7 +414,7 @@ def test_symmetric_descent_keeps_masked_coefficients_exactly_zero():
     obj = Objective(p, cutoff=K, symmetry=EIGHT3D)
     assert np.all(pack_coefficients(res.loop)[~obj.mask] == 0.0)
     _assert_trials_stay_masked(obj)
-    out = descend(obj, obj.pack(init), cfg)
+    (out,) = descend(obj, obj.pack(init)[None], cfg)
     assert out.converged
     assert np.array_equal(out.vec, pack_coefficients(res.loop))
 
@@ -603,17 +605,166 @@ def test_multistart_tie_at_half_integer():
     assert windings == [1, 2]
 
 
-def test_multistart_results_match_separate_minimize_calls():
-    p = SystemParams(n=3, alpha=1.0, omega=0.5)
-    cfg = DescentConfig(cutoff=4)
-    starts = [StartSpec(winding=-1, seed=s) for s in range(3)]
+def _assert_same_result(got, alone):
+    """Every field of two minimize results, bit for bit."""
+    assert got.as_dict() == alone.as_dict()
+    assert got.history == alone.history
+    assert np.array_equal(pack_coefficients(got.loop), pack_coefficients(alone.loop))
+    assert got.clusters == alone.clusters
+    assert repr(got.diagnostics) == repr(alone.diagnostics)  # a nan residual
+    assert (got.newton_steps, got.collision_rejects) == (alone.newton_steps, alone.collision_rejects)
+    assert (got.value_evals, got.grad_evals) == (alone.value_evals, alone.grad_evals)
+
+
+def _multistart_against_minimize(p, cfg, starts):
     out = multistart(p, cfg, starts)
+    assert len(out.results) == len(starts)
     for spec, got in zip(starts, out.results):
-        init = noisy_circle(p, spec.winding, spec.seed, noise=spec.noise, cutoff=4)
-        alone = minimize(p, init, cfg)
-        assert (got.iters, got.action, got.grad_norm) == (
-            alone.iters,
-            alone.action,
-            alone.grad_norm,
-        )
-        assert np.array_equal(pack_coefficients(got.loop), pack_coefficients(alone.loop))
+        init = spec
+        if isinstance(spec, StartSpec):
+            radius = spec.radius
+            if radius is None:
+                radius = circle_radius_for_winding(p.n, p.alpha, p.omega, spec.winding)
+            init = init_circle(p, spec.winding, radius, spec.noise, spec.seed, cfg.cutoff)
+        _assert_same_result(got, minimize(p, init, cfg))
+    return out.results
+
+
+def test_multistart_results_match_separate_minimize_calls(monkeypatch):
+    # the lockstep rows equal separate descents in every field: rows that
+    # leave the stack at different iterations, take Newton steps, escape,
+    # have trials refused by the collision guard, descend on masked
+    # coordinates (pinned mean, EIGHT3D), and stacks longer than one chunk
+    p = SystemParams(n=3, alpha=1.0, omega=0.5)
+    cfg = DescentConfig(cutoff=4, log_every=1)
+    mixed = [StartSpec(-1, noise=0.02 + 0.04 * s, seed=s) for s in range(7)]
+    for size in (1, 2, 7):
+        results = _multistart_against_minimize(p, cfg, mixed[:size])
+    assert len({r.iters for r in results}) > 1
+    assert all(r.converged for r in results) and any(r.newton_steps for r in results)
+
+    results = _multistart_against_minimize(p, DescentConfig(cutoff=4, pin_mean=True), mixed[:4])
+    assert all(r.converged and np.all(r.loop.mean == 0.0) for r in results)
+    eight = SystemParams(n=3, d=3, alpha=1.0)
+    inits = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        size = 0.1 * (1 + seed)
+        cos = rng.uniform(-size, size, (5, 3))
+        sin = rng.uniform(-size, size, (5, 3))
+        sin[0, 1] += 0.8
+        cos[0, 2] += 0.8
+        inits.append(FourierLoop(rng.uniform(-0.1, 0.1, 3), cos, sin))
+    cfg_eight = DescentConfig(cutoff=5, symmetry=EIGHT3D, log_every=1)
+    results = _multistart_against_minimize(eight, cfg_eight, inits)
+    assert all(r.converged for r in results) and len({r.iters for r in results}) > 1
+
+    escape = SystemParams(n=5, alpha=1.0, omega=3.0)
+    cfg_escape = DescentConfig(cutoff=4, grid_size=40, escape_factor=10.0, log_every=3)
+    starts = [StartSpec(-3, radius=1.2, noise=0.05, seed=s) for s in range(2)]
+    results = _multistart_against_minimize(escape, cfg_escape, starts)
+    assert all(r.escaped_to_infinity for r in results)
+
+    # a guard just above the optimal circle's separation lies in the path
+    # of starts of 1.3 times its radius: trials trip it
+    R = circle_radius_for_winding(3, 1.0, 0.5, -1)
+    monkeypatch.setattr(action, "GUARD", 1.05 * math.sqrt(3.0) * R)
+    starts = [StartSpec(-1, radius=1.3 * R, noise=0.02, seed=s) for s in range(3)]
+    results = _multistart_against_minimize(p, DescentConfig(cutoff=4, max_iters=300), starts)
+    assert all(r.collision_rejects > 0 for r in results)
+    assert {r.abort_reason for r in results} == {
+        "iteration budget exhausted",
+        "no feasible descent step above the minimum step size",
+    }
+    monkeypatch.undo()
+
+    starts = [StartSpec(-1, noise=0.05, seed=s) for s in range(optimize._STACK_ROWS + 3)]
+    _multistart_against_minimize(p, DescentConfig(cutoff=4), starts)
+    monkeypatch.setattr(optimize, "_STACK_ROWS", 3)
+    _multistart_against_minimize(p, cfg, mixed)
+
+
+def test_multistart_shares_kernel_calls_across_starts(monkeypatch):
+    # six starts of the CLI's (4, 1, 0.5) point: every start is evaluated
+    # alone, then each round evaluates the trials of all starts in one call
+    calls = []
+    kernel = Objective._kernel
+
+    def counted(self, vecs):
+        calls.append(1 if vecs.ndim == 1 else len(vecs))
+        return kernel(self, vecs)
+
+    monkeypatch.setattr(Objective, "_kernel", counted)
+    p = SystemParams(n=4, alpha=1.0, omega=0.5)
+    starts = [StartSpec(-1, seed=s) for s in range(6)]
+    results = multistart(p, DescentConfig(cutoff=8), starts).results
+    assert sum(calls) == sum(r.value_evals for r in results)
+    assert len(calls) <= 6 + max(r.value_evals for r in results)
+    assert max(calls) == 6
+
+
+def _retained_bytes(evs) -> int:
+    """Bytes of the distinct arrays that the evaluations ``evs`` keep
+    alive, views counted at the size of the array they view."""
+    roots = {}
+    for ev in evs:
+        for a in (*ev._arrays, ev._force, ev._grad):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+def test_lockstep_rows_keep_one_row_of_arrays_each(monkeypatch):
+    # a trial accepted from a stacked kernel call, alone in its round or
+    # not, keeps copies of its own row: the rows, finishing at different
+    # iterations from calls of different sizes, keep what descents alone
+    # do.  A guard at the optimal circle's separation makes the rows
+    # backtrack in different rounds.
+    stacked = []
+    kernel = Objective._kernel
+
+    def kept(self, vecs):
+        entries = kernel(self, vecs)
+        if vecs.ndim == 2 and len(vecs) > 1:
+            stacked.extend(ev for ev in entries if isinstance(ev, Evaluation))
+        return entries
+
+    monkeypatch.setattr(Objective, "_kernel", kept)
+    R = circle_radius_for_winding(3, 1.0, 0.5, -1)
+    monkeypatch.setattr(action, "GUARD", math.sqrt(3.0) * R)
+    p = SystemParams(n=3, alpha=1.0, omega=0.5)
+    cfg = DescentConfig(cutoff=4, max_iters=300)
+    obj = Objective(p, cutoff=4)
+    x0 = np.array([obj.pack(noisy_circle(p, -1, s, 0.02, 4, 1.3 * R)) for s in range(4)])
+    outcomes = descend(obj, x0, cfg)
+    assert len({out.iters for out in outcomes}) == 4
+    alone = [_retained_bytes([out.ev]) for x in x0 for out in descend(obj, x[None], cfg)]
+    accepted = [ev for ev in stacked if ev._grad is not None]
+    assert accepted and all(_retained_bytes([ev]) == alone[0] for ev in accepted)
+    assert _retained_bytes([out.ev for out in outcomes]) <= sum(alone)
+
+
+def test_lockstep_stacks_shrink_on_large_grids():
+    # a stack's lag arrays stay near _STACK_BYTES: 16 rows at the benchmark's
+    # n = 12 point, one row where a row alone exceeds the budget
+    small = Objective(SystemParams(n=12, d=3, omega=6.55), cutoff=12, grid_size=96)
+    assert optimize._stack_rows(small) == optimize._STACK_ROWS == 16
+    large = Objective(SystemParams(n=64, d=3), cutoff=8, grid_size=4096)
+    assert optimize._stack_rows(large) == 1
+    middle = Objective(SystemParams(n=16, d=2), cutoff=8, grid_size=4096)
+    rows = optimize._stack_rows(middle)
+    assert 1 < rows < 16 and rows * 8 * 15 * 4096 * 4 <= optimize._STACK_BYTES
+
+
+def test_multistart_refuses_more_starts_than_the_cap_before_reading_one():
+    class Many(Sequence):
+        def __len__(self):
+            return MAX_STARTS + 1
+
+        def __getitem__(self, i):
+            raise AssertionError("a start was read")
+
+    p = SystemParams(n=3, alpha=1.0)
+    with pytest.raises(ValueError, match=f"exceed the cap of {MAX_STARTS}"):
+        multistart(p, DescentConfig(cutoff=4), Many())
