@@ -74,7 +74,7 @@ per backtracking round instead of S; the last start left runs alone, each
 request answered as it comes.  Every stacked answer equals the one-row
 answer bit for bit (per-row matrix-vector and dot products, never one
 product over the stack), so every start ends where its own descent would.
-:func:`multistart` runs its starts this way.
+:func:`multistart` runs its starts this way and reports the lowest one.
 
 Escape detection: non-attained infima are approached by loops whose spatial
 extent diverges while the action still decreases.  A run is flagged
@@ -92,7 +92,8 @@ against the arithmetic rule bodies i = m (mod j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -127,6 +128,8 @@ class DescentConfig:
         check_discretisation(self.cutoff, self.grid_size)
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ _ZERO_MODE = 1e-6
 @dataclass
 class _DescentOutcome:
     vec: np.ndarray
-    ev: Evaluation  # of ``vec``
+    ev: Evaluation | None  # of ``vec``; None once multistart releases it
     iters: int
     newton_steps: int
     converged: bool
@@ -623,41 +626,40 @@ def init_circle(
         )
     K = max(cutoff, abs(m))
     check_discretisation(K, None)
-    loop = FourierLoop.circle(radius, m, dim=params.d, cutoff=K)
+    # the circle's coefficients, as FourierLoop.circle sets them, plus the
+    # noise: one loop is built and validated
+    cos = np.zeros((K, params.d))
+    sin = np.zeros((K, params.d))
+    cos[abs(m) - 1, 0] = radius
+    sin[abs(m) - 1, 1] = math.copysign(radius, m)
     if noise > 0.0:
         rng = np.random.default_rng(seed)
-        cos = loop.cos_coeffs + rng.uniform(-noise, noise, size=(K, params.d))
-        sin = loop.sin_coeffs + rng.uniform(-noise, noise, size=(K, params.d))
-        loop = FourierLoop(loop.mean, cos, sin)
-    return loop
+        cos += rng.uniform(-noise, noise, size=(K, params.d))
+        sin += rng.uniform(-noise, noise, size=(K, params.d))
+    return FourierLoop(np.zeros(params.d), cos, sin)
 
 
-def _minimize(obj: Objective, x0: np.ndarray, cfg: DescentConfig) -> list[MinimizeResult]:
-    """The result of :func:`descend` from each row of the masked stack
-    ``x0`` (S, N), each with its own counts; a colliding start raises its
-    :class:`CollisionError`."""
-    results = []
-    for out in descend(obj, x0, cfg):
-        clusters = None
-        if obj.params is not None:
-            clusters = detect_clusters(out.ev.samples, out.vec[: obj.dim], out.ev.r2)
-        results.append(
-            MinimizeResult.at(
-                obj,
-                out.vec,
-                out.ev,
-                out.counts,
-                converged=out.converged,
-                iters=out.iters,
-                newton_steps=out.newton_steps,
-                collision_rejects=out.counts.collisions,
-                clusters=clusters,
-                escaped_to_infinity=out.escaped,
-                abort_reason=out.abort_reason,
-                history=tuple(out.history),
-            )
-        )
-    return results
+def _result(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
+    """The :class:`MinimizeResult` of the descent outcome ``out`` on
+    ``obj``, with the outcome's own counts: its Hessian, index, residual,
+    diagnostics and clusters read ``out.ev``."""
+    clusters = None
+    if obj.params is not None:
+        clusters = detect_clusters(out.ev.samples, out.vec[: obj.dim], out.ev.r2)
+    return MinimizeResult.at(
+        obj,
+        out.vec,
+        out.ev,
+        out.counts,
+        converged=out.converged,
+        iters=out.iters,
+        newton_steps=out.newton_steps,
+        collision_rejects=out.counts.collisions,
+        clusters=clusters,
+        escaped_to_infinity=out.escaped,
+        abort_reason=out.abort_reason,
+        history=tuple(out.history),
+    )
 
 
 def _objective(params: SystemParams, cutoff: int, cfg: DescentConfig) -> Objective:
@@ -684,7 +686,8 @@ def minimize(
     (projected gradient descent).
     """
     obj = _objective(params, init.cutoff, cfg)
-    return _minimize(obj, obj.pack(init)[None], cfg)[0]
+    (out,) = descend(obj, obj.pack(init)[None], cfg)
+    return _result(obj, out)
 
 
 def kepler_minimize(
@@ -698,7 +701,8 @@ def kepler_minimize(
         alpha=alpha,
         dim=init.dim,
     )
-    return _minimize(obj, obj.pack(init)[None], cfg)[0]
+    (out,) = descend(obj, obj.pack(init)[None], cfg)
+    return _result(obj, out)
 
 
 # ---------------------------------------------------------------------------
@@ -790,22 +794,48 @@ class StartSpec:
 
 @dataclass(frozen=True)
 class MultistartResult:
+    """The lowest start's result, ``best``, and the starts as given.
+
+    ``results`` is every start's result, in start order, each equal to its
+    own minimize() call; ``results[i] is best`` for the winning start i.
+    The table is built when first read, from each start's kept outcome: a
+    start's final vector is evaluated once more (one row, equal to its
+    stacked evaluation bit for bit), so no start keeps its kernel arrays
+    until then."""
+
     best: MinimizeResult
-    results: tuple[MinimizeResult, ...]
     starts: tuple
+    # (objective, outcome) per start, outcomes without their evaluation
+    _outcomes: tuple = field(repr=False, compare=False)
+    _best_index: int = field(repr=False, compare=False)
+
+    @cached_property
+    def results(self) -> tuple[MinimizeResult, ...]:
+        return tuple(
+            self.best
+            if i == self._best_index
+            else _result(obj, replace(out, ev=obj.evaluate(out.vec)))
+            for i, (obj, out) in enumerate(self._outcomes)
+        )
 
 
-def _resolve_start(params: SystemParams, cfg: DescentConfig, spec) -> FourierLoop:
+def _resolve_start(
+    params: SystemParams, cfg: DescentConfig, spec, radii: dict
+) -> FourierLoop:
+    """The start loop of ``spec``; ``radii`` memoises the restricted optimum
+    radius per winding across the starts of one multistart."""
     if isinstance(spec, FourierLoop):
         return spec
     radius = spec.radius
     if radius is None:
-        try:
-            radius = circle_radius_for_winding(
-                params.n, params.alpha, params.omega, spec.winding
-            )
-        except ValueError:
-            radius = 1.0
+        if spec.winding not in radii:
+            try:
+                radii[spec.winding] = circle_radius_for_winding(
+                    params.n, params.alpha, params.omega, spec.winding
+                )
+            except ValueError:
+                radii[spec.winding] = 1.0
+        radius = radii[spec.winding]
     return init_circle(
         params, spec.winding, radius, noise=spec.noise, seed=spec.seed, cutoff=cfg.cutoff
     )
@@ -845,31 +875,42 @@ def multistart(
     through :func:`descend` as stacks of at most ``_STACK_ROWS`` rows (fewer
     on large grids, :func:`_stack_rows`): each backtracking round is one
     kernel call for the trials of all of a stack's rows, and a row leaves
-    the stack when it converges, escapes or aborts.  Each result is
-    bit for bit what a separate minimize() call on the same start returns,
-    its counts included; ties are broken by start index.  The full table is
-    kept for reporting.  At most ``MAX_STARTS`` starts are taken, checked
+    the stack when it converges, escapes or aborts.
+
+    The winner is the start of lowest final action, ties going to the lower
+    start index, picked from the descents' outcomes; only its report (exact
+    Hessian, index, residual, diagnostics, clusters) is built here.  Each
+    result is bit for bit what a separate minimize() call on the same start
+    returns, its counts included.  The full table, ``results``, is built
+    when first read.  No start keeps its kernel arrays past its stack but
+    the lowest so far.  At most ``MAX_STARTS`` starts are taken, checked
     before any is built.
     """
     if not starts:
         raise ValueError("need at least one start")
     if len(starts) > MAX_STARTS:
         raise ValueError(f"{len(starts)} starts exceed the cap of {MAX_STARTS}")
-    loops = [_resolve_start(params, cfg, spec) for spec in starts]
+    radii: dict = {}
+    loops = [_resolve_start(params, cfg, spec, radii) for spec in starts]
     by_cutoff: dict[int, list[int]] = {}
     for i, loop in enumerate(loops):
         by_cutoff.setdefault(max(cfg.cutoff, loop.cutoff), []).append(i)
-    results: list = [None] * len(loops)
+    outcomes: list = [None] * len(loops)
+    key = best = None  # the lowest (value, start index) so far and its row
     for cutoff, indices in by_cutoff.items():
         obj = _objective(params, cutoff, cfg)
         size = _stack_rows(obj)
         for lo in range(0, len(indices), size):
             chunk = indices[lo : lo + size]
             x0 = np.array([obj.pack(loops[i]) for i in chunk])
-            for i, res in zip(chunk, _minimize(obj, x0, cfg)):
-                results[i] = res
-    ordered = sorted(
-        range(len(results)), key=lambda i: (results[i].action.total, i)
-    )
-    best = results[ordered[0]]
-    return MultistartResult(best=best, results=tuple(results), starts=tuple(starts))
+            for i, out in zip(chunk, descend(obj, x0, cfg)):
+                outcomes[i] = (obj, out)
+                if key is None or (out.ev.value, i) < key:
+                    if best is not None:
+                        best[1].ev = None
+                    key, best = (out.ev.value, i), outcomes[i]
+                else:
+                    out.ev = None
+    report = _result(*best)
+    best[1].ev = None
+    return MultistartResult(report, tuple(starts), tuple(outcomes), key[1])

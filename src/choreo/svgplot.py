@@ -65,7 +65,8 @@ def curves_svg(curves) -> str:
     for points, color, width_px, opacity in curves:
         closed = np.vstack([points, points[:1]])
         px, py = to_px(closed)
-        coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        # Python floats format as the numpy scalars do, and faster
+        coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px.tolist(), py.tolist()))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width_px)}" '

@@ -189,6 +189,69 @@ def test_minimize_budget_exhausted_exits_one(tmp_path, capsys):
     assert result["converged"] is False and result["iters"] == 2
 
 
+@pytest.mark.parametrize("iters", ["0", "-5"])
+def test_minimize_refuses_a_non_positive_iteration_budget(tmp_path, capsys, iters):
+    # --max-iters -5 wrote "iters": -5, and 0 an exhausted budget of 0 steps
+    out = tmp_path / "run"
+    code, stdout, err = run(
+        capsys, "minimize", "--n", "3", "--harmonics", "4", "--max-iters", iters,
+        "--out", str(out),
+    )  # fmt: skip
+    assert code == 1 and not stdout
+    assert err == f"error: max_iters must be at least 1, got {iters}\n"
+    assert not out.exists()
+
+
+def test_minimize_multistart_reports_the_winning_start_alone(tmp_path, capsys, monkeypatch):
+    # six starts at (4, 1, 0.5): one report is built, the winner's, and it
+    # is the result of minimize from the winning start's loop, start 4
+    from choreo import optimize, spectral
+    from choreo.loops import SystemParams
+
+    calls = {"at": 0, "diagnostics": 0, "clusters": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    at = optimize.MinimizeResult.at.__func__
+    monkeypatch.setattr(
+        optimize.MinimizeResult, "at", classmethod(counted("at", at))
+    )
+    monkeypatch.setattr(
+        optimize, "loop_diagnostics", counted("diagnostics", optimize.loop_diagnostics)
+    )
+    monkeypatch.setattr(optimize, "detect_clusters", counted("clusters", optimize.detect_clusters))
+    out = tmp_path / "run"
+    code, _, _ = run(
+        capsys, "minimize", "--n", "4", "--omega", "0.5", "--harmonics", "8",
+        "--starts", "6", "--seed", "0", "--out", str(out),
+    )  # fmt: skip
+    assert code == 0
+    assert calls == {"at": 1, "diagnostics": 1, "clusters": 1}
+    monkeypatch.undo()
+
+    p = SystemParams(n=4, alpha=1.0, omega=0.5)
+    cfg = optimize.DescentConfig(cutoff=8, log_every=1)
+    m = spectral.predicted_circle(4, 1.0, 0.5).winding
+    R = spectral.circle_radius_for_winding(4, 1.0, 0.5, m)
+    alone = [
+        optimize.minimize(p, optimize.init_circle(p, m, R, 0.05, i, 8), cfg)
+        for i in range(6)
+    ]
+    win = min(range(6), key=lambda i: (alone[i].action.total, i))
+    assert win == 4  # not the first start
+    doc = strict_json((out / "orbit.json").read_text())
+    expected = json.loads(json.dumps(alone[win].as_dict()))
+    assert doc["result"] == expected
+    assert doc["mean"] == alone[win].loop.mean.tolist()
+    assert doc["cos"] == alone[win].loop.cos_coeffs.tolist()
+    assert doc["sin"] == alone[win].loop.sin_coeffs.tolist()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -456,6 +456,58 @@ def test_samples_csv_equals_the_element_by_element_formatter(rng, d):
     assert samples_csv(loop, p, grid_size=40) == samples_csv_by_element(loop, p, 40)
 
 
+def curves_svg_by_element(curves):
+    """The element-by-element formatter svgplot.curves_svg replaced: each
+    pixel coordinate formatted as the numpy scalar it is."""
+    from choreo import svgplot
+
+    fmt, size = svgplot._fmt, svgplot._SIZE
+    pts = np.vstack([c[0] for c in curves])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    pad = svgplot._MARGIN * span
+    x0, y0, width = lo[0] - pad, lo[1] - pad, span + 2 * pad
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="{svgplot._BACKGROUND}"/>',
+    ]
+    for points, color, width_px, opacity in curves:
+        closed = np.vstack([points, points[:1]])
+        px = (closed[:, 0] - x0) / width * size
+        py = size - (closed[:, 1] - y0) / width * size
+        coords = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in zip(px, py))
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="{fmt(width_px)}" '
+            f'stroke-opacity="{fmt(opacity)}" stroke-linejoin="round"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_svg_plots_equal_the_element_by_element_formatter(rng, monkeypatch, d):
+    # the pixel coordinates are formatted as Python floats, which print as
+    # the numpy scalars do: orbit.svg and saddle.svg are the same strings
+    from choreo import svgplot
+
+    cases = []
+    for n in range(2, 13):
+        p = SystemParams(n=n, d=d)
+        loops = [random_loop(rng, d=d, K=int(rng.integers(1, 9))) for _ in range(3)]
+        cases.append((p, loops))
+    p = SystemParams(n=3, d=d)
+    cases.append((p, [FourierLoop.circle(r, 1, dim=d, cutoff=4) for r in (1.0, 0.5, 1e-3)]))
+
+    def plots(p, a, b, c):
+        return svgplot.orbit_svg(a, p), svgplot.saddle_svg(a, (b, c), p)
+
+    got = [plots(p, *loops) for p, loops in cases]
+    monkeypatch.setattr(svgplot, "curves_svg", curves_svg_by_element)
+    assert got == [plots(p, *loops) for p, loops in cases]
+
+
 def test_artifacts_sample_each_loop_once(rng, monkeypatch):
     # samples.csv and the svg plots sample each loop once and take body i
     # as the samples rolled by i M/n rows: body 0 is the loop's samples bit

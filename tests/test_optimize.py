@@ -107,6 +107,55 @@ def test_init_circle_deterministic():
     assert np.array_equal(pack_coefficients(a), pack_coefficients(b))
 
 
+def init_circle_in_three_loops(params, winding, radius, noise, seed, cutoff):
+    """The construction init_circle replaced: the circle, built from a zero
+    loop, then a noisy copy of it."""
+    K = max(cutoff, abs(winding))
+    loop = FourierLoop.circle(radius, winding, dim=params.d, cutoff=K)
+    if noise > 0.0:
+        rng = np.random.default_rng(seed)
+        cos = loop.cos_coeffs + rng.uniform(-noise, noise, size=(K, params.d))
+        sin = loop.sin_coeffs + rng.uniform(-noise, noise, size=(K, params.d))
+        loop = FourierLoop(loop.mean, cos, sin)
+    return loop
+
+
+def test_init_circle_equals_the_three_loop_construction(rng):
+    # init_circle builds one loop from the circle's coefficients and the
+    # same draws in the same order: every start is the same bit for bit
+    cases = [(3, -1, 1.0, 0.0, 0, 6), (4, 2, -0.7, 0.3, 5, 1), (5, -7, 2.5, 0.0, 0, 4)]
+    for _ in range(40):
+        n = int(rng.integers(2, 13))
+        winding = int(rng.choice([-1, 1]) * rng.integers(1, 3 * n))
+        if winding % n == 0:
+            winding += 1
+        radius = float(rng.choice([-1, 1]) * rng.uniform(1e-3, 5.0))
+        noise = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+        if noise == 0.0 and math.gcd(abs(winding), n) != 1:
+            noise = 0.01
+        seed, cutoff = int(rng.integers(0, 1000)), int(rng.integers(1, 13))
+        cases.append((n, winding, radius, noise, seed, cutoff))
+    for n, winding, radius, noise, seed, cutoff in cases:
+        for d in (2, 3):
+            p = SystemParams(n=n, d=d)
+            got = init_circle(p, winding, radius, noise, seed, cutoff)
+            want = init_circle_in_three_loops(p, winding, radius, noise, seed, cutoff)
+            for a, b in zip(
+                (got.mean, got.cos_coeffs, got.sin_coeffs),
+                (want.mean, want.cos_coeffs, want.sin_coeffs),
+            ):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_descent_config_refuses_a_non_positive_iteration_budget(max_iters):
+    # -5 was written to the artifact as "iters": -5, and 0 reported an
+    # exhausted budget of 0 steps
+    with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+        DescentConfig(max_iters=max_iters)
+    assert DescentConfig(max_iters=1).max_iters == 1
+
+
 # ---------------------------------------------------------------------------
 # minimize: inertial circle
 
@@ -605,6 +654,59 @@ def test_multistart_tie_at_half_integer():
     assert windings == [1, 2]
 
 
+def test_multistart_ties_go_to_the_lower_start_index():
+    # starts 1 and 2 are the same start and end at the same action, below
+    # start 0's (winding 1): start 1 wins, and the table holds two equal results
+    p = SystemParams(n=3, alpha=1.0, omega=0.5)
+    cfg = DescentConfig(cutoff=4)
+    starts = [StartSpec(1, seed=3), StartSpec(-1, seed=3), StartSpec(-1, seed=3)]
+    out = multistart(p, cfg, starts)
+    totals = [r.action.total for r in out.results]
+    assert totals[1] == totals[2] < totals[0]
+    assert out.best is out.results[1]
+    assert out.results[2] is not out.best
+    _assert_same_result(out.results[2], out.best)
+
+
+def test_multistart_builds_its_table_once_when_first_read():
+    # the winner is the argmin of the table, results[argmin] itself, and
+    # a second read returns the same tuple
+    p = SystemParams(n=4, alpha=1.0, omega=0.5)
+    out = multistart(p, DescentConfig(cutoff=8), [StartSpec(-1, seed=s) for s in range(6)])
+    results = out.results
+    assert out.results is results and len(results) == 6
+    win = min(range(6), key=lambda i: (results[i].action.total, i))
+    assert out.best is results[win]
+    assert sum(r is out.best for r in results) == 1
+
+
+def test_multistart_builds_one_report(monkeypatch):
+    # a multistart whose table is never read forms Hessians only for the
+    # evaluations its Newton attempts read and for the winner's report;
+    # reading the table forms one more per other start
+    newton_evs, formed = [], []
+    newton, hessian = optimize._newton, Evaluation.hessian
+
+    def attempted(obj, x, ev, *args):
+        newton_evs.append(ev)
+        return (yield from newton(obj, x, ev, *args))
+
+    def counted(self):
+        if self._hessian is None:
+            formed.append(self)
+        return hessian(self)
+
+    monkeypatch.setattr(optimize, "_newton", attempted)
+    monkeypatch.setattr(Evaluation, "hessian", counted)
+    p = SystemParams(n=4, alpha=1.0, omega=0.5)
+    out = multistart(p, DescentConfig(cutoff=8), [StartSpec(-1, seed=s) for s in range(6)])
+    assert newton_evs and all(any(ev is f for f in formed) for ev in newton_evs)
+    assert len(formed) == len({id(ev) for ev in newton_evs}) + 1
+    before = len(formed)
+    out.results
+    assert len(formed) == before + 5
+
+
 def _assert_same_result(got, alone):
     """Every field of two minimize results, bit for bit."""
     assert got.as_dict() == alone.as_dict()
@@ -686,7 +788,8 @@ def test_multistart_results_match_separate_minimize_calls(monkeypatch):
 
 def test_multistart_shares_kernel_calls_across_starts(monkeypatch):
     # six starts of the CLI's (4, 1, 0.5) point: every start is evaluated
-    # alone, then each round evaluates the trials of all starts in one call
+    # alone, then each round evaluates the trials of all starts in one call;
+    # reading the table later evaluates the five other final vectors once
     calls = []
     kernel = Objective._kernel
 
@@ -697,10 +800,13 @@ def test_multistart_shares_kernel_calls_across_starts(monkeypatch):
     monkeypatch.setattr(Objective, "_kernel", counted)
     p = SystemParams(n=4, alpha=1.0, omega=0.5)
     starts = [StartSpec(-1, seed=s) for s in range(6)]
-    results = multistart(p, DescentConfig(cutoff=8), starts).results
-    assert sum(calls) == sum(r.value_evals for r in results)
-    assert len(calls) <= 6 + max(r.value_evals for r in results)
-    assert max(calls) == 6
+    out = multistart(p, DescentConfig(cutoff=8), starts)
+    descent, calls[:] = calls[:], []
+    results = out.results
+    assert sum(descent) == sum(r.value_evals for r in results)
+    assert len(descent) <= 6 + max(r.value_evals for r in results)
+    assert max(descent) == 6
+    assert calls == [1] * 5
 
 
 def _retained_bytes(evs) -> int:
