@@ -56,9 +56,9 @@ evaluates bit for bit as it does alone: the samples and Lx as stacks of
 matrix products, the potential sum over each row's contiguous squared
 distances, the kinetic value a per-row dot product.  Lx as one gemm over
 the stack, or the kinetic sums as one einsum, would not keep the bits.
-The gradients of the rows of one call complete as one stack the same way
-(:meth:`Objective.gradients`), and the metric direction and the rms norm
-take stacks of vectors.
+Only the value stage is stacked: a row's gradient, metric direction and
+rms norm are completed one row at a time, and an evaluation that is kept
+copies its row out of the call's arrays first (:meth:`Evaluation._detach`).
 
 Near-collisions are a hard error below the guard separation ``GUARD`` (no
 smoothing): minimizers of interest are collisionless, and smoothing would
@@ -410,16 +410,11 @@ class Evaluation:
         return self._grad
 
     def _detach(self) -> None:
-        """Copy this row out of its kernel call's arrays, and the force and
-        gradient out of the stack they were completed in, so that keeping
+        """Copy this row out of its kernel call's arrays, so that keeping
         the evaluation keeps one row's arrays, not the call's."""
         row = self._row
         self._arrays = tuple([a[row].copy() for a in self._arrays])
         self._row = ()
-        self._force = self._force.copy()
-        grad = self._grad.copy()
-        grad.flags.writeable = False
-        self._grad = grad
 
     def hessian(self) -> np.ndarray:
         """The exact Hessian of the discretised action on the objective's
@@ -637,41 +632,6 @@ class Objective:
         grad.flags.writeable = False
         return grad
 
-    def gradients(self, evs: list[Evaluation]) -> np.ndarray:
-        """The gradients of the evaluations ``evs``, as the rows of one
-        (len(evs), N) array.
-
-        An evaluation without its gradient yet completes it here: the ones
-        from one kernel call run the force stage, the pullback and the
-        kinetic gradient as one stack, and each keeps its row, equal to its
-        own :meth:`Evaluation.gradient` bit for bit.  Each completion is a
-        force stage in ``counts``, as it is there.  An evaluation from a
-        stacked call then holds copies of its own row alone, so the ones
-        kept after it (a descent's accepted trials) do not keep the call's
-        arrays alive.
-        """
-        pending = [ev for ev in evs if ev._grad is None]
-        while pending:
-            arrays = pending[0]._arrays
-            group = [ev for ev in pending if ev._arrays is arrays]
-            pending = [ev for ev in pending if ev._arrays is not arrays]
-            _, wv, D, r2 = arrays
-            rows = tuple([ev._row for ev in group])
-            whole = rows == _rows(wv.shape[:-1])  # every row of the call, in order
-            if not whole:
-                at = tuple(map(np.array, zip(*rows)))
-                wv, D, r2 = wv[at], D[at], r2[at]
-            force = self._force(D, r2)
-            grads = self._gradient(wv, force)
-            self.counts.grad_evals += len(group)
-            for key, ev in zip(rows if whole else range(len(group)), group):
-                ev._force, ev._grad = force[key], grads[key]
-                if ev._row:
-                    ev._detach()
-            if len(group) == len(evs) and grads.ndim == 2:
-                return grads
-        return np.array([ev._grad for ev in evs])
-
     def value(self, vec: np.ndarray) -> float:
         return self.evaluate(vec).value
 
@@ -679,13 +639,9 @@ class Objective:
         ev = self.evaluate(vec)
         return ev.value, ev.gradient()
 
-    def rms(self, vec: np.ndarray):
-        """sqrt(|mean|^2 + (|cos|^2 + |sin|^2) / 2) of a packed vector, a
-        float; of each row of a stack (..., N), an array, each row equal to
-        its own call bit for bit (both are one dot product per row)."""
-        if vec.ndim == 1:
-            return math.sqrt(float(self._rms_weights @ (vec * vec)))
-        return np.sqrt((self._rms_weights @ (vec * vec)[..., None])[..., 0])
+    def rms(self, vec: np.ndarray) -> float:
+        """sqrt(|mean|^2 + (|cos|^2 + |sin|^2) / 2) of a packed vector."""
+        return math.sqrt(float(self._rms_weights @ (vec * vec)))
 
     def residual(self, vec: np.ndarray, ev: Evaluation) -> float:
         """Newton residual of the loop ``vec``, whose evaluation is ``ev``:
@@ -717,40 +673,26 @@ class Objective:
         rotating-frame loop.  P is restricted to the mask coordinates, so
         the direction is zero wherever the mask is, and factored (Cholesky,
         P = C C^T) once, on the first call.
-
-        ``g`` may be a stack (..., N) of gradients: the directions are then
-        (..., N) and the slopes an array (...), each row equal to its own
-        call bit for bit (a product with the factor per row, not one over
-        the stack).
         """
         idx = self.free
         if self._metric is None:
             P = self._kinetic_hessian() + np.eye(idx.size)
             self._metric = np.linalg.inv(np.linalg.cholesky(P))
         C_inv = self._metric
-        if g.ndim == 1:
-            # one gradient: the same products on vectors, not columns, which
-            # saves 2-3 us, about 3% of a one-row descent iteration
-            z = C_inv @ g[idx]
-            direction = np.zeros(g.shape)
-            direction[idx] = C_inv.T @ z
-            return direction, float(z @ z)
-        z = C_inv @ g[..., idx, None]
+        z = C_inv @ g[idx]
         direction = np.zeros(g.shape)
-        direction[..., idx] = (C_inv.T @ z)[..., 0]
-        return direction, (np.swapaxes(z, -1, -2) @ z)[..., 0, 0]
+        direction[idx] = C_inv.T @ z
+        return direction, float(z @ z)
 
 
 # ---------------------------------------------------------------------------
 # loop-level functionals
 
 
-def rotating_action(
-    y: FourierLoop, params: SystemParams, grid_size: int | None = None
-) -> ActionValue:
-    """Rotating-frame action at params.omega (the inertial action when 0);
-    only its kinetic part depends on the frame."""
-    obj = Objective(params, y.cutoff, grid_size)
+def rotating_action(y: FourierLoop, params: SystemParams) -> ActionValue:
+    """Rotating-frame action at params.omega (the inertial action when 0),
+    on the default grid; only its kinetic part depends on the frame."""
+    obj = Objective(params, y.cutoff)
     ev = obj.evaluate(obj.pack(y))
     return ActionValue(ev.kinetic, ev.potential, obj.grid_size)
 

@@ -110,12 +110,7 @@ class JensenGap:
         return self.lhs - self.rhs
 
 
-def jensen_gap(
-    x: FourierLoop,
-    params: SystemParams,
-    h: int,
-    grid_size: int | None = None,
-) -> JensenGap:
+def jensen_gap(x: FourierLoop, params: SystemParams, h: int) -> JensenGap:
     """Convexity gap for pair lag h.
 
     lhs = (1/2pi) int dt / |x(t) - x(t+h tau)|^alpha,
@@ -123,21 +118,19 @@ def jensen_gap(
     gap >= 0, and = 0 exactly when the chord length is constant in t.  The
     one-row case of :func:`jensen_gap_stack`.
     """
-    gap = jensen_gap_stack(_stack(x), params, h, grid_size)
+    gap = jensen_gap_stack(_stack(x), params, h)
     return JensenGap(lhs=float(gap.lhs[0]), rhs=float(gap.rhs[0]))
 
 
-def jensen_gap_stack(
-    coeffs: np.ndarray, params: SystemParams, h: int, grid_size: int | None = None
-) -> JensenGap:
-    """:func:`jensen_gap` of each loop of a coefficient stack (S, 2K + 1, d):
-    lhs and rhs of shape (S,), each row equal to that loop alone bit for
-    bit.  Raises :class:`CollisionError` for the first row closer than
-    ``GUARD`` at lag h."""
+def jensen_gap_stack(coeffs: np.ndarray, params: SystemParams, h: int) -> JensenGap:
+    """:func:`jensen_gap` of each loop of a coefficient stack (S, 2K + 1, d),
+    on the default grid: lhs and rhs of shape (S,), each row equal to that
+    loop alone bit for bit.  Raises :class:`CollisionError` for the first
+    row closer than ``GUARD`` at lag h."""
     if not 1 <= h <= params.n - 1:
         raise ValueError(f"lag h must be in 1..n-1, got {h}")
     K = coeffs.shape[-2] // 2
-    M = resolve_grid_size(K, params.n, grid_size)
+    M = resolve_grid_size(K, params.n, None)
     r2 = lag_distances(sample_basis(K, M) @ coeffs, params.n, h)[1][:, 0]
     sep = np.sqrt(r2.min(axis=-1))
     if np.any(sep < GUARD):
@@ -357,9 +350,7 @@ class BoundChainReport:
         }
 
 
-def bound_chain(
-    x: FourierLoop, params: SystemParams, grid_size: int | None = None
-) -> BoundChainReport:
+def bound_chain(x: FourierLoop, params: SystemParams) -> BoundChainReport:
     """Evaluate the full chain on one loop (inertial action).
 
     A  : kinetic + pair potential by quadrature;
@@ -368,22 +359,20 @@ def bound_chain(
 
     The one-row case of :func:`bound_chain_stack`.
     """
-    return bound_chain_stack(_stack(x), params, grid_size).row(0)
+    return bound_chain_stack(_stack(x), params).row(0)
 
 
-def bound_chain_stack(
-    coeffs: np.ndarray, params: SystemParams, grid_size: int | None = None
-) -> BoundChainReport:
-    """:func:`bound_chain` of each loop of a coefficient stack (S, 2K + 1, d):
-    a report of arrays over the rows, each row equal to that loop alone bit
-    for bit.  A and the kinetic term come from one
+def bound_chain_stack(coeffs: np.ndarray, params: SystemParams) -> BoundChainReport:
+    """:func:`bound_chain` of each loop of a coefficient stack (S, 2K + 1, d),
+    on the default grid: a report of arrays over the rows, each row equal
+    to that loop alone bit for bit.  A and the kinetic term come from one
     :meth:`Objective.evaluate_batch` at the inertial frame; raises
     :class:`CollisionError` for the first colliding row."""
     S, _, d = coeffs.shape
     if d != params.d:
         raise ValueError("loop dimension does not match the objective")
     inertial = SystemParams(n=params.n, d=d, alpha=params.alpha, omega=0.0)
-    obj = Objective(inertial, coeffs.shape[1] // 2, grid_size)
+    obj = Objective(inertial, coeffs.shape[1] // 2)
     vecs = coeffs.reshape(S, -1)
     evs = obj.evaluate_batch(vecs)
     for vec, ev in zip(vecs, evs):

@@ -102,8 +102,10 @@ class MountainPassConfig:
         check_discretisation(self.cutoff, self.grid_size)
         if self.nodes < 3:
             raise ValueError("a path needs at least 3 nodes")
-        if not self.saddle_tol > 0:
-            raise ValueError("saddle_tol must be positive")
+        if not (math.isfinite(self.saddle_tol) and self.saddle_tol > 0):
+            raise ValueError(f"saddle_tol must be finite and positive, got {self.saddle_tol}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
 
 
 # path phase: a sweep moves the top node and its neighbours by one

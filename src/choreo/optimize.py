@@ -65,15 +65,14 @@ coordinates (:meth:`SearchResult.at`).
 
 Lockstep: :func:`descend` takes a stack of starts that share one objective;
 a single start is the one-row stack.  Each start's iteration is the
-coroutine :func:`_descent`, which yields its requests (a trial's
-evaluation; at an accepted trial, its gradient and metric direction) and
-keeps its own step length, cap, Newton flag, escape streak, history and
-counts.  ``descend`` answers the requests of all starts round by round,
-one stacked call per kind, so an iteration of S starts is one kernel call
-per backtracking round instead of S; the last start left runs alone, each
-request answered as it comes.  Every stacked answer equals the one-row
-answer bit for bit (per-row matrix-vector and dot products, never one
-product over the stack), so every start ends where its own descent would.
+coroutine :func:`_descent`, which yields its trial vectors and keeps its
+own step length, cap, Newton flag, escape streak, history and counts.
+Only the trials are stacked: ``descend`` evaluates the trials of all
+waiting starts in one kernel call per backtracking round instead of S, and
+each start completes the point of a trial it accepts on its own (gradient,
+metric direction, norms, rms), as a descent alone does; the last start left
+evaluates its trials one call each.  A row of a stacked call evaluates bit
+for bit as it does alone, so every start ends where its own descent would.
 :func:`multistart` runs its starts this way and reports the lowest one.
 
 Escape detection: non-attained infima are approached by loops whose spatial
@@ -126,10 +125,16 @@ class DescentConfig:
 
     def __post_init__(self) -> None:
         check_discretisation(self.cutoff, self.grid_size)
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        # the escape threshold is escape_factor times max(1, initial rms): at
+        # or below the start's own size it cannot signal a divergence
+        if not (math.isfinite(self.escape_factor) and self.escape_factor > 1):
+            raise ValueError(
+                f"escape_factor must be finite and greater than 1, got {self.escape_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,6 @@ def _norm(v: np.ndarray) -> float:
     """sqrt(v . v), what np.linalg.norm computes for a vector, bit for bit,
     without its argument handling (a descent step takes one or two)."""
     return math.sqrt(float(v @ v))
-
-
-def _norms(V: np.ndarray) -> list[float]:
-    """:func:`_norm` of each row of a stack (S, N), bit for bit: a dot
-    product per row, not one matrix-vector product over the stack."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]).tolist()
 
 
 @dataclass(frozen=True)
@@ -302,47 +301,21 @@ class _DescentOutcome:
     counts: KernelCounts
 
 
-# The requests a descent makes: a kind is the pair (answer one payload,
-# answer a list of payloads).  A list is answered with stacked calls, each
-# row equal to its one-payload answer bit for bit.
-
-
-def _evaluate_one(obj: Objective, vec: np.ndarray) -> Evaluation | None:
-    try:
-        return obj.evaluate(vec)
-    except CollisionError:
-        return None
-
-
-def _evaluate_stack(obj: Objective, vecs: list) -> list[Evaluation | None]:
-    return obj.evaluate_batch(np.array(vecs))
-
-
-def _point_one(obj: Objective, request: tuple[Evaluation, np.ndarray, float]):
-    ev, vec, tol = request
+def _point(obj: Objective, ev: Evaluation, vec: np.ndarray, tol: float):
+    """What the descent reads at the accepted point ``vec``, whose
+    evaluation is ``ev``: the gradient g, its norm, the rms of the vector,
+    the metric direction P^-1 g, its slope g^T P^-1 g and its rms; a point
+    whose gradient norm is below the tolerance ``tol`` gets no direction.
+    A row of a stacked kernel call is first copied out of the call's
+    arrays, so that the kept evaluation holds one row of arrays."""
+    if ev._row:
+        ev._detach()
     g = ev.gradient()
     gnorm = _norm(g)
     if gnorm < tol:  # converged: the descent reads no direction
         return g, gnorm, obj.rms(vec), None, None, None
     direction, slope = obj.metric_direction(g)
     return g, gnorm, obj.rms(vec), direction, slope, obj.rms(direction)
-
-
-def _point_stack(obj: Objective, requests: list):
-    evs, vecs, _ = zip(*requests)
-    grads = obj.gradients(evs)
-    directions, slopes = obj.metric_direction(grads)
-    norms, rms = _norms(grads), obj.rms(np.array(vecs)).tolist()
-    return zip(grads, norms, rms, directions, slopes.tolist(), obj.rms(directions).tolist())
-
-
-# the evaluation of a vector, None where it collides
-_EVALUATE = (_evaluate_one, _evaluate_stack)
-# what the descent reads at a point, from its (evaluation, vector, gradient
-# tolerance): the gradient g, its norm, the rms of the vector, the metric
-# direction P^-1 g, its slope g^T P^-1 g and its rms; alone, a point whose
-# gradient norm is below the tolerance gets no direction
-_POINT = (_point_one, _point_stack)
 
 
 def _newton(
@@ -358,9 +331,9 @@ def _newton(
 ):
     """The guarded Newton iterate from ``x`` (evaluation ``ev``, gradient
     ``g`` of norm ``gnorm``) as (vector, evaluation, point), or None where
-    a guard refuses it; a coroutine of :func:`_descent` that requests the
-    trial's evaluation and point (``_POINT``, at the descent's gradient
-    tolerance ``tol``).
+    a guard refuses it; a coroutine of :func:`_descent` that yields the
+    trial and is sent its evaluation, and completes an accepted trial's
+    point (:func:`_point`, at the descent's gradient tolerance ``tol``).
 
     The step is -sum (v^T g / lam) v over the eigenpairs of the Hessian on
     the free coordinates with lam > tau = max(1e-6 max|lam|, |g|): zero
@@ -382,32 +355,27 @@ def _newton(
     if obj.rms(step) > cap:
         return None
     trial = x + step
-    trial_ev = yield _EVALUATE, trial
+    trial_ev = yield trial
     counts.value_evals += 1
     if trial_ev is None:
         counts.collisions += 1
         return None
     if trial_ev.value > ev.value + _ARMIJO * float(g @ step) + noise:
         return None
-    point = yield _POINT, (trial_ev, trial, tol)
+    point = _point(obj, trial_ev, trial, tol)
     counts.grad_evals += 1
     if point[1] > _NEWTON_CONTRACTION * gnorm:
         return None
     return trial, trial_ev, point
 
 
-def _descent(
-    obj: Objective,
-    x: np.ndarray,
-    ev: Evaluation,
-    point: tuple,
-    cfg: DescentConfig,
-):
-    """The descent of one start, from ``x`` with its evaluation and point
-    (``_POINT``), as a coroutine: it yields each request (kind, payload)
-    for the kernel, is sent the answer, and returns its
-    :class:`_DescentOutcome`.  :func:`descend` describes the iteration."""
-    g, gnorm, rms, direction, slope, length = point
+def _descent(obj: Objective, x: np.ndarray, ev: Evaluation, cfg: DescentConfig):
+    """The descent of one start, from ``x`` with its evaluation, as a
+    coroutine: it yields each trial vector, is sent the trial's evaluation
+    (None where it collides), completes each accepted point itself
+    (:func:`_point`) and returns its :class:`_DescentOutcome`.
+    :func:`descend` describes the iteration."""
+    g, gnorm, rms, direction, slope, length = _point(obj, ev, x, cfg.grad_tol)
     f = ev.value
     t = _INITIAL_STEP
     escape_at = cfg.escape_factor * max(1.0, rms)
@@ -446,7 +414,7 @@ def _descent(
         else:
             while t >= _MIN_STEP:
                 trial = x - t * direction
-                trial_ev = yield _EVALUATE, trial
+                trial_ev = yield trial
                 counts.value_evals += 1
                 if trial_ev is None:
                     counts.collisions += 1
@@ -456,7 +424,7 @@ def _descent(
             else:
                 abort = "no feasible descent step above the minimum step size"
                 break
-            point = yield _POINT, (trial_ev, trial, cfg.grad_tol)
+            point = _point(obj, trial_ev, trial, cfg.grad_tol)
             g, trial_gnorm, new_rms, direction, slope, length = point
             counts.grad_evals += 1
             # the step grows only on a decrease that f resolves: the Armijo
@@ -517,61 +485,48 @@ def descend(
 
     Lockstep: each start's iteration is the coroutine :func:`_descent`, with
     its own step length, cap, Newton flag, escape streak, history, outcome
-    and counts.  Every round answers the pending requests of all rows, one
-    stacked call per kind: the trials of every row with one in one kernel
-    call (the first trials of rows that finished an iteration beside the
-    backtracking trials of rows that did not), then the points of the
-    trials accepted in it in one more: force stage, pullback, norms, rms
-    and the metric directions of the next iteration, one product with the
-    factor per row.  A row that converges, escapes or aborts leaves the
-    stack; the last row left runs alone, each request answered as it comes.
-    Every stacked answer equals the one-row answer bit for bit, so each
-    row's outcome is the one its descent alone would reach.  Returns one
-    :class:`_DescentOutcome` per row.
-
-    While two rows or more are left, every request is answered in stacked
-    form, a lone one too, so each accepted trial has its gradient completed
-    by :meth:`Objective.gradients`, which copies its row out of the kernel
-    call's arrays: a row keeps one row's arrays, whatever call its trial
-    came from, and a call's arrays go once its rejected trials do.
+    and counts.  Only the trials are stacked: while two rows or more wait,
+    every round evaluates the trial of each waiting row (the first trials
+    of rows that finished an iteration beside the backtracking trials of
+    rows that did not) in one :meth:`Objective.evaluate_batch` call, and
+    each row completes the point of a trial it accepts on its own (force
+    stage, pullback, norms, rms and metric direction, :func:`_point`),
+    copying its row out of the call's arrays first: a row keeps one row's
+    arrays, whatever call its trial came from, and a call's arrays go once
+    its rejected trials do.  A row that converges, escapes or aborts leaves
+    the stack; the last row left evaluates its trials through
+    :meth:`Objective.evaluate`, so a one-row descent makes one-row kernel
+    calls.  A row of a stacked call evaluates bit for bit as it does
+    alone, so each row's outcome is the one its descent alone would reach.
+    Returns one :class:`_DescentOutcome` per row.
     """
     X = np.where(obj.mask, x0, 0.0)
     if evs is None:
         evs = [obj.evaluate(x) for x in X]
-    if len(X) == 1:
-        points = [_point_one(obj, (evs[0], X[0], cfg.grad_tol))]
-    else:
-        points = _point_stack(obj, [(ev, x, cfg.grad_tol) for ev, x in zip(evs, X)])
-    rows = [_descent(obj, x, ev, point, cfg) for x, ev, point in zip(X, evs, points)]
+    rows = [_descent(obj, x, ev, cfg) for x, ev in zip(X, evs)]
     outcomes: list = [None] * len(rows)
-    pending = {}  # row -> its request (kind, payload)
+    trials = {}  # row -> the trial it waits on
 
     def resume(i: int, answer) -> None:
         try:
-            pending[i] = rows[i].send(answer)
+            trials[i] = rows[i].send(answer)
         except StopIteration as stop:
-            pending.pop(i, None)
+            trials.pop(i, None)
             outcomes[i] = stop.value
 
     for i in range(len(rows)):
         resume(i, None)
-    while len(pending) > 1:
-        # a round evaluates every trial there is, then completes the points
-        # of the trials it accepts
-        for kind in (_EVALUATE, _POINT):
-            batch = [(i, payload) for i, (k, payload) in pending.items() if k is kind]
-            if batch:
-                answers = kind[1](obj, [payload for _, payload in batch])
-                for (i, _), answer in zip(batch, answers):
-                    resume(i, answer)
-    for i, request in pending.items():  # the last row, alone
-        row = rows[i]
-        try:
-            while True:
-                kind, payload = request
-                request = row.send(kind[0](obj, payload))
-        except StopIteration as stop:
-            outcomes[i] = stop.value
+    while trials:
+        if len(trials) > 1:
+            answers = obj.evaluate_batch(np.array(list(trials.values())))
+        else:  # the last row, alone
+            (trial,) = trials.values()
+            try:
+                answers = [obj.evaluate(trial)]
+            except CollisionError:
+                answers = [None]
+        for i, answer in zip(list(trials), answers):
+            resume(i, answer)
     return outcomes
 
 
@@ -845,11 +800,12 @@ def _resolve_start(
 MAX_STARTS = 10_000
 
 # Rows per lockstep stack.  The cost per row and iteration falls with the
-# stack's size and has levelled off by 16 rows: multistarts of 32 starts at
-# (4, 1, 0.5) K=8, (6, 1, 1.8) K=12 and (12, 1, 6.55) d=3 K=12 took 156,
-# 91 and 111 us per row and iteration one row at a time, 110, 74 and 81 in
-# stacks of 16 and 105, 62 and 79 in one stack of 32 (2-core host, BLAS on
-# one thread).  A kernel call's lag arrays are also held to about
+# stack's size and has mostly levelled off by 16 rows: multistarts of 32
+# starts at (4, 1, 0.5) K=8, (6, 1, 1.8) K=12 and (12, 1, 6.55) d=3 K=12
+# took 95, 97 and 98 us per row and iteration one row at a time, 72, 67
+# and 81 in stacks of 16 and 69, 60 and 78 in one stack of 32 (whole
+# multistart calls, 2000 iterations at most a start, the least of three to
+# five runs; 2-core host, BLAS on one thread).  A kernel call's lag arrays are also held to about
 # _STACK_BYTES, so large grids run in smaller stacks; a row keeps only its
 # own arrays past the round it was accepted in (descend).
 _STACK_ROWS = 16
@@ -858,7 +814,7 @@ _STACK_BYTES = 1 << 24
 
 def _stack_rows(obj: Objective) -> int:
     """Rows per lockstep stack on ``obj``: ``_STACK_ROWS``, fewer where
-    the rows' lag differences, squared distances and force weights would
+    the rows' lag differences, squared distances and their powers would
     exceed ``_STACK_BYTES``, at least one."""
     row = 8 * (obj.n - 1) * obj.grid_size * (obj.dim + 2)
     return max(1, min(_STACK_ROWS, _STACK_BYTES // row))

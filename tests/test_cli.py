@@ -202,6 +202,19 @@ def test_minimize_refuses_a_non_positive_iteration_budget(tmp_path, capsys, iter
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_minimize_refuses_a_non_finite_gradient_tolerance(tmp_path, capsys, tol):
+    # --grad-tol inf exited 0 with "converged": true at iteration 1
+    out = tmp_path / "run"
+    code, stdout, err = run(
+        capsys, "minimize", "--n", "3", "--harmonics", "4", "--grad-tol", tol,
+        "--out", str(out),
+    )  # fmt: skip
+    assert code == 1 and not stdout
+    assert err == f"error: grad_tol must be finite and positive, got {float(tol)}\n"
+    assert not out.exists()
+
+
 def test_minimize_multistart_reports_the_winning_start_alone(tmp_path, capsys, monkeypatch):
     # six starts at (4, 1, 0.5): one report is built, the winner's, and it
     # is the result of minimize from the winning start's loop, start 4
@@ -642,6 +655,22 @@ def test_mpa_colliding_endpoint_exits_one(tmp_path, capsys):
     assert err.startswith("error: near-collision")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sweeps", [0, -4])
+def test_mpa_refuses_a_non_positive_sweep_budget(tmp_path, capsys, sweeps):
+    # "max_sweeps": -4 exited 0 and echoed it beside 0 sweeps
+    out = tmp_path / "mpa"
+    config = {
+        "n": 3, "omega": 1.5, "harmonics": 6, "nodes": 5, "max_sweeps": sweeps,
+        "endpoints": [{"winding": -1}, {"winding": -2}], "out": str(out),
+    }  # fmt: skip
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, stdout, err = run(capsys, "mpa", "--config", str(path))
+    assert code == 1 and not stdout
+    assert err == f"error: max_sweeps must be at least 1, got {sweeps}\n"
+    assert not out.exists()
 
 
 def test_mpa_rejects_unknown_fields(tmp_path, capsys):

@@ -90,6 +90,17 @@ def test_noncritical_endpoint_rejected():
         mountain_pass(bad, end_b, p, tied_config(max_sweeps=5))
 
 
+def test_config_refuses_a_non_finite_tolerance_and_a_non_positive_sweep_budget():
+    # an infinite saddle_tol accepts any point as a saddle, and a sweep
+    # budget below one ran no sweep yet reported "max_sweeps" as the stop
+    with pytest.raises(ValueError, match="saddle_tol must be finite and positive"):
+        MountainPassConfig(saddle_tol=math.inf)
+    for sweeps in (0, -4):
+        with pytest.raises(ValueError, match=f"max_sweeps must be at least 1, got {sweeps}"):
+            MountainPassConfig(max_sweeps=sweeps)
+    assert MountainPassConfig(max_sweeps=1).max_sweeps == 1
+
+
 def two_body_circles(cutoff=4):
     """The winding +1 and -1 circles of n = 2, alpha = 1 at the optimal
     radius.  The straight segment's midpoint is (R cos t, 0), so the two

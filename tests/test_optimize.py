@@ -100,6 +100,22 @@ def test_tolerances_refuse_nan():
         MountainPassConfig(saddle_tol=math.nan)
 
 
+def test_descent_config_refuses_a_non_finite_gradient_tolerance():
+    # an infinite tolerance declared any start converged at iteration 1
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+            DescentConfig(grad_tol=tol)
+
+
+def test_descent_config_refuses_an_escape_factor_at_most_one():
+    # the escape threshold is escape_factor times max(1, initial rms): at or
+    # below the start's own size, or NaN, it cannot signal a divergence
+    for factor in (math.nan, math.inf, 0.0, -1.0, 1.0):
+        with pytest.raises(ValueError, match="escape_factor must be finite and greater than 1"):
+            DescentConfig(escape_factor=factor)
+    assert DescentConfig(escape_factor=1.5).escape_factor == 1.5
+
+
 def test_init_circle_deterministic():
     p = SystemParams(n=3)
     a = init_circle(p, -1, 1.0, noise=0.1, seed=42)
@@ -807,6 +823,27 @@ def test_multistart_shares_kernel_calls_across_starts(monkeypatch):
     assert len(descent) <= 6 + max(r.value_evals for r in results)
     assert max(descent) == 6
     assert calls == [1] * 5
+
+
+def test_multistart_completes_each_accepted_point_on_its_own_row(monkeypatch):
+    # only the trials are stacked: every force stage of a six-start
+    # multistart at (4, 1, 0.5) reads one row's lag differences (n-1, M, d),
+    # and the starts' own force stages add up to the objective's
+    shapes = []
+    force = Objective._force
+
+    def recorded(self, D, r2):
+        shapes.append(D.shape)
+        return force(self, D, r2)
+
+    monkeypatch.setattr(Objective, "_force", recorded)
+    p = SystemParams(n=4, alpha=1.0, omega=0.5)
+    out = multistart(p, DescentConfig(cutoff=8), [StartSpec(-1, seed=s) for s in range(6)])
+    obj = out._outcomes[0][0]  # the starts share one cutoff, so one objective
+    descent = len(shapes)
+    assert descent == obj.counts.grad_evals
+    assert all(len(shape) == 3 for shape in shapes)
+    assert sum(r.grad_evals for r in out.results) == descent
 
 
 def _retained_bytes(evs) -> int:
