@@ -23,6 +23,7 @@ square-integrable first derivatives are structural.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
@@ -271,6 +272,15 @@ def default_grid_size(cutoff: int, n: int) -> int:
 # coefficients, so both are bounded before anything is allocated.
 MAX_CUTOFF = 256
 MAX_GRID_SIZE = 4096
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer (a bool is not one) or is below
+    ``least``; a float count would only fail later, in ``range``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def check_discretisation(cutoff: int, grid_size: int | None) -> None:

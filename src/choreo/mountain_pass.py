@@ -77,6 +77,7 @@ from .loops import (
     FourierLoop,
     SymmetryGroup,
     SystemParams,
+    check_count,
     check_discretisation,
     pack_coefficients,
 )
@@ -100,12 +101,10 @@ class MountainPassConfig:
 
     def __post_init__(self) -> None:
         check_discretisation(self.cutoff, self.grid_size)
-        if self.nodes < 3:
-            raise ValueError("a path needs at least 3 nodes")
+        check_count("nodes", self.nodes, 3)  # a path needs 3 nodes
         if not (math.isfinite(self.saddle_tol) and self.saddle_tol > 0):
             raise ValueError(f"saddle_tol must be finite and positive, got {self.saddle_tol}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        check_count("max_sweeps", self.max_sweeps, 1)
 
 
 # path phase: a sweep moves the top node and its neighbours by one

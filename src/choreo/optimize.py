@@ -42,9 +42,19 @@ The metric step converges linearly, so the descent finishes with a guarded
 Newton step on the exact Hessian (:meth:`action.Evaluation.hessian`; Simó's
 Newton iteration on Fourier coefficients, safeguarded as in Nocedal &
 Wright, ch. 4).  It is tried at iterations 8, 16, 32, ... where the metric
-step is within its cap, and after every accepted Newton step: a capped
-metric step means the flow is still far from its minimizer, and the Newton
-step must pass the same cap.  The step inverts the Hessian on its
+step is within its cap, after every accepted Newton step, and at the first
+uncapped iteration whose gradient norm is at most half that of a try
+refused at its evaluated trial (it collided, failed the Armijo test or did
+not halve the gradient).  A capped metric step means the flow is still far
+from its minimizer, and the Newton step must pass the same cap.  The metric
+step halves the gradient in tens of iterations, so a refused trial is
+retried then instead of at the next power of two: the gate-8 n = 12 run
+from seed 0 converges in 298 iterations instead of 513.  A try refused by
+its spectral guards (negative curvature, nothing to invert, a gradient too
+large for the quadratic regime) or by the cap evaluates no trial and arms
+no retry: a smaller gradient does not make the Hessian a basin's, and such
+runs, the mountain-pass basin probes among them, keep the power-of-two
+schedule.  The step inverts the Hessian on its
 eigenvectors with eigenvalues above tau = max(1e-6 max|lam|, |g|), so zero
 modes and directions flatter than the gradient are left alone.  It is taken
 only where no eigenvalue lies below -tau, the gradient is at most half the
@@ -104,6 +114,7 @@ from .loops import (
     SymmetryGroup,
     SystemParams,
     body_samples,
+    check_count,
     check_discretisation,
     diagnostics as loop_diagnostics,
 )
@@ -127,8 +138,8 @@ class DescentConfig:
         check_discretisation(self.cutoff, self.grid_size)
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters, 1)
+        check_count("log_every", self.log_every, 0)
         # the escape threshold is escape_factor times max(1, initial rms): at
         # or below the start's own size it cannot signal a divergence
         if not (math.isfinite(self.escape_factor) and self.escape_factor > 1):
@@ -244,6 +255,7 @@ class SearchResult:
 class MinimizeResult(SearchResult):
     iters: int
     newton_steps: int  # iterations that took the guarded Newton step
+    newton_attempts: int  # Newton tries, taken or refused: a Hessian and an eigh each
     collision_rejects: int  # trials rejected by the collision guard
     clusters: ClusterReport | None
     escaped_to_infinity: bool
@@ -255,6 +267,7 @@ class MinimizeResult(SearchResult):
             **super().as_dict(),
             "iters": self.iters,
             "newton_steps": self.newton_steps,
+            "newton_attempts": self.newton_attempts,
             "collision_rejects": self.collision_rejects,
             "clusters": self.clusters.as_dict() if self.clusters else None,
             "escaped_to_infinity": self.escaped_to_infinity,
@@ -277,9 +290,11 @@ _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _ESCAPE_WINDOW = 200  # iterations of monotone rms growth before an escape
 # a Newton step is tried at iterations 8, 16, 32, ... where the metric step
-# is not capped, and after every accepted one; the gradient must be at most
-# this fraction of the smallest eigenvalue it inverts, and the step must
-# reduce the gradient norm by it
+# is not capped, after every accepted one, and where it is not capped and
+# the gradient norm has fallen to this fraction of that of a try refused at
+# its evaluated trial (a spectral or cap refusal evaluates none and arms no
+# retry); the gradient must be at most this fraction of the smallest
+# eigenvalue it inverts, and the step must reduce the gradient norm by it
 _NEWTON_FIRST = 8
 _NEWTON_CONTRACTION = 0.5
 # an eigenvalue of the Hessian is zero within this fraction of the largest
@@ -292,6 +307,7 @@ class _DescentOutcome:
     ev: Evaluation | None  # of ``vec``; None once multistart releases it
     iters: int
     newton_steps: int
+    newton_attempts: int
     converged: bool
     escaped: bool
     abort_reason: str | None
@@ -383,7 +399,8 @@ def _descent(obj: Objective, x: np.ndarray, ev: Evaluation, cfg: DescentConfig):
     history: list = []
     abort = None
     converged = escaped = newton = False
-    newton_steps = 0
+    newton_steps = newton_attempts = 0
+    retry_at = 0.0  # gradient norm of a pending Newton retry; 0 is none
     counts = KernelCounts(value_evals=1, grad_evals=1)
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -404,9 +421,17 @@ def _descent(obj: Objective, x: np.ndarray, ev: Evaluation, cfg: DescentConfig):
         # resolution of f; allow that much slack (stays within the 1e-12
         # per-step monotonicity contract)
         noise = 1e-13 * max(1.0, abs(f))
-        if newton or (not capped and it >= _NEWTON_FIRST and it & (it - 1) == 0):
+        if newton or (
+            not capped
+            and (gnorm <= retry_at or (it >= _NEWTON_FIRST and it & (it - 1) == 0))
+        ):
+            newton_attempts += 1
+            evaluated = counts.value_evals
             iterate = yield from _newton(obj, x, ev, g, gnorm, cap, noise, cfg.grad_tol, counts)
             newton = iterate is not None
+            # only a refusal at an evaluated trial arms a retry
+            refused_trial = not newton and counts.value_evals > evaluated
+            retry_at = _NEWTON_CONTRACTION * gnorm if refused_trial else 0.0
         if newton:
             newton_steps += 1
             x, ev, (g, gnorm, new_rms, direction, slope, length) = iterate
@@ -444,7 +469,9 @@ def _descent(obj: Objective, x: np.ndarray, ev: Evaluation, cfg: DescentConfig):
     else:
         abort = "iteration budget exhausted"
         it = cfg.max_iters
-    return _DescentOutcome(x, ev, it, newton_steps, converged, escaped, abort, history, counts)
+    return _DescentOutcome(
+        x, ev, it, newton_steps, newton_attempts, converged, escaped, abort, history, counts
+    )
 
 
 def descend(
@@ -465,11 +492,18 @@ def descend(
     f - f_trial exceeds the float resolution of f.  Convergence is the
     Euclidean gradient norm below ``grad_tol``.
 
-    At iterations 8, 16, 32, ... where the metric step is not capped, and
-    after every accepted Newton step, the iteration first tries the guarded
-    Newton step of :func:`_newton`, under the same displacement cap; a
-    refused one leaves the iteration to the metric step.  A Newton step is
-    one iteration, with the same rms and escape bookkeeping.
+    At iterations 8, 16, 32, ... where the metric step is not capped, after
+    every accepted Newton step, and at the first uncapped iteration whose
+    gradient norm is at most half that of a try refused at its evaluated
+    trial (a collision, the Armijo or the contraction test), the iteration
+    first tries the guarded Newton step of :func:`_newton`, under the same
+    displacement cap; a refused one leaves the iteration to the metric
+    step.  Any try clears the pending retry.  A spectral refusal (negative
+    curvature, nothing to invert, not yet quadratic) and a cap refusal
+    evaluate no trial and arm no retry, so such runs keep the power-of-two
+    schedule.  A Newton step is one iteration, with the same rms and escape
+    bookkeeping; ``newton_attempts`` counts the tries, each an exact
+    Hessian and its eigendecomposition.
 
     Escape is declared when the loop's rms norm exceeds ``escape_factor``
     times max(1, initial rms) after growing monotonically (to rounding) over
@@ -609,6 +643,7 @@ def _result(obj: Objective, out: _DescentOutcome) -> MinimizeResult:
         converged=out.converged,
         iters=out.iters,
         newton_steps=out.newton_steps,
+        newton_attempts=out.newton_attempts,
         collision_rejects=out.counts.collisions,
         clusters=clusters,
         escaped_to_infinity=out.escaped,

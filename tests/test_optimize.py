@@ -116,6 +116,35 @@ def test_descent_config_refuses_an_escape_factor_at_most_one():
     assert DescentConfig(escape_factor=1.5).escape_factor == 1.5
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "5"])
+def test_descent_config_refuses_a_non_integer_iteration_budget(max_iters):
+    # 2.5 was accepted, and minimize then died in range() with a TypeError
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        DescentConfig(max_iters=max_iters)
+    assert DescentConfig(max_iters=np.int64(7)).max_iters == 7
+
+
+@pytest.mark.parametrize("log_every", [-3, -1, 1.5, True])
+def test_descent_config_refuses_a_negative_or_non_integer_log_interval(log_every):
+    # -3 silently logged every third iteration
+    with pytest.raises(ValueError, match="log_every must be"):
+        DescentConfig(log_every=log_every)
+    assert DescentConfig(log_every=0).log_every == 0
+
+
+def test_mountain_pass_config_refuses_non_integer_counts():
+    # MountainPassConfig(nodes=3.5, max_sweeps=2.5) was accepted
+    with pytest.raises(ValueError, match="nodes must be an integer, got 3.5"):
+        MountainPassConfig(nodes=3.5)
+    with pytest.raises(ValueError, match="max_sweeps must be an integer, got 2.5"):
+        MountainPassConfig(max_sweeps=2.5)
+    with pytest.raises(ValueError, match="nodes must be an integer"):
+        MountainPassConfig(nodes=True)
+    with pytest.raises(ValueError, match="nodes must be at least 3, got 2"):
+        MountainPassConfig(nodes=2)
+    assert MountainPassConfig(nodes=3, max_sweeps=1).nodes == 3
+
+
 def test_init_circle_deterministic():
     p = SystemParams(n=3)
     a = init_circle(p, -1, 1.0, noise=0.1, seed=42)
@@ -539,6 +568,76 @@ def test_nonplanar_twelve_body_descent_converges():
     assert res.diagnostics.planarity > 0.05
 
 
+# the gate-8 start of seed ``seed`` and its run's configuration, logging
+# every iteration
+GATE8 = SystemParams(n=12, d=3, alpha=1.0, omega=6.55)
+GATE8_CFG = DescentConfig(cutoff=12, grid_size=96, grad_tol=1e-6, max_iters=40_000, log_every=1)
+
+
+def gate8_start(seed):
+    R = circle_radius_for_winding(12, 1.0, 6.55, -7)
+    return init_circle(GATE8, -7, R, noise=0.12, seed=seed, cutoff=12)
+
+
+def newton_tries(monkeypatch, res_of):
+    """The run ``res_of()``, with each of its Newton tries as (iteration,
+    gradient norm, outcome): "taken", "trial" (refused after its trial was
+    evaluated) or "spectral" (refused before any trial: the spectral guards
+    or the cap).  The iteration is read from the run's history."""
+    tries = []
+    newton = optimize._newton
+
+    def spy(obj, x, ev, g, gnorm, cap, noise, tol, counts):
+        evaluated = counts.value_evals
+        out = yield from newton(obj, x, ev, g, gnorm, cap, noise, tol, counts)
+        if out is not None:
+            kind = "taken"
+        else:
+            kind = "trial" if counts.value_evals > evaluated else "spectral"
+        tries.append((gnorm, kind))
+        return out
+
+    monkeypatch.setattr(optimize, "_newton", spy)
+    res = res_of()
+    iteration = {gnorm: it for it, _, gnorm, _ in res.history}
+    assert res.newton_attempts == len(tries)
+    assert res.newton_steps == sum(kind == "taken" for _, kind in tries)
+    return res, [(iteration[gnorm], gnorm, kind) for gnorm, kind in tries]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_newton_retries_once_the_gradient_halves_after_a_refused_trial(monkeypatch, seed):
+    # a try refused at its trial was retried only at the next power of two:
+    # seed 0 was refused at iteration 256 (gradient 1.7e-3), halved its
+    # gradient about every 32 iterations and took 513 iterations, its
+    # Newton step converging at 512
+    res, tries = newton_tries(monkeypatch, lambda: minimize(GATE8, gate8_start(seed), GATE8_CFG))
+    gnorms = {it: gnorm for it, _, gnorm, _ in res.history}
+    refused = [i for i, (*_, kind) in enumerate(tries) if kind == "trial"]
+    assert refused
+    for i in refused:
+        it, g0, _ = tries[i]
+        retry = next(j for j in range(it + 1, res.iters + 1) if gnorms[j] <= 0.5 * g0)
+        assert tries[i + 1][0] == retry and tries[i + 1][1] <= 0.5 * g0
+    assert res.converged and res.iters < 512 and tries[-1][2] == "taken"
+    assert abs(res.action.total - 16.122238007) < 1e-9
+    assert res.morse_index == 0
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_spectral_refusals_keep_the_power_of_two_schedule(monkeypatch, seed):
+    # every refusal of these gate-8 runs is spectral (seed 4's are negative
+    # curvature throughout): tries come at 8, 16, 32, ... and right after
+    # an accepted step, never on a halved gradient
+    res, tries = newton_tries(monkeypatch, lambda: minimize(GATE8, gate8_start(seed), GATE8_CFG))
+    assert res.converged and {kind for *_, kind in tries} <= {"taken", "spectral"}
+    assert any(kind == "spectral" for *_, kind in tries)
+    previous = None
+    for it, _, kind in tries:
+        assert (it >= 8 and it & (it - 1) == 0) or previous == (it - 1, "taken")
+        previous = (it, kind)
+
+
 # ---------------------------------------------------------------------------
 # escape
 
@@ -572,7 +671,7 @@ def test_escapes_survive_the_newton_finish(tmp_path):
     assert cli.main(argv) == 2
     res = json.loads((tmp_path / "orbit.json").read_text())["result"]
     assert res["escaped_to_infinity"] and not res["converged"]
-    assert res["newton_steps"] >= 0
+    assert res["newton_attempts"] >= res["newton_steps"] >= 0
 
 
 def test_newton_finish_keeps_the_flow_s_minimizer():
